@@ -1,0 +1,103 @@
+"""Byte pins of the reports and CLI payloads.
+
+Each case runs one command in process and compares the sha256 of its output
+with a recorded digest.  A refactor that keeps every verdict, slack value
+and formatting rule keeps these digests; a change that alters an output
+byte on purpose updates the digest and says why.
+
+The printed values are certified-enclosure midpoints, and the float
+estimates from `numpy.linalg.eigvalsh` choose where the enclosures are
+probed, so a LAPACK build whose estimates differ may move the last printed
+digits and with them these digests.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from treelap.cli import main as cli_main
+from treelap.verify import SweepConfig, run_family_sweep
+
+PAPER_CHECKS = "lemma21,lemma22,lemma26,lemma31,cor31,thm31,thm32"
+
+REPORT_DIGESTS = {
+    "jsonl": "5fde2d5183a5abacc030d0a65be9542aeaff85e51c00f685ddd242be4e31a917",
+    "csv": "737b396bfd8eba26b3adcff3e0abccc5d047b568210c4cacb6aad19a108662e2",
+}
+
+# family arguments -> (exit code, digest of the `bounds --check all` stdout)
+BOUNDS_DIGESTS = {
+    ("path", "--n", "6"): (0, "9840865cfdc4882171ea1ff8b89e0a4f36d6b713e88a7dd60f274ee3fb97fc9c"),
+    ("star", "--n", "6"): (0, "feed1d63848bb57a6c1d30da0e9dd8afc0c37ed04043914c37f183ac9aa1a0de"),
+    ("sns", "--p", "2", "--r", "3", "--s", "2,1,1"): (0, "2929ae4d6a23ec224b209df04c0e4721943720d147fecc5ceac2846a8d7fa452"),
+}
+
+SWEEP_DIGESTS = {
+    "jsonl": "a2a42f262f57909e1cfc59fc7a6556abbe780fb287847a81e873ab41fb71b45f",
+    "csv": "6a1bc5a7d8762921c6a16c3aaf1e13f62323fe52f705189696d7e3e6c5a314e4",
+}
+
+PAYLOAD_TREE = "1,1,2,3,3"  # Pruefer labels of a 7-vertex tree with diameter 4
+PAYLOAD_DIGESTS = {
+    "spectrum": "de32095e6e81d0ac9a39c1edb87aa9ee9bd763a0f576debc9dc6636e3661c27b",
+    "le": "21d59a80a6d304fd6d1eb2eda6f8ac8ee2e7ae2ce79b28491581b03333b533f3",
+    "charpoly": "7576f5c57f45901f36f8bea83fbe3d99f636b4f678e5de526760f73ec8581fcc",
+}
+
+
+def _run(*argv: str) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(list(argv))
+    return code, buf.getvalue().encode()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_DIGESTS))
+def test_check_conjecture_report_bytes(tmp_path, fmt):
+    report = tmp_path / f"report.{fmt}"
+    code, _ = _run("check-conjecture", "--n-max", "9", "--checks", PAPER_CHECKS,
+                   "--report", str(report), "--format", fmt)
+    assert code == 0
+    assert _sha(report.read_bytes()) == REPORT_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("family", sorted(BOUNDS_DIGESTS))
+def test_bounds_all_stdout_bytes(tmp_path, family):
+    code, text = _run("family", "--family", *family)
+    assert code == 0
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_bytes(text)
+    code, out = _run("bounds", "--check", "all", "--in", str(tree_file))
+    assert (code, _sha(out)) == BOUNDS_DIGESTS[family]
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))
+def test_family_sweep_report_bytes(tmp_path, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    config = SweepConfig(
+        tol=1e-9,
+        t4_ab=(9, 11),
+        tprime_r=(2, 3),
+        tprime_s1=(2, 4),
+        tdprime_r=(3, 3),
+        tdprime_s=(2, 3),
+        broom_ab=(1, 3),
+        sns_random=3,
+        out=str(out),
+        fmt=fmt,
+    )
+    run_family_sweep(config)
+    assert _sha(out.read_bytes()) == SWEEP_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_DIGESTS))
+def test_payload_bytes(command):
+    code, out = _run(command, "--pruefer", PAYLOAD_TREE)
+    assert code == 0
+    assert _sha(out) == PAYLOAD_DIGESTS[command]
