@@ -42,25 +42,19 @@ from .charpoly import (
     Poly,
     RationalFn,
     char_poly,
-    char_poly_forest,
     closed_form_t4,
     closed_form_tdprime,
     closed_form_tprime,
-    eval_poly,
     sign_changes_sturm,
-    squarefree_decomposition,
     tdprime_sextic,
     tprime_quartic,
 )
 from .spectral import (
-    DiagOutcome,
     EigCounts,
     Spectrum,
     count_eigs,
-    diagonalize,
     eigenvalues,
     laplacian_energy,
-    le_max_form,
     multiplicity_of_one,
     s_k,
     sigma,

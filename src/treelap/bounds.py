@@ -9,6 +9,11 @@ to `refine` times before reporting undecided.
 The only irrational constant, pi, enters through its 30-digit rational
 enclosure, so threshold decisions such as the internal-vertex condition
 n(pi-2)/pi >= s+2 are exact-rational comparisons.
+
+CHECKS, at the end, is the one registry of per-tree checks: each id names
+its check function and its fan-out over a tree (once, over k, over edges,
+over non-pendant edges, or only when the tree qualifies).  Exhaustive runs
+and the `bounds` subcommand both iterate it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from . import families
 from .errors import BadParam, PendantEdge
@@ -79,6 +84,11 @@ def _all3(*vals) -> bool | None:
 
 def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
     return float(lhs.lo - rhs.hi)
+
+
+def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **extra) -> BoundReport:
+    """The certified claim lhs >= rhs, with its slack."""
+    return BoundReport(bound_id, inputs, lhs, rhs, lhs.ge(rhs), _ge_slack(lhs, rhs), **extra)
 
 
 def _refined(make: Callable[[float], BoundReport], tol: float, refine: int) -> BoundReport:
@@ -189,15 +199,7 @@ def majorization_check(tree: Tree, k: int, tol: float = 1e-12, refine: int = 3) 
     rhs = Enclosure.exact(1 + sum(degs[:k]))
 
     def make(t: float) -> BoundReport:
-        lhs = eigenvalues(tree, t).s_k(k)
-        return BoundReport(
-            bound_id="lemma31",
-            inputs={"n": tree.n, "k": k},
-            lhs=lhs,
-            rhs=rhs,
-            holds=lhs.ge(rhs),
-            slack=_ge_slack(lhs, rhs),
-        )
+        return _ge_report("lemma31", {"n": tree.n, "k": k}, eigenvalues(tree, t).s_k(k), rhs)
 
     return _refined(make, tol, refine)
 
@@ -207,28 +209,15 @@ def lemma21_check(tree: Tree) -> BoundReport:
     ds = degree_summary(tree)
     mult = multiplicity_of_one(tree)
     bound = ds.pendant_count - ds.leaf_neighbor_count
-    return BoundReport(
-        bound_id="lemma21",
-        inputs={"n": tree.n, "p": ds.pendant_count, "q": ds.leaf_neighbor_count},
-        lhs=Enclosure.exact(mult),
-        rhs=Enclosure.exact(bound),
-        holds=mult >= bound,
-        slack=float(mult - bound),
-    )
+    inputs = {"n": tree.n, "p": ds.pendant_count, "q": ds.leaf_neighbor_count}
+    return _ge_report("lemma21", inputs, Enclosure.exact(mult), Enclosure.exact(bound))
 
 
 def lemma26_check(tree: Tree) -> BoundReport:
     """At least ceil(n/2) eigenvalues lie strictly below the average degree."""
     below = count_eigs(tree, average_degree(tree)).below
     need = (tree.n + 1) // 2
-    return BoundReport(
-        bound_id="lemma26",
-        inputs={"n": tree.n},
-        lhs=Enclosure.exact(below),
-        rhs=Enclosure.exact(need),
-        holds=below >= need,
-        slack=float(below - need),
-    )
+    return _ge_report("lemma26", {"n": tree.n}, Enclosure.exact(below), Enclosure.exact(need))
 
 
 def interlacing_check(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
@@ -331,15 +320,7 @@ def cor31_check(tree: Tree, k: int, tol: float = 1e-12, refine: int = 3) -> Boun
     bound = Enclosure.exact(cor31_lower_bound(tree, k))
 
     def make(t: float) -> BoundReport:
-        le = eigenvalues(tree, t).laplacian_energy()
-        return BoundReport(
-            bound_id="cor31",
-            inputs={"n": tree.n, "k": k},
-            lhs=le,
-            rhs=bound,
-            holds=le.ge(bound),
-            slack=_ge_slack(le, bound),
-        )
+        return _ge_report("cor31", {"n": tree.n, "k": k}, eigenvalues(tree, t).laplacian_energy(), bound)
 
     return _refined(make, tol, refine)
 
@@ -347,22 +328,40 @@ def cor31_check(tree: Tree, k: int, tol: float = 1e-12, refine: int = 3) -> Boun
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
 
 
-def _nonpendant_split(tree: Tree, edge: tuple[int, int]):
+def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, int]:
+    """(T1, T2, k1, k2) for T - e = T1 u T2 at a non-pendant edge, larger
+    component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n."""
     split = delete_edge(tree, edge)
     if split.pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
-    return split
+    thr = Fraction(2 * tree.n - 4, tree.n)
+    return split.first, split.second, count_at_least(split.first, thr), count_at_least(split.second, thr)
+
+
+def _claim_if(
+    applicable: bool | None,
+    bound_id: str,
+    tree: Tree,
+    tol: float,
+    inputs: dict,
+    rhs: Enclosure,
+    hypotheses: dict,
+    out_of_hypothesis: bool = False,
+) -> BoundReport:
+    """LE(T) >= rhs when the hypotheses are certified; otherwise a report
+    that makes no claim and says whether they failed or stayed undecided."""
+    if applicable is True:
+        return _ge_report(bound_id, inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
+                          hypotheses=hypotheses, out_of_hypothesis=out_of_hypothesis)
+    note = "hypotheses not satisfied; no claim made" if applicable is False else "hypotheses undecided"
+    return BoundReport(bound_id, inputs, None, rhs, None, None, hypotheses, out_of_hypothesis, note)
 
 
 def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refine: int = 3) -> BoundReport:
     """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
     k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
     n = tree.n
-    split = _nonpendant_split(tree, edge)
-    t1, t2 = split.first, split.second
-    thr = Fraction(2 * n - 4, n)
-    k1 = count_at_least(t1, thr)
-    k2 = count_at_least(t2, thr)
+    t1, t2, k1, k2 = _split_counts(tree, edge)
     sig = k1 + k2
 
     def make(t: float) -> BoundReport:
@@ -371,16 +370,9 @@ def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, ref
             + 2 * eigenvalues(t2, t).s_k(k2)
             + Enclosure.exact(Fraction(4 * sig, n) - 4 * sig)
         )
-        le = eigenvalues(tree, t).laplacian_energy()
-        return BoundReport(
-            bound_id="thm32",
-            inputs={"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig},
-            lhs=le,
-            rhs=rhs,
-            holds=le.ge(rhs),
-            slack=_ge_slack(le, rhs),
-            out_of_hypothesis=n < 8,
-        )
+        inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
+        return _ge_report("thm32", inputs, eigenvalues(tree, t).laplacian_energy(), rhs,
+                          out_of_hypothesis=n < 8)
 
     return _refined(make, tol, refine)
 
@@ -390,16 +382,14 @@ def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refin
     then LE(T) >= 2 + 4n/pi.  The proof's auxiliary inequality
     n1^2 (n2 - 2 sigma2) + n2^2 (n1 - 2 sigma1) >= 0 is verified alongside."""
     n = tree.n
-    split = _nonpendant_split(tree, edge)
-    t1, t2 = split.first, split.second
+    t1, t2, k1, k2 = _split_counts(tree, edge)
     n1, n2 = t1.n, t2.n
-    thr = Fraction(2 * n - 4, n)
-    k1 = count_at_least(t1, thr)
-    k2 = count_at_least(t2, thr)
     s1 = sigma(t1)
     s2 = sigma(t2)
     aux = n1 * n1 * (n2 - 2 * s2) + n2 * n2 * (n1 - 2 * s1) >= 0
     hyp_k = (s1 == k1) and (s2 == k2)
+    inputs = {"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
+              "sigma1": s1, "sigma2": s2}
 
     def make(t: float) -> BoundReport:
         h1 = eigenvalues(t1, t).laplacian_energy().ge(path_energy_upper(n1))
@@ -410,34 +400,8 @@ def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refin
             "le_t2_clears": h2,
             "auxiliary_nonneg": aux,
         }
-        rhs = path_energy_upper(n)
-        applicable = _all3(hyp_k, h1, h2)
-        if applicable is True:
-            le = eigenvalues(tree, t).laplacian_energy()
-            holds = le.ge(rhs)
-            return BoundReport(
-                bound_id="coru",
-                inputs={"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
-                        "sigma1": s1, "sigma2": s2},
-                lhs=le,
-                rhs=rhs,
-                holds=holds,
-                slack=_ge_slack(le, rhs),
-                hypotheses=hypotheses,
-                out_of_hypothesis=n < 8,
-            )
-        return BoundReport(
-            bound_id="coru",
-            inputs={"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
-                    "sigma1": s1, "sigma2": s2},
-            lhs=None,
-            rhs=rhs,
-            holds=None,
-            slack=None,
-            hypotheses=hypotheses,
-            out_of_hypothesis=n < 8,
-            note="hypotheses not satisfied; no claim made" if applicable is False else "hypotheses undecided",
-        )
+        return _claim_if(_all3(hyp_k, h1, h2), "coru", tree, t, inputs, path_energy_upper(n),
+                         hypotheses, out_of_hypothesis=n < 8)
 
     return _refined(make, tol, refine)
 
@@ -461,6 +425,7 @@ def _join_sufficient(
     n = tree.n
     s1 = sigma(t1)
     r1 = degree_summary(t1).internal_count
+    inputs = {"n": n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
 
     def make(t: float) -> BoundReport:
         hypotheses: dict = {}
@@ -468,43 +433,13 @@ def _join_sufficient(
             # mu_{sigma1+1}(T1) - d_bar(T1) < -2/n, strict
             enc = eigenvalues(t1, t).enclosure(s1 + 1)
             bound = average_degree(t1) - Fraction(2, n)
-            if enc.hi < bound:
-                gap = True
-            elif enc.lo >= bound:
-                gap = False
-            else:
-                gap = None
-            hypotheses["gap"] = gap
-            structural = gap
+            structural = True if enc.hi < bound else False if enc.lo >= bound else None
+            hypotheses["gap"] = structural
         else:
-            hypotheses["sigma1_equals_r1"] = s1 == r1
-            structural = s1 == r1
+            structural = hypotheses["sigma1_equals_r1"] = s1 == r1
         h_le = eigenvalues(t1, t).laplacian_energy().ge(path_energy_upper(n1))
         hypotheses["le_t1_clears"] = h_le
-        rhs = path_energy_upper(n)
-        applicable = _all3(structural, h_le)
-        inputs = {"n": n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
-        if applicable is True:
-            le = eigenvalues(tree, t).laplacian_energy()
-            return BoundReport(
-                bound_id=bound_id,
-                inputs=inputs,
-                lhs=le,
-                rhs=rhs,
-                holds=le.ge(rhs),
-                slack=_ge_slack(le, rhs),
-                hypotheses=hypotheses,
-            )
-        return BoundReport(
-            bound_id=bound_id,
-            inputs=inputs,
-            lhs=None,
-            rhs=rhs,
-            holds=None,
-            slack=None,
-            hypotheses=hypotheses,
-            note="hypotheses not satisfied; no claim made" if applicable is False else "hypotheses undecided",
-        )
+        return _claim_if(_all3(structural, h_le), bound_id, tree, t, inputs, path_energy_upper(n), hypotheses)
 
     return _refined(make, tol, refine)
 
@@ -542,21 +477,11 @@ _path_code_cache: dict[int, bytes] = {}
 _star_code_cache: dict[int, bytes] = {}
 
 
-def _is_path(tree: Tree) -> bool:
-    code = _path_code_cache.get(tree.n)
+def _is_shape(tree: Tree, cache: dict[int, bytes], build: Callable[[int], Tree]) -> bool:
+    """Whether tree is isomorphic to build(n), with build(n)'s code cached per n."""
+    code = cache.get(tree.n)
     if code is None:
-        code = canonical_code(families.path(tree.n))
-        _path_code_cache[tree.n] = code
-    return canonical_code(tree) == code
-
-
-def _is_star(tree: Tree) -> bool:
-    if tree.n < 2:
-        return True
-    code = _star_code_cache.get(tree.n)
-    if code is None:
-        code = canonical_code(families.star(tree.n))
-        _star_code_cache[tree.n] = code
+        code = cache[tree.n] = canonical_code(build(tree.n))
     return canonical_code(tree) == code
 
 
@@ -575,8 +500,8 @@ def conjecture_check(
     """
     n = tree.n
     star_le = Enclosure.exact(star_energy_exact(n))
-    is_p = _is_path(tree)
-    is_s = _is_star(tree)
+    is_p = _is_shape(tree, _path_code_cache, families.path)
+    is_s = n < 2 or _is_shape(tree, _star_code_cache, families.star)
 
     def make(t: float) -> BoundReport:
         le = eigenvalues(tree, t).laplacian_energy()
@@ -621,3 +546,50 @@ def diam4_energy_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> Bound
         )
 
     return _refined(make, tol, refine)
+
+
+# ---- the check registry ---------------------------------------------------------
+
+
+# fan-out -> the extra argument tuples of a check's calls on one tree
+_FANOUTS: dict[str, Callable[[Tree], list[tuple]]] = {
+    "tree": lambda t: [()],
+    "k": lambda t: [(k,) for k in range(1, t.n)],
+    "edge": lambda t: [(e,) for e in t.edges],
+    "non-pendant edge": lambda t: [(e,) for e in t.edges if t.degrees[e[0]] > 1 and t.degrees[e[1]] > 1],
+    "n >= 3": lambda t: [()] if t.n >= 3 else [],
+    "diameter 4": lambda t: [()] if diameter(t) == 4 else [],
+}
+
+
+class Check(NamedTuple):
+    """One registry entry: the name of a check function in this module, its
+    fan-out (a key of _FANOUTS; one report per argument tuple), whether it
+    takes a tolerance, and whether exhaustive runs may record it (coru,
+    diam4 and lemma25 can report no verdict on a tree by design)."""
+
+    fn: str
+    fanout: str
+    takes_tol: bool = True
+    exhaustive: bool = True
+
+    def reports(self, tree: Tree, tol: float) -> Iterator[BoundReport]:
+        # looked up at call time, so a replaced module attribute sees every call
+        fn = globals()[self.fn]
+        for args in _FANOUTS[self.fanout](tree):
+            yield fn(tree, *args, tol) if self.takes_tol else fn(tree, *args)
+
+
+CHECKS: dict[str, Check] = {
+    "lemma21": Check("lemma21_check", "tree", takes_tol=False),
+    "lemma22": Check("brouwer_haemers_check", "tree"),
+    "lemma26": Check("lemma26_check", "tree", takes_tol=False),
+    "lemma31": Check("majorization_check", "k"),
+    "cor31": Check("cor31_check", "k"),
+    "thm31": Check("thm31_lower_bound", "n >= 3"),
+    "thm32": Check("thm32_lower_bound", "non-pendant edge"),
+    "conjecture": Check("conjecture_check", "tree"),
+    "coru": Check("coru_sufficient", "non-pendant edge", exhaustive=False),
+    "diam4": Check("diam4_energy_check", "diameter 4", exhaustive=False),
+    "lemma25": Check("interlacing_check", "edge", exhaustive=False),
+}

@@ -10,8 +10,7 @@ denominators.
 Coefficients are arbitrary-precision integers throughout (the Laplacian
 characteristic polynomial of a forest is monic and integral).  Closed forms
 for the three special diameter-4 families are provided alongside, plus
-Sturm-sequence root counting and squarefree decomposition for locating
-roots exactly.
+exact gcds, squarefree parts and Sturm-sequence counts of distinct roots.
 """
 
 from __future__ import annotations
@@ -123,10 +122,6 @@ X = Poly((0, 1))
 ONE = Poly((1,))
 
 
-def eval_poly(p: Poly, x) -> Fraction:
-    return Fraction(p(Fraction(x)))
-
-
 @dataclass(frozen=True)
 class RationalFn:
     """The per-vertex rational function a(v) = numerator / denominator,
@@ -162,14 +157,6 @@ def char_poly(tree: Tree) -> Poly:
     # product of all a(v) telescopes to the root numerator
     root = tree.centroids()[0]
     return fns[root].numerator
-
-
-def char_poly_forest(trees: Sequence[Tree]) -> Poly:
-    """Characteristic polynomial of a disjoint union of trees."""
-    out = ONE
-    for t in trees:
-        out = out * char_poly(t)
-    return out
 
 
 # ---- closed forms for the diameter-4 families ------------------------------
@@ -291,8 +278,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         _, r = poly_divmod(a, b)
         a, b = b, primitive(r)
-    if a.is_zero():
-        return a
     return a
 
 
@@ -308,37 +293,6 @@ def squarefree_part(p: Poly) -> Poly:
     q, r = poly_divmod(p, g)
     assert r.is_zero()
     return primitive(q)
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(q_i, i)] with p = lc * prod q_i^i, q_i squarefree,
-    pairwise coprime, primitive, positive-leading; factors with q_i = 1 omitted."""
-    if p.is_zero():
-        raise BadParam("zero polynomial has no squarefree decomposition")
-    p = primitive(p)
-    if p.degree == 0:
-        return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    b, rb = poly_divmod(p, g)
-    c, rc = poly_divmod(p.derivative(), g)
-    assert rb.is_zero() and rc.is_zero()
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-            b, _ = poly_divmod(b, a)
-            c, _ = poly_divmod(d, a)
-        else:
-            c = d
-        b = primitive(b)
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 def _sturm_chain(p: Poly) -> list[Poly]:
@@ -376,12 +330,3 @@ def sign_changes_sturm(p: Poly, lo, hi) -> int:
         return 0
     chain = _sturm_chain(sf)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def root_count_with_multiplicity(p: Poly, lo, hi) -> int:
-    """Number of real roots of p in (lo, hi], multiplicities counted."""
-    total = 0
-    for q, mult in squarefree_decomposition(p):
-        if q.degree > 0:
-            total += mult * sign_changes_sturm(q, lo, hi)
-    return total

@@ -33,7 +33,6 @@ from .verify import (
     emit_report,
     run_exhaustive,
     run_family_sweep,
-    KNOWN_CHECKS,
     _g15,
 )
 
@@ -70,25 +69,22 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# family -> the options its generator takes, in order
+_FAMILY_ARGS = {
+    "path": ("n",), "star": ("n",), "double_broom3": ("a", "b"), "double_broom4": ("a", "b"),
+    "sns": ("p", "r", "s"), "t4_spider": ("a", "b"), "t_prime": ("r", "s1"), "t_dprime": ("r", "s1", "s2"),
+}
+
+
 def _cmd_family(args) -> int:
-    fam = args.family
-    if fam == "path":
-        tree = families.path(args.n)
-    elif fam == "star":
-        tree = families.star(args.n)
-    elif fam == "double_broom3":
-        tree = families.double_broom3(args.a, args.b)
-    elif fam == "double_broom4":
-        tree = families.double_broom4(args.a, args.b)
-    elif fam == "sns":
-        s = [int(tok) for tok in args.s.split(",")] if args.s else []
-        tree = families.sns_tree(args.p, args.r, s)
-    elif fam == "t4_spider":
-        tree = families.t4_spider(args.a, args.b)
-    elif fam == "t_prime":
-        tree = families.t_prime(args.r, args.s1)
-    else:  # t_dprime
-        tree = families.t_dprime(args.r, args.s1, args.s2)
+    generator = args.family
+    if generator == "sns":
+        generator = "sns_tree"
+        try:
+            args.s = [int(tok) for tok in args.s.split(",")] if args.s else []
+        except ValueError:
+            raise TreelapError(f"--s wants comma-separated integers, got {args.s!r}") from None
+    tree = getattr(families, generator)(*(getattr(args, name) for name in _FAMILY_ARGS[args.family]))
     sys.stdout.write(format_edge_text(tree))
     return 0
 
@@ -125,53 +121,25 @@ def _cmd_charpoly(args) -> int:
     return 0
 
 
-def _bounds_reports(tree: Tree, check: str, tol: float):
-    from .tree import diameter
-
-    ids = KNOWN_CHECKS + ("conjecture", "coru", "diam4", "lemma25") if check == "all" else tuple(check.split(","))
-    for cid in ids:
-        if cid == "conjecture":
-            yield bounds_mod.conjecture_check(tree, tol)
-        elif cid == "lemma21":
-            yield bounds_mod.lemma21_check(tree)
-        elif cid == "lemma22":
-            yield bounds_mod.brouwer_haemers_check(tree, tol)
-        elif cid == "lemma26":
-            yield bounds_mod.lemma26_check(tree)
-        elif cid == "lemma31":
-            for k in range(1, tree.n):
-                yield bounds_mod.majorization_check(tree, k, tol)
-        elif cid == "cor31":
-            for k in range(1, tree.n):
-                yield bounds_mod.cor31_check(tree, k, tol)
-        elif cid == "thm31":
-            if tree.n >= 3:
-                yield bounds_mod.thm31_lower_bound(tree, tol)
-        elif cid == "thm32" or cid == "coru":
-            fn = bounds_mod.thm32_lower_bound if cid == "thm32" else bounds_mod.coru_sufficient
-            for e in tree.edges:
-                if tree.degrees[e[0]] > 1 and tree.degrees[e[1]] > 1:
-                    yield fn(tree, e, tol)
-        elif cid == "lemma25":
-            for e in tree.edges:
-                yield bounds_mod.interlacing_check(tree, e, tol)
-        elif cid == "diam4":
-            if diameter(tree) == 4:
-                yield bounds_mod.diam4_energy_check(tree, tol)
-        else:
-            raise TreelapError(f"unknown bound id {cid!r}")
-
-
 def _cmd_bounds(args) -> int:
     tree = _read_tree(args)
+    ids = tuple(bounds_mod.CHECKS) if args.check == "all" else tuple(args.check.split(","))
+    for cid in ids:
+        if cid not in bounds_mod.CHECKS:
+            raise TreelapError(f"unknown bound id {cid!r}; choose from {', '.join(bounds_mod.CHECKS)}")
     worst = 0
-    for rep in _bounds_reports(tree, args.check, args.tol):
-        print(json.dumps(rep.to_dict()))
-        if rep.holds is False:
-            worst = max(worst, 2)
-        elif rep.holds is None and not rep.out_of_hypothesis and not rep.note:
-            worst = max(worst, 3)
+    for cid in ids:
+        for rep in bounds_mod.CHECKS[cid].reports(tree, args.tol):
+            print(json.dumps(rep.to_dict()))
+            if rep.holds is False:
+                worst = max(worst, 2)
+            elif rep.holds is None and not rep.out_of_hypothesis and not rep.note:
+                worst = max(worst, 3)
     return worst
+
+
+def _exit_code(summary) -> int:
+    return 2 if summary.violations else 3 if summary.undecided else 0
 
 
 def _cmd_check_conjecture(args) -> int:
@@ -197,22 +165,14 @@ def _cmd_check_conjecture(args) -> int:
     if args.report:
         emit_report(summary.records, config.fmt, args.report)
         print(f"report written to {args.report}")
-    if summary.violations:
-        return 2
-    if summary.undecided:
-        return 3
-    return 0
+    return _exit_code(summary)
 
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig(tol=args.tol, out=args.out, fmt=args.format, sns_random=args.sns_random)
     summary = run_family_sweep(config)
     print(summary.describe())
-    if summary.violations:
-        return 2
-    if summary.undecided:
-        return 3
-    return 0
+    return _exit_code(summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("family", help="emit one parameterized family member")
-    p.add_argument("--family", required=True,
-                   choices=("path", "star", "double_broom3", "double_broom4",
-                            "sns", "t4_spider", "t_prime", "t_dprime"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILY_ARGS))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=1)

@@ -135,10 +135,4 @@ def sns_kind(tree: Tree) -> str | None:
         return None
     p, _, s = params
     big = sum(1 for si in s if si >= 2)
-    if p == 0 and big == 0:
-        return "t4"
-    if p == 0 and big == 1:
-        return "tprime"
-    if p == 0 and big == 2:
-        return "tdprime"
-    return "general"
+    return ("t4", "tprime", "tdprime")[big] if p == 0 and big <= 2 else "general"

@@ -143,29 +143,3 @@ PI = Enclosure(
     Fraction("3.141592653589793238462643383279"),
     Fraction("3.141592653589793238462643383280"),
 )
-
-
-def pi_rational_bounds(digits: int = 30) -> Enclosure:
-    """Independently computed enclosure of pi via Machin's formula.
-
-    16*atan(1/5) - 4*atan(1/239) with alternating-series tail bounds,
-    evaluated in exact rational arithmetic.  Used to cross-check PI.
-    """
-    target = Fraction(1, 10 ** (digits + 2))
-
-    def atan_bounds(inv_x: int) -> tuple[Fraction, Fraction]:
-        x = Fraction(1, inv_x)
-        term = x
-        total = Fraction(0)
-        k = 0
-        while term > target:
-            total += term if k % 2 == 0 else -term
-            k += 1
-            term = x ** (2 * k + 1) / (2 * k + 1)
-        # alternating series: truth is between consecutive partial sums
-        nxt = total + (term if k % 2 == 0 else -term)
-        return (min(total, nxt), max(total, nxt))
-
-    a5 = atan_bounds(5)
-    a239 = atan_bounds(239)
-    return Enclosure(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0])

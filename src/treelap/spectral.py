@@ -19,6 +19,7 @@ pins them exactly and equality cases downstream are decided, not guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -120,65 +121,6 @@ def count_eigs(tree: Tree, x) -> EigCounts:
         hit = EigCounts(neg, zero, pos)
         tree._cache[key] = hit
     return hit
-
-
-@dataclass(frozen=True)
-class DiagOutcome:
-    """Full record of one congruence pass on L(T) + alpha*I.
-
-    counts is the sign tally of values: (negative, zero, positive) — by the
-    inertia lemma these are the eigenvalues below / equal to / above -alpha.
-    substitutions lists the (vertex, zero-child) pairs rewritten to
-    (-1/2, 2); removed_edges the severed parent edges.
-    """
-
-    alpha: Fraction
-    values: tuple[Fraction, ...]
-    substitutions: tuple[tuple[int, int], ...]
-    removed_edges: tuple[tuple[int, int], ...]
-    counts: EigCounts
-
-
-def diagonalize(tree: Tree, alpha, root: int = 0) -> DiagOutcome:
-    """The congruence pass with per-vertex values kept as exact rationals."""
-    alpha = Fraction(alpha)
-    n = tree.n
-    order, parent, kids = tree.rooted(root)
-    vals: list[Fraction] = [tree.degrees[v] + alpha for v in range(n)]
-    severed = [False] * n
-    subs = []
-    removed = []
-    for v in order:
-        ks = kids[v]
-        if not ks:
-            continue
-        zero_child = -1
-        for c in ks:
-            if not severed[c] and vals[c] == 0:
-                zero_child = c
-                break
-        if zero_child >= 0:
-            vals[zero_child] = Fraction(2)
-            vals[v] = Fraction(-1, 2)
-            subs.append((v, zero_child))
-            if parent[v] >= 0:
-                severed[v] = True
-                removed.append((v, parent[v]))
-        else:
-            acc = vals[v]
-            for c in ks:
-                if not severed[c]:
-                    acc -= 1 / vals[c]
-            vals[v] = acc
-    neg = sum(1 for x in vals if x < 0)
-    zero = sum(1 for x in vals if x == 0)
-    return DiagOutcome(
-        alpha=alpha,
-        values=tuple(vals),
-        substitutions=tuple(subs),
-        removed_edges=tuple(removed),
-        counts=EigCounts(neg, zero, n - neg - zero),
-    )
 
 
 def multiplicity_of_one(tree: Tree) -> int:
@@ -364,28 +306,6 @@ class Spectrum:
             self._cache["le"] = hit
         return hit
 
-    def le_max_form(self) -> Enclosure:
-        """2 max_k (S_k - k * d_bar); must agree with laplacian_energy()."""
-        best_lo = F0
-        best_hi = F0
-        for k in range(1, self.n + 1):
-            term = self.s_k(k) - Enclosure.exact(k * self.d_bar)
-            best_lo = max(best_lo, term.lo)
-            best_hi = max(best_hi, term.hi)
-        return Enclosure(2 * best_lo, 2 * best_hi)
-
-    def le_argmax(self) -> int:
-        """k maximizing the midpoint of S_k - k*d_bar (ties: smallest k)."""
-        best_k = 1
-        best = None
-        for k in range(1, self.n + 1):
-            term = self.s_k(k) - Enclosure.exact(k * self.d_bar)
-            mid = term.lo + term.hi
-            if best is None or mid > best:
-                best = mid
-                best_k = k
-        return best_k
-
 
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     """Certified spectrum with per-eigenvalue enclosure width <= tol.
@@ -393,8 +313,8 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     Cached on the tree per tolerance (Spectrum is immutable and trees are
     shared freely, so repeated bound checks cost one computation).
     """
-    if tol <= 0:
-        raise BadParam(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise BadParam(f"tol must be finite and > 0, got {tol}")
     key = ("spectrum", tol)
     hit = tree._cache.get(key)
     if hit is not None:
@@ -424,10 +344,6 @@ def s_k(tree: Tree, k: int, tol: float = 1e-12) -> Enclosure:
 def laplacian_energy(tree: Tree, tol: float = 1e-12) -> Enclosure:
     """Certified LE(T); error bound at most 2*sigma*tol."""
     return eigenvalues(tree, tol).laplacian_energy()
-
-
-def le_max_form(tree: Tree, tol: float = 1e-12) -> Enclosure:
-    return eigenvalues(tree, tol).le_max_form()
 
 
 def forest_enclosures(trees: Sequence[Tree], tol: float = 1e-12) -> tuple[tuple[Fraction, Fraction], ...]:

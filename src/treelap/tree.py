@@ -386,13 +386,6 @@ def join_trees(t1: Tree, t2: Tree, u1: int = 0, u2: int = 0) -> Tree:
     return Tree(t1.n + t2.n, edges)
 
 
-def relabel(tree: Tree, perm: Sequence[int]) -> Tree:
-    """The same tree with vertex v renamed perm[v]."""
-    if sorted(perm) != list(range(tree.n)):
-        raise BadParam("perm must be a permutation of 0..n-1")
-    return Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
-
-
 # ---- text codecs (CLI) -----------------------------------------------------
 
 
@@ -410,7 +403,10 @@ def parse_edge_text(text: str) -> Tree:
         parts = ln.split()
         if len(parts) != 2:
             raise BadParam(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise BadParam(f"edge line must hold two integer labels, got {ln!r}") from None
     return Tree(n, edges)
 
 
@@ -422,8 +418,10 @@ def format_edge_text(tree: Tree) -> str:
 
 def parse_pruefer_text(text: str) -> Tree:
     """Comma-separated Pruefer labels; empty string decodes to P2."""
-    s = text.strip()
-    seq = [int(tok) for tok in s.split(",") if tok.strip()] if s else []
+    try:
+        seq = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise BadParam(f"Pruefer labels must be comma-separated integers, got {text!r}") from None
     return from_pruefer(seq)
 
 

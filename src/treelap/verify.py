@@ -9,9 +9,10 @@ byte-identical across reruns with the same configuration.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from . import bounds, families
@@ -22,9 +23,6 @@ from .tree import Tree, canonical_code, degree_summary, diameter
 
 DESK_CEILING = 16
 HARD_CEILING = 18
-
-CSV_HEADER = "code,n,diam,s,sigma,le,le_err,le_path,le_star,slack"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,8 +37,8 @@ class RunConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise BadParam(f"tolerance must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise BadParam(f"tolerance must be finite and > 0, got {self.tol}")
         if not (1 <= self.n_min <= self.n_max):
             raise BadParam(f"bad order range {self.n_min}..{self.n_max}")
         ceiling = HARD_CEILING if self.allow_large else DESK_CEILING
@@ -84,68 +82,62 @@ class SweepRecord:
 
 
 def _g15(x: float) -> str:
-    """15-significant-digit float formatting used in every emitted artifact."""
-    return format(float(x), ".15g")
+    """15-significant-digit float formatting used in every emitted artifact.
+
+    Every finite float is written so that reading it back and writing it
+    again gives the same text: zero is unsigned (JSON reads "-0" as the
+    integer 0), and the few floats next to the largest double, whose
+    15-digit rounding would read back as infinity, are written in full.
+    """
+    x = float(x) + 0.0
+    s = format(x, ".15g")
+    return s if abs(x) < 1e308 or math.isfinite(float(s)) else repr(x)
+
+
+def _json_bool(v: bool | None) -> str:
+    return "null" if v is None else str(bool(v)).lower()
+
+
+def _json_checks(checks: dict) -> str:
+    return "{" + ",".join(f"{json.dumps(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())) + "}"
+
+
+# Field annotation -> (JSON text, CSV text or None for a JSON-only field).
+_FORMATS = {
+    "str": (json.dumps, str),
+    "int": (str, str),
+    "float": (_g15, _g15),
+    "bool": (_json_bool, _json_bool),
+    "bool | None": (_json_bool, lambda v: "" if v is None else _json_bool(v)),
+    "dict": (_json_checks, None),
+}
+
+# One field table per record type, in declaration order: (name, to_json, to_csv).
+_FIELDS = {
+    cls: tuple((f.name, *_FORMATS[f.type]) for f in fields(cls)) for cls in (VerifyRecord, SweepRecord)
+}
+
+
+def _fields_of(rec) -> tuple:
+    try:
+        return _FIELDS[type(rec)]
+    except KeyError:
+        raise BadParam(f"unknown record type {type(rec)!r}") from None
+
+
+def _csv_header(cls) -> str:
+    return ",".join(name for name, _, to_csv in _FIELDS[cls] if to_csv)
+
+
+CSV_HEADER = _csv_header(VerifyRecord)
 
 
 def record_to_json(rec) -> str:
-    if isinstance(rec, VerifyRecord):
-        checks = ",".join(
-            f'"{k}":{"null" if v is None else str(bool(v)).lower()}'
-            for k, v in sorted(rec.checks.items())
-        )
-        return (
-            f'{{"code":{json.dumps(rec.code)},"n":{rec.n},"diam":{rec.diam},'
-            f'"s":{rec.s},"sigma":{rec.sigma},"le":{_g15(rec.le)},'
-            f'"le_err":{_g15(rec.le_err)},"le_path":{_g15(rec.le_path)},'
-            f'"le_star":{_g15(rec.le_star)},"slack":{_g15(rec.slack)},'
-            f"\"checks\":{{{checks}}}}}"
-        )
-    if isinstance(rec, SweepRecord):
-        holds = "null" if rec.holds is None else str(bool(rec.holds)).lower()
-        return (
-            f'{{"family":{json.dumps(rec.family)},"params":{json.dumps(rec.params)},'
-            f'"n":{rec.n},"sigma":{rec.sigma},"le":{_g15(rec.le)},'
-            f'"le_err":{_g15(rec.le_err)},"bound":{_g15(rec.bound)},'
-            f'"holds":{holds},"slack":{_g15(rec.slack)},'
-            f'"thm31_cond":{str(bool(rec.thm31_cond)).lower()}}}'
-        )
-    raise BadParam(f"unknown record type {type(rec)!r}")
+    return "{" + ",".join(f'"{name}":{to_json(getattr(rec, name))}' for name, to_json, _ in _fields_of(rec)) + "}"
 
 
 def record_to_csv(rec) -> str:
-    if isinstance(rec, VerifyRecord):
-        return ",".join(
-            [
-                rec.code,
-                str(rec.n),
-                str(rec.diam),
-                str(rec.s),
-                str(rec.sigma),
-                _g15(rec.le),
-                _g15(rec.le_err),
-                _g15(rec.le_path),
-                _g15(rec.le_star),
-                _g15(rec.slack),
-            ]
-        )
-    if isinstance(rec, SweepRecord):
-        holds = "" if rec.holds is None else str(bool(rec.holds)).lower()
-        return ",".join(
-            [
-                rec.family,
-                rec.params,
-                str(rec.n),
-                str(rec.sigma),
-                _g15(rec.le),
-                _g15(rec.le_err),
-                _g15(rec.bound),
-                holds,
-                _g15(rec.slack),
-                str(bool(rec.thm31_cond)).lower(),
-            ]
-        )
-    raise BadParam(f"unknown record type {type(rec)!r}")
+    return ",".join(to_csv(getattr(rec, name)) for name, _, to_csv in _fields_of(rec) if to_csv)
 
 
 def _sort_key(rec):
@@ -161,10 +153,7 @@ def emit_report(records: Sequence, fmt: str, path: str) -> None:
     ordered = sorted(records, key=_sort_key)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if fmt == "csv":
-            header = CSV_HEADER if (not ordered or isinstance(ordered[0], VerifyRecord)) else (
-                "family,params,n,sigma,le,le_err,bound,holds,slack,thm31_cond"
-            )
-            fh.write(header + "\n")
+            fh.write(_csv_header(type(ordered[0]) if ordered else VerifyRecord) + "\n")
             for rec in ordered:
                 fh.write(record_to_csv(rec) + "\n")
         else:
@@ -172,46 +161,30 @@ def emit_report(records: Sequence, fmt: str, path: str) -> None:
                 fh.write(record_to_json(rec) + "\n")
 
 
-def _load_existing_codes(path: str) -> set[str]:
-    codes: set[str] = set()
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    codes.add(json.loads(line)["code"])
-    return codes
+def _load_sink(path: str) -> dict[str, VerifyRecord]:
+    """The records already in a run's sink, by code.
 
-
-# ---- per-tree extra checks ----------------------------------------------------
-
-
-def _run_check(check: str, tree: Tree, tol: float) -> bool | None:
-    if check == "conjecture":
-        raise BadParam("the conjecture check is always run; do not list it")
-    if check == "lemma21":
-        return bounds.lemma21_check(tree).holds
-    if check == "lemma22":
-        return bounds.brouwer_haemers_check(tree, tol).holds
-    if check == "lemma26":
-        return bounds.lemma26_check(tree).holds
-    if check == "lemma31":
-        verdicts = [bounds.majorization_check(tree, k, tol).holds for k in range(1, tree.n)]
-        return bounds._all3(*verdicts)
-    if check == "cor31":
-        verdicts = [bounds.cor31_check(tree, k, tol).holds for k in range(1, tree.n)]
-        return bounds._all3(*verdicts)
-    if check == "thm31":
-        return bounds.thm31_lower_bound(tree, tol).holds if tree.n >= 3 else True
-    if check == "thm32":
-        verdicts = []
-        for e in tree.edges:
-            if tree.degrees[e[0]] > 1 and tree.degrees[e[1]] > 1:
-                verdicts.append(bounds.thm32_lower_bound(tree, e, tol).holds)
-        return bounds._all3(*verdicts) if verdicts else True
-    raise BadParam(f"unknown check id {check!r}")
-
-KNOWN_CHECKS = ("lemma21", "lemma22", "lemma26", "lemma31", "cor31", "thm31", "thm32")
+    A last line without its newline is what a killed run leaves behind; it
+    is cut off the file, so its tree is evaluated again and appending starts
+    on a fresh line.  Any complete line that is not a record is an error.
+    """
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    records = {}
+    for lineno, line in enumerate(data[:end].splitlines(), 1):
+        if line.strip():
+            try:
+                rec = VerifyRecord(**json.loads(line))
+                records[rec.code] = rec
+            except (TypeError, ValueError) as exc:
+                raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    return records
 
 
 @dataclass
@@ -236,15 +209,31 @@ class RunSummary:
             lines.append(f"  n={n}: {self.counts_by_n[n]} trees")
         return "\n".join(lines)
 
+    def _tally(self, rec: VerifyRecord) -> None:
+        self.records.append(rec)
+        if any(v is False for v in rec.checks.values()):
+            self.violations += 1
+        if any(v is None for v in rec.checks.values()):
+            self.undecided += 1
+        if self.min_slack is None or rec.slack < self.min_slack:
+            self.min_slack = rec.slack
+            self.argmin_code = rec.code
+
 
 def run_exhaustive(config: RunConfig) -> RunSummary:
     """Stream all free trees in the configured range through the conjecture
-    check (plus any enabled bound checks), appending one record per tree."""
+    check (plus any enabled bound checks), appending one record per tree.
+
+    Trees already recorded in the sink are not evaluated again, but their
+    records join the summary, so a resumed run reports and exits as an
+    uninterrupted one would.
+    """
+    accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
-        if c not in ("conjecture",) + KNOWN_CHECKS:
-            raise BadParam(f"unknown check id {c!r}")
+        if c not in accepted:
+            raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
     summary = RunSummary()
-    existing = _load_existing_codes(config.out) if config.out else set()
+    existing = _load_sink(config.out) if config.out else {}
     sink = open(config.out, "a", encoding="ascii", newline="\n") if config.out else None
     try:
         for n in range(config.n_min, config.n_max + 1):
@@ -255,16 +244,18 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
             for tree in free_trees_sharded(rng):
                 code = canonical_code(tree).decode("ascii")
                 count_n += 1
-                if code in existing:
+                rec = existing.get(code)
+                if rec is not None:
                     summary.skipped += 1
+                    summary._tally(rec)
                     continue
                 rep = bounds.conjecture_check(tree, config.tol, path_le=path_le)
                 le = eigenvalues(tree, config.tol).laplacian_energy()
-                checks: dict = {}
+                checks = {"conjecture": rep.holds}
                 for cid in config.checks:
-                    if cid == "conjecture":
-                        continue
-                    checks[cid] = _run_check(cid, tree, config.tol)
+                    if cid not in checks:
+                        reports = bounds.CHECKS[cid].reports(tree, config.tol)
+                        checks[cid] = bounds._all3(*(r.holds for r in reports))
                 rec = VerifyRecord(
                     code=code,
                     n=n,
@@ -276,17 +267,10 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                     le_path=path_le.value,
                     le_star=star_le,
                     slack=rep.slack,
-                    checks={"conjecture": rep.holds, **checks},
+                    checks=checks,
                 )
-                summary.records.append(rec)
                 summary.trees += 1
-                if rep.holds is False or any(v is False for v in checks.values()):
-                    summary.violations += 1
-                if rep.holds is None or any(v is None for v in checks.values()):
-                    summary.undecided += 1
-                if summary.min_slack is None or rec.slack < summary.min_slack:
-                    summary.min_slack = rec.slack
-                    summary.argmin_code = code
+                summary._tally(rec)
                 if sink:
                     sink.write(record_to_json(rec) + "\n")
             summary.counts_by_n[n] = count_n

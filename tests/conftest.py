@@ -9,6 +9,17 @@ The oracles here deliberately take different routes from the library code:
   vertex recurrence),
 * eigenvalue counts via a dense symmetric eigensolver, with exact integer
   rank computations resolving ties at integer probe points.
+
+It also holds reference code that only the tests call, kept out of the
+package so that `src/` has one implementation of each thing:
+
+* `diagonalize`, the congruence pass with every diagonal value kept as an
+  exact Fraction (the package counts signs with `spectral._inertia` alone),
+* `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
+* `squarefree_decomposition` (Yun) and `root_count_with_multiplicity`,
+  multiplicity-aware Sturm counts,
+* `char_poly_forest`, `eval_poly`, `relabel`, and `pi_rational_bounds`,
+  an independent Machin-series enclosure of pi.
 """
 
 from __future__ import annotations
@@ -16,11 +27,16 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from treelap.charpoly import ONE, Poly, char_poly, poly_divmod, poly_gcd, primitive, sign_changes_sturm
+from treelap.errors import BadParam
+from treelap.intervals import Enclosure
+from treelap.spectral import EigCounts, Spectrum
 from treelap.tree import Tree, canonical_code, from_pruefer
 
 
@@ -212,6 +228,188 @@ def oracle_counts(tree: Tree, x: Fraction) -> tuple[int, int, int]:
     below = int(np.sum((vals < fx) & ~near))
     above = int(np.sum((vals > fx) & ~near))
     return below, equal, above
+
+
+# ------------------------------------------------------ congruence pass oracle
+
+
+@dataclass(frozen=True)
+class DiagOutcome:
+    """Full record of one congruence pass on L(T) + alpha*I.
+
+    counts is the sign tally of values: (negative, zero, positive) — by the
+    inertia lemma these are the eigenvalues below / equal to / above -alpha.
+    substitutions lists the (vertex, zero-child) pairs rewritten to
+    (-1/2, 2); removed_edges the severed parent edges.
+    """
+
+    alpha: Fraction
+    values: tuple[Fraction, ...]
+    substitutions: tuple[tuple[int, int], ...]
+    removed_edges: tuple[tuple[int, int], ...]
+    counts: EigCounts
+
+
+def diagonalize(tree: Tree, alpha, root: int = 0) -> DiagOutcome:
+    """The congruence pass with per-vertex values kept as exact rationals."""
+    alpha = Fraction(alpha)
+    n = tree.n
+    order, parent, kids = tree.rooted(root)
+    vals: list[Fraction] = [tree.degrees[v] + alpha for v in range(n)]
+    severed = [False] * n
+    subs = []
+    removed = []
+    for v in order:
+        ks = kids[v]
+        if not ks:
+            continue
+        zero_child = -1
+        for c in ks:
+            if not severed[c] and vals[c] == 0:
+                zero_child = c
+                break
+        if zero_child >= 0:
+            vals[zero_child] = Fraction(2)
+            vals[v] = Fraction(-1, 2)
+            subs.append((v, zero_child))
+            if parent[v] >= 0:
+                severed[v] = True
+                removed.append((v, parent[v]))
+        else:
+            acc = vals[v]
+            for c in ks:
+                if not severed[c]:
+                    acc -= 1 / vals[c]
+            vals[v] = acc
+    neg = sum(1 for x in vals if x < 0)
+    zero = sum(1 for x in vals if x == 0)
+    return DiagOutcome(
+        alpha=alpha,
+        values=tuple(vals),
+        substitutions=tuple(subs),
+        removed_edges=tuple(removed),
+        counts=EigCounts(neg, zero, n - neg - zero),
+    )
+
+
+# ------------------------------------------------------- energy max-form oracle
+
+
+def le_max_form(spec: Spectrum) -> Enclosure:
+    """2 max_k (S_k - k * d_bar); must agree with spec.laplacian_energy()."""
+    best_lo = best_hi = Fraction(0)
+    for k in range(1, spec.n + 1):
+        term = spec.s_k(k) - Enclosure.exact(k * spec.d_bar)
+        best_lo = max(best_lo, term.lo)
+        best_hi = max(best_hi, term.hi)
+    return Enclosure(2 * best_lo, 2 * best_hi)
+
+
+def le_argmax(spec: Spectrum) -> int:
+    """k maximizing the midpoint of S_k - k*d_bar (ties: smallest k)."""
+    best_k = 1
+    best = None
+    for k in range(1, spec.n + 1):
+        term = spec.s_k(k) - Enclosure.exact(k * spec.d_bar)
+        mid = term.lo + term.hi
+        if best is None or mid > best:
+            best = mid
+            best_k = k
+    return best_k
+
+
+# ------------------------------------------------------------ polynomial oracles
+
+
+def eval_poly(p: Poly, x) -> Fraction:
+    return Fraction(p(Fraction(x)))
+
+
+def char_poly_forest(trees) -> Poly:
+    """Characteristic polynomial of a disjoint union of trees."""
+    out = ONE
+    for t in trees:
+        out = out * char_poly(t)
+    return out
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm: [(q_i, i)] with p = lc * prod q_i^i, q_i squarefree,
+    pairwise coprime, primitive, positive-leading; factors with q_i = 1 omitted."""
+    if p.is_zero():
+        raise BadParam("zero polynomial has no squarefree decomposition")
+    p = primitive(p)
+    if p.degree == 0:
+        return []
+    out = []
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p, 1)]
+    b, rb = poly_divmod(p, g)
+    c, rc = poly_divmod(p.derivative(), g)
+    assert rb.is_zero() and rc.is_zero()
+    d = c - b.derivative()
+    i = 1
+    while b.degree > 0:
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            out.append((a, i))
+            b, _ = poly_divmod(b, a)
+            c, _ = poly_divmod(d, a)
+        else:
+            c = d
+        b = primitive(b)
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+def root_count_with_multiplicity(p: Poly, lo, hi) -> int:
+    """Number of real roots of p in (lo, hi], multiplicities counted."""
+    total = 0
+    for q, mult in squarefree_decomposition(p):
+        if q.degree > 0:
+            total += mult * sign_changes_sturm(q, lo, hi)
+    return total
+
+
+# ----------------------------------------------------------------- tree relabel
+
+
+def relabel(tree: Tree, perm) -> Tree:
+    """The same tree with vertex v renamed perm[v]."""
+    if sorted(perm) != list(range(tree.n)):
+        raise BadParam("perm must be a permutation of 0..n-1")
+    return Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+
+
+# ------------------------------------------------------------------- pi oracle
+
+
+def pi_rational_bounds(digits: int = 30) -> Enclosure:
+    """Independently computed enclosure of pi via Machin's formula.
+
+    16*atan(1/5) - 4*atan(1/239) with alternating-series tail bounds,
+    evaluated in exact rational arithmetic.  Used to cross-check PI.
+    """
+    target = Fraction(1, 10 ** (digits + 2))
+
+    def atan_bounds(inv_x: int) -> tuple[Fraction, Fraction]:
+        x = Fraction(1, inv_x)
+        term = x
+        total = Fraction(0)
+        k = 0
+        while term > target:
+            total += term if k % 2 == 0 else -term
+            k += 1
+            term = x ** (2 * k + 1) / (2 * k + 1)
+        # alternating series: truth is between consecutive partial sums
+        nxt = total + (term if k % 2 == 0 else -term)
+        return (min(total, nxt), max(total, nxt))
+
+    a5 = atan_bounds(5)
+    a239 = atan_bounds(239)
+    return Enclosure(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0])
 
 
 # ------------------------------------------------------------------- randomness

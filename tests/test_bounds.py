@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from treelap import bounds
 from treelap.bounds import (
+    CHECKS,
     brouwer_haemers_check,
     conjecture_check,
     cor31_check,
@@ -40,7 +42,7 @@ from treelap.families import (
     t_prime,
 )
 from treelap.spectral import eigenvalues, laplacian_energy, sigma
-from treelap.tree import Tree
+from treelap.tree import Tree, diameter
 
 from conftest import random_tree
 
@@ -329,3 +331,38 @@ class TestAggregates:
         d = conjecture_check(path(5)).to_dict()
         assert d["bound_id"] == "conjecture"
         assert isinstance(d["holds"], bool)
+
+
+class TestRegistry:
+    def test_fanouts_match_explicit_calls(self, rng):
+        tol = 1e-10
+        trees = [path(6), star(6), sns_tree(2, 3, [2, 1, 1])]
+        trees += [random_tree(rng.randrange(2, 12), rng) for _ in range(10)]
+        for t in trees:
+            nonpendant = [e for e in t.edges if t.degrees[e[0]] > 1 and t.degrees[e[1]] > 1]
+            expected = {
+                "lemma21": [lemma21_check(t)],
+                "lemma22": [brouwer_haemers_check(t, tol)],
+                "lemma26": [lemma26_check(t)],
+                "lemma31": [majorization_check(t, k, tol) for k in range(1, t.n)],
+                "cor31": [cor31_check(t, k, tol) for k in range(1, t.n)],
+                "thm31": [thm31_lower_bound(t, tol)] if t.n >= 3 else [],
+                "thm32": [thm32_lower_bound(t, e, tol) for e in nonpendant],
+                "conjecture": [conjecture_check(t, tol)],
+                "coru": [coru_sufficient(t, e, tol) for e in nonpendant],
+                "diam4": [diam4_energy_check(t, tol)] if diameter(t) == 4 else [],
+                "lemma25": [interlacing_check(t, e, tol) for e in t.edges],
+            }
+            assert list(CHECKS) == list(expected)
+            for cid, reports in expected.items():
+                got = [r.to_dict() for r in CHECKS[cid].reports(t, tol)]
+                assert got == [r.to_dict() for r in reports], cid
+
+    def test_exhaustive_runs_take_the_certified_checks(self):
+        exhaustive = [cid for cid, check in CHECKS.items() if check.exhaustive]
+        assert exhaustive == ["lemma21", "lemma22", "lemma26", "lemma31", "cor31", "thm31", "thm32",
+                              "conjecture"]
+
+    def test_check_function_is_looked_up_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(bounds, "lemma26_check", lambda tree: "replaced")
+        assert list(CHECKS["lemma26"].reports(star(5), 1e-12)) == ["replaced"]

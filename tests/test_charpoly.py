@@ -9,18 +9,14 @@ from treelap.charpoly import (
     ONE,
     Poly,
     char_poly,
-    char_poly_forest,
     closed_form_t4,
     closed_form_tdprime,
     closed_form_tprime,
-    eval_poly,
     poly_divmod,
     poly_gcd,
     rational_functions,
     sign_changes_sturm,
-    squarefree_decomposition,
     squarefree_part,
-    root_count_with_multiplicity,
     tdprime_sextic,
     tprime_quartic,
 )
@@ -29,7 +25,14 @@ from treelap.families import path, star, t4_spider, t_dprime, t_prime
 from treelap.spectral import count_eigs
 from treelap.tree import delete_edge
 
-from conftest import dense_charpoly, random_tree
+from conftest import (
+    char_poly_forest,
+    dense_charpoly,
+    eval_poly,
+    random_tree,
+    root_count_with_multiplicity,
+    squarefree_decomposition,
+)
 
 
 class TestPoly:

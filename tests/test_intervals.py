@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from treelap.intervals import PI, Enclosure, pi_rational_bounds
+from treelap.intervals import PI, Enclosure
+
+from conftest import pi_rational_bounds
 
 
 def test_pi_enclosure_matches_machin_series():

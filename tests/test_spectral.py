@@ -12,21 +12,20 @@ from treelap.families import path, sns_tree, star, t4_spider
 from treelap.intervals import Enclosure
 from treelap.spectral import (
     EigCounts,
+    _inertia,
     average_degree,
     count_at_least,
     count_eigs,
-    diagonalize,
     eigenvalues,
     forest_enclosures,
     laplacian_energy,
-    le_max_form,
     multiplicity_of_one,
     s_k,
     sigma,
 )
 from treelap.tree import degree_summary, delete_edge
 
-from conftest import oracle_counts, random_tree
+from conftest import diagonalize, le_argmax, le_max_form, oracle_counts, random_tree
 
 
 class TestDiagonalize:
@@ -91,7 +90,10 @@ class TestCountEigs:
             x = Fraction(rng.randrange(0, 3 * t.n), rng.randrange(1, 7))
             base = diagonalize(t, -x, root=0).counts
             for _ in range(5):
-                assert diagonalize(t, -x, root=rng.randrange(t.n)).counts == base
+                root = rng.randrange(t.n)
+                assert diagonalize(t, -x, root=root).counts == base
+                # the package's integer pass, away from the centroid it always uses
+                assert _inertia(t, -x.numerator, x.denominator, root) == base
 
 
 class TestMultiplicityOfOne:
@@ -225,19 +227,19 @@ class TestLaplacianEnergy:
             for t in free_trees(n):
                 spec = eigenvalues(t, 1e-11)
                 a = spec.laplacian_energy()
-                b = spec.le_max_form()
+                b = le_max_form(spec)
                 # both enclose the same value
                 assert max(a.lo, b.lo) <= min(a.hi, b.hi)
 
     def test_max_form_argmax_p6(self):
         spec = eigenvalues(path(6))
-        assert spec.le_argmax() == spec.sigma
+        assert le_argmax(spec) == spec.sigma
 
     def test_max_form_star(self):
         spec = eigenvalues(star(5))
-        enc = spec.le_max_form()
+        enc = le_max_form(spec)
         assert enc.lo == enc.hi == Fraction(34, 5)
-        assert spec.le_argmax() == 1
+        assert le_argmax(spec) == 1
 
 
 class TestInterlacing:

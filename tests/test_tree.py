@@ -27,11 +27,10 @@ from treelap.tree import (
     join_trees,
     parse_edge_text,
     parse_pruefer_text,
-    relabel,
     to_pruefer,
 )
 
-from conftest import random_tree
+from conftest import random_tree, relabel
 
 
 class TestConstruction:

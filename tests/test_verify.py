@@ -215,3 +215,79 @@ class TestCli:
     def test_bad_input_exit_one(self):
         code, _ = self.run("spectrum", stdin_text="not a tree")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, stdin_text", [
+        (("spectrum",), "3\n0 1\n1 x\n"),
+        (("le", "--pruefer", "1,x"), None),
+        (("family", "--family", "sns", "--p", "2", "--r", "3", "--s", "2,x,1"), None),
+        (("spectrum", "--tol", "nan", "--pruefer", "1,1"), None),
+        (("le", "--tol", "inf", "--pruefer", "1,1"), None),
+        (("check-conjecture", "--n-max", "5", "--tol", "nan"), None),
+        (("check-conjecture", "--n-max", "5", "--tol", "inf"), None),
+    ], ids=["edge-token", "pruefer-label", "family-s", "tol-nan", "tol-inf", "run-tol-nan", "run-tol-inf"])
+    def test_bad_input_is_an_error_not_a_traceback(self, argv, stdin_text, capsys):
+        code, _ = self.run(*argv, stdin_text=stdin_text)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("check", ["coru", "diam4", "lemma25", "bogus"])
+    def test_check_conjecture_accepts_only_exhaustive_checks(self, check, capsys):
+        code, _ = self.run("check-conjecture", "--n-max", "5", "--checks", check)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bounds_rejects_unknown_id_before_any_report(self):
+        code, out = self.run("bounds", "--check", "lemma21,bogus", "--pruefer", "1,1")
+        assert (code, out) == (1, "")
+
+
+def _edit_sink(sink, code, check, verdict):
+    """Rewrite one recorded verdict in a run's sink."""
+    lines = []
+    for line in sink.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["code"] == code:
+            rec["checks"][check] = verdict
+            line = record_to_json(VerifyRecord(**rec))
+        lines.append(line + "\n")
+    sink.write_text("".join(lines))
+
+
+def test_resume_drops_a_partial_last_line(tmp_path):
+    sink = tmp_path / "records.jsonl"
+    run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink)))
+    whole = sink.read_bytes()
+    sink.write_bytes(whole[:-7])  # the run was killed while writing its last record
+    summary = run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink)))
+    assert (summary.skipped, summary.trees) == (2, 1)
+    assert sink.read_bytes() == whole
+
+
+@pytest.mark.parametrize("line", ["not json", '{"code": "(()())"}', "[1, 2]"])
+def test_resume_rejects_a_malformed_complete_line(tmp_path, capsys, line):
+    sink = tmp_path / "records.jsonl"
+    sink.write_text(line + "\n")
+    with pytest.raises(BadParam):
+        run_exhaustive(RunConfig(n_min=4, n_max=4, out=str(sink)))
+    assert cli_main(["check-conjecture", "--n-max", "4", "--out", str(sink)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sink.read_text() == line + "\n"
+
+
+@pytest.mark.parametrize("verdict, exit_code", [(False, 2), (None, 3)])
+def test_resumed_run_reports_and_exits_with_earlier_verdicts(tmp_path, capsys, verdict, exit_code):
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    first = run_exhaustive(RunConfig(n_min=4, n_max=6, out=str(sink), checks=("conjecture", "lemma21")))
+    star6 = max(first.records, key=lambda r: r.le).code
+    _edit_sink(sink, star6, "lemma21", verdict)
+    argv = ["check-conjecture", "--n-min", "4", "--n-max", "6", "--checks", "lemma21",
+            "--out", str(sink), "--report", str(report)]
+    assert cli_main(argv) == exit_code
+    assert "trees evaluated: 0 (skipped 11 already recorded)" in capsys.readouterr().out
+    rows = [json.loads(x) for x in report.read_text().splitlines()]
+    assert len(rows) == 11
+    assert [r["checks"]["lemma21"] for r in rows if r["code"] == star6] == [verdict]
+    # a narrower resume reports only the trees of its own range
+    narrow = run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink), checks=("conjecture", "lemma21")))
+    assert (narrow.trees, len(narrow.records)) == (0, 3)
+    assert narrow.violations == narrow.undecided == 0
