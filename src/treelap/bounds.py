@@ -473,39 +473,36 @@ def thm53_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float =
 
 # ---- the conjecture and the diameter-4 theorem --------------------------------
 
-_path_code_cache: dict[int, bytes] = {}
-_star_code_cache: dict[int, bytes] = {}
+# the reference path and star per order; their codes and spectra are cached on them
+_path_code_cache: dict[int, Tree] = {}
+_star_code_cache: dict[int, Tree] = {}
 
 
-def _is_shape(tree: Tree, cache: dict[int, bytes], build: Callable[[int], Tree]) -> bool:
-    """Whether tree is isomorphic to build(n), with build(n)'s code cached per n."""
-    code = cache.get(tree.n)
-    if code is None:
-        code = cache[tree.n] = canonical_code(build(tree.n))
-    return canonical_code(tree) == code
+def _reference(cache: dict[int, Tree], build: Callable[[int], Tree], n: int) -> Tree:
+    ref = cache.get(n)
+    if ref is None:
+        ref = cache[n] = build(n)
+    return ref
 
 
-def conjecture_check(
-    tree: Tree,
-    tol: float = 1e-12,
-    refine: int = 3,
-    path_le: Enclosure | None = None,
-) -> BoundReport:
+def conjecture_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundReport:
     """LE(P_n) <= LE(T) <= LE(S_n), both sides certified.
 
     The star side is the exact closed form; the path side is the certified
-    bisection value (pass path_le to reuse it across many trees of one
-    order).  When T itself is the path or the star the tight side is decided
-    by canonical-code identity and contributes slack 0.
+    bisection value on the cached n-path, refined along with T's.  When T
+    itself is the path or the star the tight side is decided by
+    canonical-code identity and contributes slack 0.
     """
     n = tree.n
     star_le = Enclosure.exact(star_energy_exact(n))
-    is_p = _is_shape(tree, _path_code_cache, families.path)
-    is_s = n < 2 or _is_shape(tree, _star_code_cache, families.star)
+    path_n = _reference(_path_code_cache, families.path, n)
+    code = canonical_code(tree)
+    is_p = code == canonical_code(path_n)
+    is_s = n < 2 or code == canonical_code(_reference(_star_code_cache, families.star, n))
 
     def make(t: float) -> BoundReport:
         le = eigenvalues(tree, t).laplacian_energy()
-        le_p = path_le if path_le is not None else eigenvalues(families.path(n), t).laplacian_energy()
+        le_p = eigenvalues(path_n, t).laplacian_energy()
         left = True if is_p else le.ge(le_p)
         right = True if is_s else star_le.ge(le)
         left_slack = 0.0 if is_p else _ge_slack(le, le_p)

@@ -96,13 +96,6 @@ class Enclosure:
             raise ZeroDivisionError("enclosure straddles zero")
         return Enclosure(1 / self.hi, 1 / self.lo)
 
-    def abs(self) -> "Enclosure":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Enclosure(Fraction(0), max(-self.lo, self.hi))
-
     # ---- certified comparisons ----------------------------------------
     #
     # ge/le return True or False only when the relation between the two

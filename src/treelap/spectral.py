@@ -15,6 +15,10 @@ and is refined by bisection on dyadic midpoints until its width is at most
 tol.  Rational eigenvalues of a tree Laplacian are integers (the
 characteristic polynomial is monic integral), so probing nearby integers
 pins them exactly and equality cases downstream are decided, not guessed.
+
+The Laplacian energy has one form, LE = 2 (S_sigma - sigma * d_bar), summed
+over the enclosures in one pass after clamping each to its side of d_bar
+(sigma is exact, so that side is known).
 """
 
 from __future__ import annotations
@@ -235,8 +239,9 @@ class Spectrum:
     """Certified spectrum: per-index enclosures mu_1 >= ... >= mu_n = 0.
 
     sigma is computed exactly (inertia count at the rational threshold), not
-    read off the enclosures.  Sums, energies and their error bounds are all
-    exact-rational interval arithmetic over the enclosure endpoints.
+    read off the enclosures, so mu_sigma >= d_bar > mu_(sigma+1) is known.
+    Sums, the energy and their error bounds are all exact-rational interval
+    arithmetic over the enclosure endpoints.
     """
 
     n: int
@@ -285,24 +290,28 @@ class Spectrum:
         return Enclosure(lo, hi)
 
     def laplacian_energy(self) -> Enclosure:
-        """LE = 2 (S_sigma - sigma * d_bar), intersected with the sum-of-
-        absolute-deviations form: both enclose the same value, so the
-        intersection is a valid (tighter) certificate."""
+        """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar).
+
+        sigma is exact, so mu_i >= d_bar for i <= sigma and mu_i < d_bar
+        after: each enclosure is first clamped to its side of d_bar, then
+        S_sigma is bounded like s_k, by the top sigma enclosures and by the
+        trace 2(n-1) minus the bottom n - sigma.
+        """
         hit = self._cache.get("le")
         if hit is None:
-            main = 2 * (self.s_k(self.sigma) - Enclosure.exact(self.sigma * self.d_bar))
-            abs_lo = F0
-            abs_hi = F0
-            for lo, hi in self.enclosures:
-                dev = Enclosure(lo, hi) - Enclosure.exact(self.d_bar)
-                a = dev.abs()
-                abs_lo += a.lo
-                abs_hi += a.hi
-            lo = max(main.lo, abs_lo)
-            hi = min(main.hi, abs_hi)
-            if lo > hi:
-                raise AssertionError("the two Laplacian-energy forms disagree")
-            hit = Enclosure(lo, hi)
+            d_bar, k = self.d_bar, self.sigma
+            top_lo = top_hi = bot_lo = bot_hi = F0
+            for i, (lo, hi) in enumerate(self.enclosures):
+                if i < k:
+                    top_lo += max(lo, d_bar)
+                    top_hi += hi
+                else:
+                    bot_lo += lo
+                    bot_hi += min(hi, d_bar)
+            trace = 2 * (self.n - 1)
+            s_lo = max(top_lo, trace - bot_hi)
+            s_hi = min(top_hi, trace - bot_lo)
+            hit = Enclosure(2 * (s_lo - k * d_bar), 2 * (s_hi - k * d_bar))
             self._cache["le"] = hit
         return hit
 

@@ -28,12 +28,11 @@ class Tree:
     edges    : tuple of canonical (min, max) vertex pairs, sorted
     adj      : adjacency lists, adj[v] = tuple of neighbors
     degrees  : degrees[v] = len(adj[v])
-    parent   : optional rooted orientation; parent[root] == -1
     """
 
-    __slots__ = ("n", "edges", "adj", "degrees", "parent", "root", "_cache")
+    __slots__ = ("n", "edges", "adj", "degrees", "_cache")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], parent: Sequence[int] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise BadParam(f"vertex count must be >= 1, got {n}")
         canon = []
@@ -78,26 +77,6 @@ class Tree:
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
         self.degrees = tuple(len(a) for a in adj)
-
-        if parent is not None:
-            parent = tuple(parent)
-            if len(parent) != n:
-                raise BadParam(f"parent array has length {len(parent)}, expected {n}")
-            roots = [v for v in range(n) if parent[v] < 0]
-            if len(roots) != 1:
-                raise BadParam(f"parent array must have exactly one root, found {roots}")
-            oriented = set()
-            for v in range(n):
-                if parent[v] >= 0:
-                    p = parent[v]
-                    oriented.add((v, p) if v < p else (p, v))
-            if oriented != set(canon):
-                raise BadParam("parent array does not encode the same edge set")
-            self.parent = parent
-            self.root = roots[0]
-        else:
-            self.parent = None
-            self.root = None
         self._cache = {}
 
     # ---- basic queries -------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import bounds, families
 from .enumeration import EnumRange, free_trees_sharded
@@ -102,9 +102,16 @@ def _json_checks(checks: dict) -> str:
     return "{" + ",".join(f"{json.dumps(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())) + "}"
 
 
+def _csv_text(s: str) -> str:
+    """RFC 4180: a field holding a comma, quote or line break is quoted."""
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 # Field annotation -> (JSON text, CSV text or None for a JSON-only field).
 _FORMATS = {
-    "str": (json.dumps, str),
+    "str": (json.dumps, _csv_text),
     "int": (str, str),
     "float": (_g15, _g15),
     "bool": (_json_bool, _json_bool),
@@ -209,15 +216,17 @@ class RunSummary:
             lines.append(f"  n={n}: {self.counts_by_n[n]} trees")
         return "\n".join(lines)
 
-    def _tally(self, rec: VerifyRecord) -> None:
+    def _tally(self, rec, verdicts: Collection[bool | None], label: str) -> None:
+        """Count one record: a False verdict is a violation, a None one undecided."""
         self.records.append(rec)
-        if any(v is False for v in rec.checks.values()):
+        self.counts_by_n[rec.n] = self.counts_by_n.get(rec.n, 0) + 1
+        if any(v is False for v in verdicts):
             self.violations += 1
-        if any(v is None for v in rec.checks.values()):
+        if any(v is None for v in verdicts):
             self.undecided += 1
         if self.min_slack is None or rec.slack < self.min_slack:
             self.min_slack = rec.slack
-            self.argmin_code = rec.code
+            self.argmin_code = label
 
 
 def run_exhaustive(config: RunConfig) -> RunSummary:
@@ -226,31 +235,34 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
 
     Trees already recorded in the sink are not evaluated again, but their
     records join the summary, so a resumed run reports and exits as an
-    uninterrupted one would.
+    uninterrupted one would.  A sink whose records carry another set of
+    checks is refused.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
         if c not in accepted:
             raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
+    wanted = {"conjecture", *config.checks}
     summary = RunSummary()
     existing = _load_sink(config.out) if config.out else {}
+    for rec in existing.values():
+        if set(rec.checks) != wanted:
+            raise BadParam(
+                f"{config.out} holds records with checks {','.join(sorted(rec.checks))}, "
+                f"this run asks for {','.join(sorted(wanted))}; write to another --out"
+            )
     sink = open(config.out, "a", encoding="ascii", newline="\n") if config.out else None
     try:
         for n in range(config.n_min, config.n_max + 1):
-            path_le = eigenvalues(families.path(n), config.tol).laplacian_energy()
-            star_le = float(bounds.star_energy_exact(n))
-            count_n = 0
-            rng = EnumRange(n, config.shard_index, config.shard_count)
-            for tree in free_trees_sharded(rng):
+            summary.counts_by_n[n] = 0
+            for tree in free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)):
                 code = canonical_code(tree).decode("ascii")
-                count_n += 1
                 rec = existing.get(code)
                 if rec is not None:
                     summary.skipped += 1
-                    summary._tally(rec)
+                    summary._tally(rec, rec.checks.values(), code)
                     continue
-                rep = bounds.conjecture_check(tree, config.tol, path_le=path_le)
-                le = eigenvalues(tree, config.tol).laplacian_energy()
+                rep = bounds.conjecture_check(tree, config.tol)
                 checks = {"conjecture": rep.holds}
                 for cid in config.checks:
                     if cid not in checks:
@@ -262,18 +274,17 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                     diam=diameter(tree),
                     s=degree_summary(tree).internal_count,
                     sigma=sigma(tree),
-                    le=le.value,
-                    le_err=le.err,
-                    le_path=path_le.value,
-                    le_star=star_le,
+                    le=rep.lhs.value,
+                    le_err=rep.lhs.err,
+                    le_path=rep.inputs["le_path"],
+                    le_star=rep.inputs["le_star"],
                     slack=rep.slack,
                     checks=checks,
                 )
                 summary.trees += 1
-                summary._tally(rec)
+                summary._tally(rec, checks.values(), code)
                 if sink:
                     sink.write(record_to_json(rec) + "\n")
-            summary.counts_by_n[n] = count_n
     finally:
         if sink:
             sink.close()
@@ -326,42 +337,33 @@ def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:
 
 def run_family_sweep(config: SweepConfig) -> RunSummary:
     """Sweep the diameter-4 families, recording LE against 4n/pi + 2 and the
-    internal-vertex condition; diameter-3 brooms record the condition only."""
+    internal-vertex condition; diameter-3 brooms record the condition only.
+    Only diameter-4 members with n >= 19 carry a verdict into the tally."""
     summary = RunSummary()
     for family, params, tree in _sweep_trees(config):
         n = tree.n
-        s = degree_summary(tree).internal_count
-        spec = eigenvalues(tree, config.tol)
-        le = spec.laplacian_energy()
-        rhs = bounds.path_energy_upper(n)
-        cond = bounds.thm31_condition(n, s)
         if diameter(tree) == 4:
             rep = bounds.diam4_energy_check(tree, config.tol)
-            holds, slack = rep.holds, rep.slack
+            le, rhs, holds, slack = rep.lhs, rep.rhs, rep.holds, rep.slack
+            verdicts = () if rep.out_of_hypothesis else (holds,)
         else:
-            holds, slack = None, float(le.lo - rhs.hi)
+            le = eigenvalues(tree, config.tol).laplacian_energy()
+            rhs = bounds.path_energy_upper(n)
+            holds, slack, verdicts = None, bounds._ge_slack(le, rhs), ()
         rec = SweepRecord(
             family=family,
             params=params,
             n=n,
-            sigma=spec.sigma,
+            sigma=sigma(tree),
             le=le.value,
             le_err=le.err,
             bound=rhs.value,
             holds=holds,
             slack=slack,
-            thm31_cond=cond,
+            thm31_cond=bounds.thm31_condition(n, degree_summary(tree).internal_count),
         )
-        summary.records.append(rec)
         summary.trees += 1
-        if holds is False:
-            summary.violations += 1
-        if holds is None and n >= 19 and diameter(tree) == 4:
-            summary.undecided += 1
-        if summary.min_slack is None or slack < summary.min_slack:
-            summary.min_slack = slack
-            summary.argmin_code = f"{family}({params})"
-        summary.counts_by_n[n] = summary.counts_by_n.get(n, 0) + 1
+        summary._tally(rec, verdicts, f"{family}({params})")
     if config.out:
         emit_report(summary.records, config.fmt, config.out)
     return summary

@@ -16,6 +16,8 @@ package so that `src/` has one implementation of each thing:
 * `diagonalize`, the congruence pass with every diagonal value kept as an
   exact Fraction (the package counts signs with `spectral._inertia` alone),
 * `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
+* `le_two_forms`, the trace-identity energy intersected with the sum of
+  absolute deviations over unclamped enclosures,
 * `squarefree_decomposition` (Yun) and `root_count_with_multiplicity`,
   multiplicity-aware Sturm counts,
 * `char_poly_forest`, `eval_poly`, `relabel`, and `pi_rational_bounds`,
@@ -316,6 +318,22 @@ def le_argmax(spec: Spectrum) -> int:
             best = mid
             best_k = k
     return best_k
+
+
+def le_two_forms(spec: Spectrum) -> Enclosure:
+    """2 (S_sigma - sigma * d_bar) intersected with sum |mu_i - d_bar|, both
+    over the enclosures as they stand (no clamping to a side of d_bar)."""
+    d_bar = spec.d_bar
+    main = 2 * (spec.s_k(spec.sigma) - Enclosure.exact(spec.sigma * d_bar))
+    dev_lo = dev_hi = Fraction(0)
+    for lo, hi in spec.enclosures:
+        if lo >= d_bar:
+            dev_lo, dev_hi = dev_lo + lo - d_bar, dev_hi + hi - d_bar
+        elif hi <= d_bar:
+            dev_lo, dev_hi = dev_lo + d_bar - hi, dev_hi + d_bar - lo
+        else:
+            dev_hi += max(d_bar - lo, hi - d_bar)
+    return Enclosure(max(main.lo, dev_lo), min(main.hi, dev_hi))
 
 
 # ------------------------------------------------------------ polynomial oracles

@@ -36,7 +36,8 @@ BOUNDS_DIGESTS = {
 
 SWEEP_DIGESTS = {
     "jsonl": "a2a42f262f57909e1cfc59fc7a6556abbe780fb287847a81e873ab41fb71b45f",
-    "csv": "6a1bc5a7d8762921c6a16c3aaf1e13f62323fe52f705189696d7e3e6c5a314e4",
+    # params such as "r=2,s1=2" are quoted, so every row has the header's width
+    "csv": "f97d4e402c3079df2bf0022e2f8c490ec9a6a1cbb7f49f7dbb02c067af16302c",
 }
 
 PAYLOAD_TREE = "1,1,2,3,3"  # Pruefer labels of a 7-vertex tree with diameter 4

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treelap.enumeration import free_trees
@@ -25,7 +26,7 @@ from treelap.spectral import (
 )
 from treelap.tree import degree_summary, delete_edge
 
-from conftest import diagonalize, le_argmax, le_max_form, oracle_counts, random_tree
+from conftest import diagonalize, laplacian_np, le_argmax, le_max_form, le_two_forms, oracle_counts, random_tree
 
 
 class TestDiagonalize:
@@ -230,6 +231,31 @@ class TestLaplacianEnergy:
                 b = le_max_form(spec)
                 # both enclose the same value
                 assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.05, 0.3])
+    def test_one_form_inside_two_forms_exhaustive(self, tol):
+        tighter = 0
+        for n in range(1, 11):
+            for t in free_trees(n):
+                spec = eigenvalues(t, tol)
+                one, two = spec.laplacian_energy(), le_two_forms(spec)
+                assert two.lo <= one.lo and one.hi <= two.hi
+                tighter += one != two
+        # equal at a fine tol; at a coarse one some enclosure straddles d_bar
+        # and clamping it to its side pays
+        assert (tighter > 0) == (tol > 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.05, 0.3])
+    def test_one_form_contains_dense_energy(self, tol):
+        trees = [t for n in range(2, 11) for t in free_trees(n)]
+        trees += [random_tree(n, random.Random(n)) for n in (20, 40, 60)]
+        for t in trees:
+            mu = np.linalg.eigvalsh(laplacian_np(t))
+            d_bar = 2 * (t.n - 1) / t.n
+            dense = math.fsum(abs(float(x) - d_bar) for x in mu)
+            pad = t.n * 1e-12  # eigvalsh error allowance, far above its ~n * 1e-15
+            le = laplacian_energy(t, tol)
+            assert float(le.lo) - pad <= dense <= float(le.hi) + pad
 
     def test_max_form_argmax_p6(self):
         spec = eigenvalues(path(6))

@@ -16,7 +16,6 @@ from treelap.errors import (
 )
 from treelap.families import double_broom3, path, sns_tree, star
 from treelap.tree import (
-    Tree,
     canonical_code,
     degree_summary,
     delete_edge,
@@ -66,12 +65,6 @@ class TestConstruction:
     def test_single_vertex(self):
         t = from_edge_list(1, [])
         assert t.n == 1 and t.edges == ()
-
-    def test_rooted_orientation_validated(self):
-        t = Tree(3, [(0, 1), (1, 2)], parent=[-1, 0, 1])
-        assert t.root == 0
-        with pytest.raises(BadParam):
-            Tree(3, [(0, 1), (1, 2)], parent=[-1, 0, 0])
 
 
 class TestPruefer:

@@ -1,5 +1,6 @@
 """Verification harness: records, determinism, resume, sharding, CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from treelap.verify import (
     CSV_HEADER,
     RunConfig,
     SweepConfig,
+    SweepRecord,
     VerifyRecord,
     emit_report,
     record_to_csv,
@@ -142,6 +144,23 @@ def test_family_sweep_small(tmp_path):
             assert r["thm31_cond"] == (r["n"] >= 14)
 
 
+def test_sweep_csv_rows_have_the_header_width(tmp_path):
+    out = tmp_path / "sweep.csv"
+    config = SweepConfig(t4_ab=(9, 10), tprime_r=(2, 2), tprime_s1=(2, 3), tdprime_r=(3, 3),
+                         tdprime_s=(2, 3), broom_ab=(1, 2), sns_random=2, out=str(out), fmt="csv")
+    run_family_sweep(config)
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert {"r=2,s1=2", "r=3,s1=2,s2=2", "a=1,b=1"} <= {row[1] for row in rows[1:]}
+
+
+def test_csv_text_fields_round_trip():
+    rec = SweepRecord("sns", 'p="1",r=2', 7, 2, 9.5, 1e-9, 10.1, None, -0.5, False)
+    (row,) = csv.reader([record_to_csv(rec)])
+    assert row[:2] == ["sns", 'p="1",r=2']
+
+
 class TestCli:
     def run(self, *argv, stdin_text=None, capsys=None):
         import io
@@ -203,6 +222,11 @@ class TestCli:
         assert code == 0
         assert report.exists()
         assert "violations: 0" in out
+
+    def test_coarse_tol_refines_the_path_side_too(self):
+        code, out = self.run("check-conjecture", "--n-min", "4", "--n-max", "10", "--tol", "0.2")
+        assert "violations: 0, undecided: 0" in out
+        assert code == 0
 
     def test_console_entry_point(self):
         proc = subprocess.run(
@@ -291,3 +315,17 @@ def test_resumed_run_reports_and_exits_with_earlier_verdicts(tmp_path, capsys, v
     narrow = run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink), checks=("conjecture", "lemma21")))
     assert (narrow.trees, len(narrow.records)) == (0, 3)
     assert narrow.violations == narrow.undecided == 0
+
+
+def test_resume_refuses_a_sink_of_other_checks(tmp_path, capsys):
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    assert cli_main(["check-conjecture", "--n-max", "5", "--out", str(sink)]) == 0
+    recorded = sink.read_bytes()
+    argv = ["check-conjecture", "--n-max", "5", "--checks", "lemma21",
+            "--out", str(sink), "--report", str(report)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "checks conjecture," in err and "asks for conjecture,lemma21" in err
+    assert sink.read_bytes() == recorded
+    assert not report.exists()
