@@ -3,8 +3,8 @@
 Every check produces a BoundReport whose `holds` field is ternary: True and
 False are *certified* (the rational interval endpoints clear each other, or
 both sides are exact), None means undecided within the current error bounds.
-Checks that compute spectra accept a tolerance and automatically halve it up
-to `refine` times before reporting undecided.
+Checks that compute spectra take a tolerance; one wrapper, _refining, halves
+it up to REFINE times while the verdict is undecided and can still change.
 
 The only irrational constant, pi, enters through its 30-digit rational
 enclosure, so threshold decisions such as the internal-vertex condition
@@ -18,6 +18,8 @@ and the `bounds` subcommand both iterate it.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,12 +33,15 @@ from .spectral import (
     count_at_least,
     count_eigs,
     eigenvalues,
+    forest_enclosures,
     multiplicity_of_one,
     sigma,
 )
 from .tree import Tree, canonical_code, degree_summary, delete_edge, diameter, join_trees
 
 F0 = Fraction(0)
+REFINE = 3  # tolerance halvings before a check reports undecided
+NO_CLAIM = "hypotheses not satisfied; no claim made"
 
 
 @dataclass
@@ -91,14 +96,27 @@ def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **ex
     return BoundReport(bound_id, inputs, lhs, rhs, lhs.ge(rhs), _ge_slack(lhs, rhs), **extra)
 
 
-def _refined(make: Callable[[float], BoundReport], tol: float, refine: int) -> BoundReport:
-    rep = make(tol)
-    for _ in range(refine):
-        if rep.holds is not None or rep.out_of_hypothesis:
-            break
-        tol /= 2
-        rep = make(tol)
-    return rep
+def _refining(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
+    """Re-run `check` at tol/2, tol/4, ... (up to REFINE times) while its
+    report is undecided and could still change: a decided verdict, an
+    out-of-hypothesis report and a report that makes no claim are final."""
+    signature = inspect.signature(check)
+
+    @functools.wraps(check)
+    def refined(*args, **kwargs) -> BoundReport:
+        rep = check(*args, **kwargs)
+        call = None  # bound on the first retry: binding costs more than a cached check
+        for _ in range(REFINE):
+            if rep.holds is not None or rep.out_of_hypothesis or rep.note == NO_CLAIM:
+                break
+            if call is None:
+                call = signature.bind(*args, **kwargs)
+                call.apply_defaults()
+            call.arguments["tol"] /= 2
+            rep = check(*call.args, **call.kwargs)
+        return rep
+
+    return refined
 
 
 # ---- closed-form energies and the pi-interval bound -------------------------
@@ -154,7 +172,8 @@ def path_energy_bound_check(n: int, lhs: Enclosure | None = None) -> BoundReport
 # ---- per-tree lemma checks ---------------------------------------------------
 
 
-def brouwer_haemers_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """mu_i >= d_i - i + 2 for every i (degree-indexed eigenvalue lower bound).
 
     Complete graphs are the bound's classical exception at i = n (mu_n = 0
@@ -165,43 +184,36 @@ def brouwer_haemers_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> Bo
     degs = degree_summary(tree).degrees
     last = tree.n + 1 if tree.n >= 3 else tree.n
     note = "" if last == tree.n + 1 else "index i = n skipped: complete-graph exception"
-
-    def make(t: float) -> BoundReport:
-        spec = eigenvalues(tree, t)
-        verdicts = []
-        worst = None
-        worst_i = 0
-        for i in range(1, last):
-            rhs = Enclosure.exact(degs[i - 1] - i + 2)
-            enc = spec.enclosure(i)
-            verdicts.append(enc.ge(rhs))
-            s = _ge_slack(enc, rhs)
-            if worst is None or s < worst:
-                worst, worst_i = s, i
-        return BoundReport(
-            bound_id="lemma22",
-            inputs={"n": tree.n, "worst_index": worst_i},
-            lhs=None,
-            rhs=None,
-            holds=_all3(*verdicts),
-            slack=worst,
-            note=note,
-        )
-
-    return _refined(make, tol, refine)
+    spec = eigenvalues(tree, tol)
+    verdicts = []
+    worst = None
+    worst_i = 0
+    for i in range(1, last):
+        rhs = Enclosure.exact(degs[i - 1] - i + 2)
+        enc = spec.enclosure(i)
+        verdicts.append(enc.ge(rhs))
+        s = _ge_slack(enc, rhs)
+        if worst is None or s < worst:
+            worst, worst_i = s, i
+    return BoundReport(
+        bound_id="lemma22",
+        inputs={"n": tree.n, "worst_index": worst_i},
+        lhs=None,
+        rhs=None,
+        holds=_all3(*verdicts),
+        slack=worst,
+        note=note,
+    )
 
 
-def majorization_check(tree: Tree, k: int, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def majorization_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
     """S_k >= 1 + sum of the k largest degrees, 1 <= k <= n-1."""
     if not (1 <= k <= tree.n - 1):
         raise BadParam(f"k={k} out of range 1..{tree.n - 1}")
     degs = degree_summary(tree).degrees
     rhs = Enclosure.exact(1 + sum(degs[:k]))
-
-    def make(t: float) -> BoundReport:
-        return _ge_report("lemma31", {"n": tree.n, "k": k}, eigenvalues(tree, t).s_k(k), rhs)
-
-    return _refined(make, tol, refine)
+    return _ge_report("lemma31", {"n": tree.n, "k": k}, eigenvalues(tree, tol).s_k(k), rhs)
 
 
 def lemma21_check(tree: Tree) -> BoundReport:
@@ -224,8 +236,6 @@ def interlacing_check(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> 
     """mu_i(T) >= mu_i(T-e) >= mu_{i+1}(T), checked on enclosure midpoints
     within 2*tol (exact ties are common, so a strict certified check would
     be vacuous)."""
-    from .spectral import forest_enclosures
-
     split = delete_edge(tree, edge)
     spec = eigenvalues(tree, tol)
     sub = forest_enclosures([split.first, split.second], tol)
@@ -277,7 +287,8 @@ def thm31_minimal_n(s: int, n_limit: int = 10_000) -> int:
     raise BadParam(f"no n <= {n_limit} satisfies the condition for s={s}")
 
 
-def thm31_lower_bound(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def thm31_lower_bound(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 2n + 2s - 2 - 2s*d_bar, and when the internal-vertex
     condition holds, that chain value also clears 2 + 4n/pi, proving
     LE(T) >= LE(P_n)."""
@@ -290,22 +301,17 @@ def thm31_lower_bound(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundR
     chain_enc = Enclosure.exact(chain)
     rhs_path = path_energy_upper(n)
     chain_clears = chain_enc.ge(rhs_path) if condition else None
-
-    def make(t: float) -> BoundReport:
-        le = eigenvalues(tree, t).laplacian_energy()
-        part1 = le.ge(chain_enc)
-        holds = _all3(part1, chain_clears) if condition else part1
-        return BoundReport(
-            bound_id="thm31",
-            inputs={"n": n, "s": s},
-            lhs=le,
-            rhs=chain_enc,
-            holds=holds,
-            slack=_ge_slack(le, chain_enc),
-            hypotheses={"condition": condition, "chain_clears_path_bound": chain_clears},
-        )
-
-    return _refined(make, tol, refine)
+    le = eigenvalues(tree, tol).laplacian_energy()
+    part1 = le.ge(chain_enc)
+    return BoundReport(
+        bound_id="thm31",
+        inputs={"n": n, "s": s},
+        lhs=le,
+        rhs=chain_enc,
+        holds=_all3(part1, chain_clears) if condition else part1,
+        slack=_ge_slack(le, chain_enc),
+        hypotheses={"condition": condition, "chain_clears_path_bound": chain_clears},
+    )
 
 
 def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
@@ -316,13 +322,10 @@ def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
     return 2 * (1 + Fraction(sum(degs[:k])) - k * average_degree(tree))
 
 
-def cor31_check(tree: Tree, k: int, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
     bound = Enclosure.exact(cor31_lower_bound(tree, k))
-
-    def make(t: float) -> BoundReport:
-        return _ge_report("cor31", {"n": tree.n, "k": k}, eigenvalues(tree, t).laplacian_energy(), bound)
-
-    return _refined(make, tol, refine)
+    return _ge_report("cor31", {"n": tree.n, "k": k}, eigenvalues(tree, tol).laplacian_energy(), bound)
 
 
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
@@ -353,31 +356,29 @@ def _claim_if(
     if applicable is True:
         return _ge_report(bound_id, inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
                           hypotheses=hypotheses, out_of_hypothesis=out_of_hypothesis)
-    note = "hypotheses not satisfied; no claim made" if applicable is False else "hypotheses undecided"
+    note = NO_CLAIM if applicable is False else "hypotheses undecided"
     return BoundReport(bound_id, inputs, None, rhs, None, None, hypotheses, out_of_hypothesis, note)
 
 
-def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
     k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
     n = tree.n
     t1, t2, k1, k2 = _split_counts(tree, edge)
     sig = k1 + k2
-
-    def make(t: float) -> BoundReport:
-        rhs = (
-            2 * eigenvalues(t1, t).s_k(k1)
-            + 2 * eigenvalues(t2, t).s_k(k2)
-            + Enclosure.exact(Fraction(4 * sig, n) - 4 * sig)
-        )
-        inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
-        return _ge_report("thm32", inputs, eigenvalues(tree, t).laplacian_energy(), rhs,
-                          out_of_hypothesis=n < 8)
-
-    return _refined(make, tol, refine)
+    rhs = (
+        2 * eigenvalues(t1, tol).s_k(k1)
+        + 2 * eigenvalues(t2, tol).s_k(k2)
+        + Enclosure.exact(Fraction(4 * sig, n) - 4 * sig)
+    )
+    inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
+    return _ge_report("thm32", inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
+                      out_of_hypothesis=n < 8)
 
 
-def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
     """Corollary: if sigma_i = k_i for both components and LE(T_i) >= 2 + 4 n_i/pi,
     then LE(T) >= 2 + 4n/pi.  The proof's auxiliary inequality
     n1^2 (n2 - 2 sigma2) + n2^2 (n1 - 2 sigma1) >= 0 is verified alongside."""
@@ -390,32 +391,28 @@ def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12, refin
     hyp_k = (s1 == k1) and (s2 == k2)
     inputs = {"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
               "sigma1": s1, "sigma2": s2}
-
-    def make(t: float) -> BoundReport:
-        h1 = eigenvalues(t1, t).laplacian_energy().ge(path_energy_upper(n1))
-        h2 = eigenvalues(t2, t).laplacian_energy().ge(path_energy_upper(n2))
-        hypotheses = {
-            "sigma_equals_k": hyp_k,
-            "le_t1_clears": h1,
-            "le_t2_clears": h2,
-            "auxiliary_nonneg": aux,
-        }
-        return _claim_if(_all3(hyp_k, h1, h2), "coru", tree, t, inputs, path_energy_upper(n),
-                         hypotheses, out_of_hypothesis=n < 8)
-
-    return _refined(make, tol, refine)
+    h1 = eigenvalues(t1, tol).laplacian_energy().ge(path_energy_upper(n1))
+    h2 = eigenvalues(t2, tol).laplacian_energy().ge(path_energy_upper(n2))
+    hypotheses = {
+        "sigma_equals_k": hyp_k,
+        "le_t1_clears": h1,
+        "le_t2_clears": h2,
+        "auxiliary_nonneg": aux,
+    }
+    return _claim_if(_all3(hyp_k, h1, h2), "coru", tree, tol, inputs, path_energy_upper(n),
+                     hypotheses, out_of_hypothesis=n < 8)
 
 
 # ---- sufficient conditions for joined trees (section 5) -----------------------
 
 
+@_refining
 def _join_sufficient(
     bound_id: str,
     t1: Tree,
     t2: Tree,
     join: tuple[int, int],
     tol: float,
-    refine: int,
     gap_hypothesis: bool,
 ) -> BoundReport:
     n1, n2 = t1.n, t2.n
@@ -426,33 +423,29 @@ def _join_sufficient(
     s1 = sigma(t1)
     r1 = degree_summary(t1).internal_count
     inputs = {"n": n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
-
-    def make(t: float) -> BoundReport:
-        hypotheses: dict = {}
-        if gap_hypothesis:
-            # mu_{sigma1+1}(T1) - d_bar(T1) < -2/n, strict
-            enc = eigenvalues(t1, t).enclosure(s1 + 1)
-            bound = average_degree(t1) - Fraction(2, n)
-            structural = True if enc.hi < bound else False if enc.lo >= bound else None
-            hypotheses["gap"] = structural
-        else:
-            structural = hypotheses["sigma1_equals_r1"] = s1 == r1
-        h_le = eigenvalues(t1, t).laplacian_energy().ge(path_energy_upper(n1))
-        hypotheses["le_t1_clears"] = h_le
-        return _claim_if(_all3(structural, h_le), bound_id, tree, t, inputs, path_energy_upper(n), hypotheses)
-
-    return _refined(make, tol, refine)
+    hypotheses: dict = {}
+    if gap_hypothesis:
+        # mu_{sigma1+1}(T1) - d_bar(T1) < -2/n, strict
+        enc = eigenvalues(t1, tol).enclosure(s1 + 1)
+        bound = average_degree(t1) - Fraction(2, n)
+        structural = True if enc.hi < bound else False if enc.lo >= bound else None
+        hypotheses["gap"] = structural
+    else:
+        structural = hypotheses["sigma1_equals_r1"] = s1 == r1
+    h_le = eigenvalues(t1, tol).laplacian_energy().ge(path_energy_upper(n1))
+    hypotheses["le_t1_clears"] = h_le
+    return _claim_if(_all3(structural, h_le), bound_id, tree, tol, inputs, path_energy_upper(n), hypotheses)
 
 
-def thm51_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12, refine: int = 3) -> BoundReport:
+def thm51_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12) -> BoundReport:
     """t2 of diameter <= 3; if sigma1 = r1 and LE(T1) >= 2 + 4 n1/pi then the
     joined tree satisfies LE >= 2 + 4n/pi."""
     if diameter(t2) > 3:
         raise BadParam(f"thm51 needs diameter(t2) <= 3, got {diameter(t2)}")
-    return _join_sufficient("thm51", t1, t2, join, tol, refine, gap_hypothesis=False)
+    return _join_sufficient("thm51", t1, t2, join, tol, gap_hypothesis=False)
 
 
-def thm52_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12, refine: int = 3) -> BoundReport:
+def thm52_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12) -> BoundReport:
     """Same as thm51 but t2 is a diameter-4 spider other than the three
     closed-form families (root leaves present, or >= 3 children with >= 2 leaves)."""
     kind = families.sns_kind(t2)
@@ -460,15 +453,15 @@ def thm52_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float =
         raise BadParam(
             f"thm52 needs a diameter-4 tree outside the closed-form families, got {kind!r}"
         )
-    return _join_sufficient("thm52", t1, t2, join, tol, refine, gap_hypothesis=False)
+    return _join_sufficient("thm52", t1, t2, join, tol, gap_hypothesis=False)
 
 
-def thm53_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12, refine: int = 3) -> BoundReport:
+def thm53_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12) -> BoundReport:
     """Gap variant: hypothesis mu_{sigma1+1}(T1) - d_bar(T1) < -2/n replaces
     sigma1 = r1; t2 as in thm51 or thm52."""
     if diameter(t2) > 3 and families.sns_kind(t2) != "general":
         raise BadParam("thm53 needs t2 of diameter <= 3 or a qualifying diameter-4 spider")
-    return _join_sufficient("thm53", t1, t2, join, tol, refine, gap_hypothesis=True)
+    return _join_sufficient("thm53", t1, t2, join, tol, gap_hypothesis=True)
 
 
 # ---- the conjecture and the diameter-4 theorem --------------------------------
@@ -485,7 +478,8 @@ def _reference(cache: dict[int, Tree], build: Callable[[int], Tree], n: int) -> 
     return ref
 
 
-def conjecture_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(P_n) <= LE(T) <= LE(S_n), both sides certified.
 
     The star side is the exact closed form; the path side is the certified
@@ -499,50 +493,43 @@ def conjecture_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundRe
     code = canonical_code(tree)
     is_p = code == canonical_code(path_n)
     is_s = n < 2 or code == canonical_code(_reference(_star_code_cache, families.star, n))
-
-    def make(t: float) -> BoundReport:
-        le = eigenvalues(tree, t).laplacian_energy()
-        le_p = eigenvalues(path_n, t).laplacian_energy()
-        left = True if is_p else le.ge(le_p)
-        right = True if is_s else star_le.ge(le)
-        left_slack = 0.0 if is_p else _ge_slack(le, le_p)
-        right_slack = 0.0 if is_s else _ge_slack(star_le, le)
-        return BoundReport(
-            bound_id="conjecture",
-            inputs={"n": n, "is_path": is_p, "is_star": is_s,
-                    "le_path": le_p.value, "le_star": float(star_energy_exact(n))},
-            lhs=le,
-            rhs=None,
-            holds=_all3(left, right),
-            slack=min(left_slack, right_slack),
-            hypotheses={"left": left, "right": right},
-        )
-
-    return _refined(make, tol, refine)
+    le = eigenvalues(tree, tol).laplacian_energy()
+    le_p = eigenvalues(path_n, tol).laplacian_energy()
+    left = True if is_p else le.ge(le_p)
+    right = True if is_s else star_le.ge(le)
+    left_slack = 0.0 if is_p else _ge_slack(le, le_p)
+    right_slack = 0.0 if is_s else _ge_slack(star_le, le)
+    return BoundReport(
+        bound_id="conjecture",
+        inputs={"n": n, "is_path": is_p, "is_star": is_s,
+                "le_path": le_p.value, "le_star": float(star_energy_exact(n))},
+        lhs=le,
+        rhs=None,
+        holds=_all3(left, right),
+        slack=min(left_slack, right_slack),
+        hypotheses={"left": left, "right": right},
+    )
 
 
-def diam4_energy_check(tree: Tree, tol: float = 1e-12, refine: int = 3) -> BoundReport:
+@_refining
+def diam4_energy_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 4n/pi + 2 for diameter-4 trees; asserted for n >= 19, slack
     only recorded below that."""
     if diameter(tree) != 4:
         raise BadParam(f"need diameter 4, got {diameter(tree)}")
     n = tree.n
     rhs = path_energy_upper(n)
-
-    def make(t: float) -> BoundReport:
-        le = eigenvalues(tree, t).laplacian_energy()
-        in_range = n >= 19
-        return BoundReport(
-            bound_id="diam4",
-            inputs={"n": n},
-            lhs=le,
-            rhs=rhs,
-            holds=le.ge(rhs) if in_range else None,
-            slack=_ge_slack(le, rhs),
-            out_of_hypothesis=not in_range,
-        )
-
-    return _refined(make, tol, refine)
+    le = eigenvalues(tree, tol).laplacian_energy()
+    in_range = n >= 19
+    return BoundReport(
+        bound_id="diam4",
+        inputs={"n": n},
+        lhs=le,
+        rhs=rhs,
+        holds=le.ge(rhs) if in_range else None,
+        slack=_ge_slack(le, rhs),
+        out_of_hypothesis=not in_range,
+    )
 
 
 # ---- the check registry ---------------------------------------------------------

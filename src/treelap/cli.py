@@ -17,7 +17,7 @@ import sys
 from . import bounds as bounds_mod
 from . import families
 from .charpoly import char_poly
-from .enumeration import EnumRange, free_trees_sharded
+from .enumeration import EnumRange, count_free_trees, free_trees_sharded
 from .errors import TreelapError
 from .spectral import eigenvalues
 from .tree import (
@@ -28,6 +28,7 @@ from .tree import (
     parse_pruefer_text,
 )
 from .verify import (
+    DESK_CEILING,
     RunConfig,
     SweepConfig,
     emit_report,
@@ -155,9 +156,7 @@ def _cmd_check_conjecture(args) -> int:
         checks=("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ()),
         allow_large=args.allow_large,
     )
-    if config.n_max > 16:
-        from .enumeration import count_free_trees
-
+    if config.n_max > DESK_CEILING:
         est = sum(count_free_trees(n) for n in range(config.n_min, config.n_max + 1))
         print(f"large run: ~{est} trees up to n={config.n_max}", file=sys.stderr)
     summary = run_exhaustive(config)

@@ -171,63 +171,55 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Frac
         return [(F0, F0, 1)]
     top = Fraction(n)
 
-    def below_eq(x: Fraction) -> tuple[int, int]:
-        c = count_eigs(tree, x)
-        return c.below, c.equal
-
     # probe proposals from float estimates; correctness never depends on them
     est = np.linalg.eigvalsh(laplacian_matrix(tree))
     pad = tol / 2
-    probes = {F0, top}
+    probes = [F0, top]
     for clo, chi in _clusters(est, float(tol)):
         center = (clo + chi) / 2
         k = round(center)
         if abs(center - k) < 0.45 and 0 <= k <= n:
-            probes.add(Fraction(k))
+            probes.append(Fraction(k))
         lo_p = Fraction(clo) - pad
         hi_p = Fraction(chi) + pad
         if lo_p > F0:
-            probes.add(lo_p)
+            probes.append(lo_p)
         if hi_p < top:
-            probes.add(hi_p)
+            probes.append(hi_p)
 
-    points = sorted(probes)
-    counts = {x: below_eq(x) for x in points}
-    if counts[F0][0] != 0 or counts[F0][1] != 1:
+    probes.sort()
+    points = [x for i, x in enumerate(probes) if i == 0 or x != probes[i - 1]]
+    counts = [count_eigs(tree, x) for x in points]
+    if counts[0].below != 0 or counts[0].equal != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
-    if counts[top][0] + counts[top][1] != n:
+    if counts[-1].below + counts[-1].equal != n:
         raise AssertionError("eigenvalues must lie in [0, n]")
 
-    found: list[tuple[Fraction, Fraction, int]] = []
-    work: list[tuple[Fraction, Fraction, int]] = []
-    for x in points:
-        eq = counts[x][1]
-        if eq:
-            found.append((x, x, eq))
-    for a, b in zip(points, points[1:]):
-        m = counts[b][0] - counts[a][0] - counts[a][1]
+    # work items (lo, hi, m, #mu <= lo): hi - lo too wide, m eigenvalues strictly inside
+    found = [(x, x, c.equal) for x, c in zip(points, counts) if c.equal]
+    work: list[tuple[Fraction, Fraction, int, int]] = []
+    for a, b, ca, cb in zip(points, points[1:], counts, counts[1:]):
+        m = cb.below - ca.below - ca.equal
         if m > 0:
-            work.append((a, b, m))
+            work.append((a, b, m, ca.below + ca.equal))
 
     while work:
-        lo, hi, m = work.pop()
+        lo, hi, m, at_lo = work.pop()
         if hi - lo <= tol:
             found.append((lo, hi, m))
             continue
         mid = Fraction((float(lo) + float(hi)) / 2)
         if not (lo < mid < hi):
             mid = (lo + hi) / 2
-        b_mid, e_mid = below_eq(mid)
-        if e_mid:
-            found.append((mid, mid, e_mid))
-        b_lo, e_lo = counts[lo]
-        counts[mid] = (b_mid, e_mid)
-        m_left = b_mid - b_lo - e_lo
-        m_right = m - m_left - e_mid
+        c = count_eigs(tree, mid)
+        if c.equal:
+            found.append((mid, mid, c.equal))
+        m_left = c.below - at_lo
+        m_right = m - m_left - c.equal
         if m_left > 0:
-            work.append((lo, mid, m_left))
+            work.append((lo, mid, m_left, at_lo))
         if m_right > 0:
-            work.append((mid, hi, m_right))
+            work.append((mid, hi, m_right, c.below + c.equal))
 
     found.sort()
     assert sum(m for _, _, m in found) == n
@@ -248,7 +240,6 @@ class Spectrum:
     enclosures: tuple[tuple[Fraction, Fraction], ...]
     d_bar: Fraction
     sigma: int
-    tol: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -337,7 +328,6 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
         enclosures=tuple(per_index),
         d_bar=average_degree(tree),
         sigma=sigma(tree),
-        tol=tol,
     )
     tree._cache[key] = spec
     return spec

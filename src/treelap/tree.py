@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadLabel, BadParam, CycleDetected, Disconnected, DuplicateEdge, EdgeAbsent
@@ -286,13 +285,12 @@ def _ahu(tree: Tree, root: int) -> bytes:
 @dataclass(frozen=True)
 class DegreeSummary:
     """Degree-derived counts: d_1 >= ... >= d_n, pendant/internal split,
-    leaf-neighbor count, and the exact average degree 2(n-1)/n."""
+    and leaf-neighbor count."""
 
     degrees: tuple[int, ...]
     pendant_count: int
     internal_count: int
     leaf_neighbor_count: int
-    average_degree: Fraction
 
 
 def degree_summary(tree: Tree) -> DegreeSummary:
@@ -308,7 +306,6 @@ def degree_summary(tree: Tree) -> DegreeSummary:
         pendant_count=p,
         internal_count=n - p,
         leaf_neighbor_count=len(leafy),
-        average_degree=Fraction(2 * (n - 1), n),
     )
 
 

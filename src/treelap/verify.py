@@ -64,6 +64,7 @@ class VerifyRecord:
     le_path: float
     le_star: float
     slack: float
+    tol: float
     checks: dict = field(default_factory=dict)
 
 
@@ -185,6 +186,8 @@ def _load_sink(path: str) -> dict[str, VerifyRecord]:
         if line.strip():
             try:
                 rec = VerifyRecord(**json.loads(line))
+                if not isinstance(rec.checks, dict) or type(rec.tol) not in (int, float):
+                    raise TypeError("checks must be an object and tol a number")
                 records[rec.code] = rec
             except (TypeError, ValueError) as exc:
                 raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
@@ -236,7 +239,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     Trees already recorded in the sink are not evaluated again, but their
     records join the summary, so a resumed run reports and exits as an
     uninterrupted one would.  A sink whose records carry another set of
-    checks is refused.
+    checks, or were made at another tolerance, is refused.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
@@ -250,6 +253,11 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
             raise BadParam(
                 f"{config.out} holds records with checks {','.join(sorted(rec.checks))}, "
                 f"this run asks for {','.join(sorted(wanted))}; write to another --out"
+            )
+        if _g15(rec.tol) != _g15(config.tol):
+            raise BadParam(
+                f"{config.out} holds records made at tol {_g15(rec.tol)}, "
+                f"this run asks for tol {_g15(config.tol)}; write to another --out"
             )
     sink = open(config.out, "a", encoding="ascii", newline="\n") if config.out else None
     try:
@@ -279,6 +287,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                     le_path=rep.inputs["le_path"],
                     le_star=rep.inputs["le_star"],
                     slack=rep.slack,
+                    tol=config.tol,
                     checks=checks,
                 )
                 summary.trees += 1

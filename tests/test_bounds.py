@@ -307,12 +307,47 @@ class TestDiam4:
 
 
 class TestRefinement:
-    def test_coarse_tolerance_refines_to_decision(self):
+    def test_coarse_tolerance_refines_to_decision(self, monkeypatch):
         t = sns_tree(0, 2, [2, 2])  # slack ~0.73 against the path energy
         rep = conjecture_check(t, tol=0.05)
         assert rep.holds is True  # decided only after halving the tolerance
-        undecided = conjecture_check(t, tol=0.5, refine=0)
+        monkeypatch.setattr(bounds, "REFINE", 0)
+        undecided = conjecture_check(t, tol=0.5)
         assert undecided.holds is None
+
+    @staticmethod
+    def _spectrum_tols(monkeypatch) -> list:
+        """The tolerances of every spectrum the bound checks ask for."""
+        tols = []
+        real = bounds.eigenvalues
+
+        def counted(tree, tol=1e-12):
+            tols.append(tol)
+            return real(tree, tol)
+
+        monkeypatch.setattr(bounds, "eigenvalues", counted)
+        return tols
+
+    @pytest.mark.parametrize("check", [
+        lambda tol: coru_sufficient(path(8), (3, 4), tol),
+        lambda tol: thm51_check(path(6), star(6), tol=tol),
+    ], ids=["coru", "thm51"])
+    def test_a_report_that_makes_no_claim_is_not_refined(self, monkeypatch, check):
+        tols = self._spectrum_tols(monkeypatch)
+        rep = check(1e-6)
+        assert (rep.holds, rep.note) == (None, bounds.NO_CLAIM)
+        assert min(tols) == 1e-6
+
+    def test_undecided_hypotheses_are_refined(self, monkeypatch):
+        tols = self._spectrum_tols(monkeypatch)
+        rep = thm51_check(double_broom3(3, 3), star(6), tol=1.0)
+        assert (rep.holds, rep.note) == (None, "hypotheses undecided")
+        assert sorted(set(tols)) == [1.0 / 2**i for i in range(bounds.REFINE, -1, -1)]
+
+    def test_checks_take_tol_by_position_or_keyword(self):
+        t = sns_tree(0, 2, [2, 2])
+        assert conjecture_check(t, 0.05) == conjecture_check(t, tol=0.05)
+        assert majorization_check(t, 2, 0.3) == majorization_check(t, k=2, tol=0.3)
 
 
 class TestAggregates:

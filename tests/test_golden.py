@@ -22,9 +22,10 @@ from treelap.verify import SweepConfig, run_family_sweep
 
 PAPER_CHECKS = "lemma21,lemma22,lemma26,lemma31,cor31,thm31,thm32"
 
+# every record carries the tolerance it was made at (a `tol` field before `checks`)
 REPORT_DIGESTS = {
-    "jsonl": "5fde2d5183a5abacc030d0a65be9542aeaff85e51c00f685ddd242be4e31a917",
-    "csv": "737b396bfd8eba26b3adcff3e0abccc5d047b568210c4cacb6aad19a108662e2",
+    "jsonl": "9b981f97a95792c6e3a0acbe4c6f421cf3e46f381941e76a932d0c2a9782039b",
+    "csv": "7901626842fe451aca5c2b60eb150d368bf91e81c310849d1792145147e24980",
 }
 
 # family arguments -> (exit code, digest of the `bounds --check all` stdout)

@@ -19,7 +19,7 @@ verdict = st.sampled_from([True, False, None])
 verify_records = st.builds(
     VerifyRecord,
     code=st.text(), n=st.integers(), diam=st.integers(), s=st.integers(), sigma=st.integers(),
-    le=finite, le_err=finite, le_path=finite, le_star=finite, slack=finite,
+    le=finite, le_err=finite, le_path=finite, le_star=finite, slack=finite, tol=finite,
     checks=st.dictionaries(st.text(), verdict),
 )
 sweep_records = st.builds(

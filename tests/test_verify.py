@@ -51,13 +51,13 @@ def test_record_formats():
     rec = VerifyRecord(
         code="(()())", n=3, diam=2, s=1, sigma=1, le=3.3333333333333335,
         le_err=1e-13, le_path=3.3333333333333335, le_star=3.3333333333333335,
-        slack=0.0, checks={"conjecture": True},
+        slack=0.0, tol=1e-12, checks={"conjecture": True},
     )
     line = record_to_json(rec)
     parsed = json.loads(line)
     assert parsed["code"] == "(()())" and parsed["checks"] == {"conjecture": True}
     assert CSV_HEADER.split(",") == [
-        "code", "n", "diam", "s", "sigma", "le", "le_err", "le_path", "le_star", "slack",
+        "code", "n", "diam", "s", "sigma", "le", "le_err", "le_path", "le_star", "slack", "tol",
     ]
     assert record_to_csv(rec).startswith("(()()),3,2,1,1,")
 
@@ -287,7 +287,14 @@ def test_resume_drops_a_partial_last_line(tmp_path):
     assert sink.read_bytes() == whole
 
 
-@pytest.mark.parametrize("line", ["not json", '{"code": "(()())"}', "[1, 2]"])
+_FIELDS_OF_P3 = '"code":"(()())","n":3,"diam":2,"s":1,"sigma":1,"le":4,"le_err":0,"le_path":4,"le_star":4,"slack":0'
+
+
+@pytest.mark.parametrize("line", [
+    "not json", '{"code": "(()())"}', "[1, 2]",
+    "{" + _FIELDS_OF_P3 + ',"tol":"x","checks":{"conjecture":true}}',
+    "{" + _FIELDS_OF_P3 + ',"tol":1e-12,"checks":5}',
+])
 def test_resume_rejects_a_malformed_complete_line(tmp_path, capsys, line):
     sink = tmp_path / "records.jsonl"
     sink.write_text(line + "\n")
@@ -329,3 +336,28 @@ def test_resume_refuses_a_sink_of_other_checks(tmp_path, capsys):
     assert "checks conjecture," in err and "asks for conjecture,lemma21" in err
     assert sink.read_bytes() == recorded
     assert not report.exists()
+
+
+def test_resume_refuses_a_sink_made_at_another_tolerance(tmp_path, capsys):
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    assert cli_main(["check-conjecture", "--n-max", "5", "--out", str(sink)]) == 0
+    recorded = sink.read_bytes()
+    argv = ["check-conjecture", "--n-max", "5", "--tol", "0.3", "--out", str(sink), "--report", str(report)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "tol 1e-12" in err and "tol 0.3" in err
+    assert sink.read_bytes() == recorded
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("tol, written", [("0.3", "0.3"), (repr(1 / 3), "0.333333333333333")])
+def test_resume_accepts_a_sink_made_at_the_same_tolerance(tmp_path, capsys, tol, written):
+    # 1/3 is written as 0.333333333333333, which reads back as another float
+    sink = tmp_path / "records.jsonl"
+    run = ["check-conjecture", "--n-min", "4", "--tol", tol, "--out", str(sink), "--n-max"]
+    assert cli_main([*run, "4"]) == 0
+    assert cli_main([*run, "5"]) == 0
+    assert "trees evaluated: 3 (skipped 2 already recorded)" in capsys.readouterr().out
+    lines = sink.read_text().splitlines()
+    assert len(lines) == 5 and all(f'"tol":{written},' in line for line in lines)
