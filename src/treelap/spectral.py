@@ -4,9 +4,14 @@ Counting is exact: diagonalizing L(T) + alpha*I by the bottom-up congruence
 pass (leaves first, a(v) = d(v) + alpha - sum 1/a(c), with the zero-child
 substitution a(v) := -1/2, a(child) := 2 and removal of the parent edge)
 yields a diagonal matrix with the same inertia, so the sign tally counts the
-eigenvalues below / equal to / above any exact rational threshold.  All of
-that runs in integer arithmetic (numerator/denominator pairs, no gcd), so
-ties at thresholds like the average degree 2 - 2/n are decided exactly.
+eigenvalues below / equal to / above any exact rational threshold.  The
+tally is first tried in float intervals: each pivot is enclosed in [lo, hi]
+and every +, - and 1/x result is widened one ulp outward, so the interval
+holds the exact pivot.  If no interval contains 0, the exact pass would make
+no zero-child substitution and every exact pivot has the sign of its
+interval, so the float tally is the exact one.  Otherwise the same pass runs
+in integer arithmetic (numerator/denominator pairs, no gcd), so ties at
+thresholds like the average degree 2 - 2/n are decided exactly.
 
 Eigenvalue *values* are produced as certified enclosures: float estimates
 (dense eigvalsh) only propose probe points; every reported interval is
@@ -55,15 +60,71 @@ def laplacian_matrix(tree: Tree) -> np.ndarray:
     return lap
 
 
-# ---- exact congruence pass ---------------------------------------------------
+# ---- congruence pass: float filter, exact fallback ---------------------------
 
 
 def _inertia(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
     """(negative, zero, positive) entry counts of the diagonal congruent to
     L(T) + (p/q) I, rooted at `root`.  q > 0 required.
 
+    The float-interval stage decides the tally whenever no pivot interval
+    contains 0; otherwise the exact integer pass runs.  Both give the same
+    tally (see `_inertia_float`).
+    """
+    tally = _inertia_float(tree, p, q, root)
+    return tally if tally is not None else _inertia_exact(tree, p, q, root)
+
+
+def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int] | None:
+    """The sign tally of `_inertia` from float intervals, or None if undecided.
+
+    Each pivot a(v) = d(v) + alpha - sum 1/a(c) is carried as [lo, hi], and
+    every +, - and 1/x result is moved one ulp outward with math.nextafter.
+    A round-to-nearest result is the float nearest the true value, so the
+    true value lies between it and its next float on that side, and each
+    interval encloses the exact pivot.  For a child whose interval
+    excludes 0, 1/a(c) lies in [1/hi, 1/lo].  Gives up (None) as soon as a
+    pivot interval contains 0 or is not finite.  When it does not give up,
+    every exact pivot is nonzero, so the exact pass makes no zero-child
+    substitution, its pivots are the values enclosed here, and its tally is
+    (#hi < 0, 0, the rest): the same as this one.
+    """
+    try:
+        alpha = p / q  # int true division is correctly rounded
+    except OverflowError:
+        return None
+    inf = math.inf
+    step = math.nextafter
+    a_lo = step(alpha, -inf)
+    a_hi = step(alpha, inf)
+    order, _, kids = tree.rooted(root)
+    degs = tree.degrees
+    lo = [0.0] * tree.n
+    hi = [0.0] * tree.n
+    neg = 0
+    for v in order:
+        d = degs[v]
+        v_lo = step(d + a_lo, -inf)
+        v_hi = step(d + a_hi, inf)
+        for c in kids[v]:
+            v_lo = step(v_lo - step(1.0 / lo[c], inf), -inf)
+            v_hi = step(v_hi - step(1.0 / hi[c], -inf), inf)
+        if v_hi < 0.0:
+            if not -inf < v_lo:
+                return None
+            neg += 1
+        elif not 0.0 < v_lo <= v_hi < inf:
+            return None
+        lo[v] = v_lo
+        hi[v] = v_hi
+    return neg, 0, tree.n - neg
+
+
+def _inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
+    """The tally of `_inertia` by the exact integer pass, zero pivots included.
+
     Values are carried as integer pairs num/den with den > 0; no gcd
-    reduction (bit growth is O(subtree size * bits(q)), cheap at desk scale).
+    reduction (bit growth is O(subtree size * bits(q))).
     """
     n = tree.n
     order, _, kids = tree.rooted(root)

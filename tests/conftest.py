@@ -14,7 +14,9 @@ It also holds reference code that only the tests call, kept out of the
 package so that `src/` has one implementation of each thing:
 
 * `diagonalize`, the congruence pass with every diagonal value kept as an
-  exact Fraction (the package counts signs with `spectral._inertia` alone),
+  exact Fraction (the package counts signs with `spectral._inertia` alone:
+  its float-interval stage, or its exact integer stage when a float pivot
+  interval contains 0),
 * `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
 * `le_two_forms`, the trace-identity energy intersected with the sum of
   absolute deviations over unclamped enclosures,

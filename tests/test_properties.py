@@ -1,16 +1,21 @@
-"""Property tests: record round trips and resuming a killed run."""
+"""Property tests: record round trips, resuming a killed run, and the float
+stage of the congruence pass against its exact stage."""
 
 import functools
 import io
 import json
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelap.cli import main as cli_main
+from treelap.spectral import _inertia_exact, _inertia_float, average_degree, laplacian_matrix
+from treelap.tree import Tree
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -60,3 +65,39 @@ def test_resume_after_a_kill_at_any_byte_matches_an_uninterrupted_run(data):
     with tempfile.TemporaryDirectory() as d:
         (Path(d) / "records.jsonl").write_bytes(sink[:cut])
         assert _run(Path(d)) == (code, sink, report)
+
+
+@st.composite
+def rooted_trees(draw):
+    n = draw(st.integers(2, 60), label="n")
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return Tree(n, edges), draw(st.integers(0, n - 1), label="root")
+
+
+@st.composite
+def thresholds(draw, tree: Tree):
+    """Random rationals, integers 0..n, d_bar, and the dyadic probes that
+    `_distinct_enclosures` makes tol/2 beside each eigvalsh estimate."""
+    kind = draw(st.sampled_from(["rational", "integer", "d_bar", "beside_estimate"]))
+    if kind == "rational":
+        return draw(st.fractions(-1, tree.n + 1, max_denominator=10**12))
+    if kind == "integer":
+        return Fraction(draw(st.integers(0, tree.n)))
+    if kind == "d_bar":
+        return average_degree(tree)
+    est = np.linalg.eigvalsh(laplacian_matrix(tree))
+    mu = Fraction(float(draw(st.sampled_from(list(est)))))
+    tol = Fraction(draw(st.sampled_from([1e-12, 1e-6, 0.05, 0.3])))
+    return mu + draw(st.sampled_from([-1, 1])) * tol / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_stage_never_disagrees_with_the_exact_stage(data):
+    tree, root = data.draw(rooted_trees())
+    x = data.draw(thresholds(tree), label="x")
+    p, q = -x.numerator, x.denominator
+    tally = _inertia_float(tree, p, q, root)
+    if tally is not None:
+        assert tally[1] == 0
+        assert tally == _inertia_exact(tree, p, q, root)

@@ -14,6 +14,8 @@ from treelap.intervals import Enclosure
 from treelap.spectral import (
     EigCounts,
     _inertia,
+    _inertia_exact,
+    _inertia_float,
     average_degree,
     count_at_least,
     count_eigs,
@@ -93,8 +95,49 @@ class TestCountEigs:
             for _ in range(5):
                 root = rng.randrange(t.n)
                 assert diagonalize(t, -x, root=root).counts == base
-                # the package's integer pass, away from the centroid it always uses
+                # the package's pass, away from the centroid it always uses
                 assert _inertia(t, -x.numerator, x.denominator, root) == base
+                # the integer stage alone: the float stage answers most calls
+                assert _inertia_exact(t, -x.numerator, x.denominator, root) == base
+
+
+class TestFloatStage:
+    """The float-interval stage of `_inertia` declines wherever a pivot
+    interval contains 0, which it must at every eigenvalue."""
+
+    def test_declines_at_zero(self, rng):
+        for _ in range(20):
+            t = random_tree(rng.randrange(1, 25), rng)
+            for root in range(t.n):
+                assert _inertia_float(t, 0, 1, root) is None
+            assert tuple(count_eigs(t, 0)) == oracle_counts(t, Fraction(0))
+
+    @pytest.mark.parametrize("tree, x", [(star(5), 1), (path(4), 2)])
+    def test_declines_at_integer_eigenvalues(self, tree, x):
+        for root in range(tree.n):
+            assert _inertia_float(tree, -x, 1, root) is None
+        assert tuple(count_eigs(tree, x)) == oracle_counts(tree, Fraction(x))
+
+    def test_declines_next_to_an_irrational_eigenvalue(self):
+        # 2 - sqrt 2 is an eigenvalue of P4, and s / 2^80 < sqrt 2 < (s + 1) / 2^80
+        # for s = isqrt(2^161), so each x below is within 2^-80 of it
+        t = path(4)
+        s = math.isqrt(2 << 160)
+        for num, below in ((s, 2), (s + 1, 1)):
+            x = 2 - Fraction(num, 1 << 80)
+            assert abs(float(x) - (2 - math.sqrt(2))) < 2.0**-50
+            expected = EigCounts(below, 0, 4 - below)
+            for root in range(t.n):
+                assert _inertia_float(t, -x.numerator, x.denominator, root) is None
+                assert _inertia_exact(t, -x.numerator, x.denominator, root) == expected
+                assert diagonalize(t, -x, root=root).counts == expected
+
+    def test_decides_above_the_spectrum(self, rng):
+        for _ in range(20):
+            t = random_tree(rng.randrange(2, 40), rng)
+            x = Fraction(2 * t.n + 1, 2)  # above the spectrum, which ends at n
+            for root in (0, t.n - 1):
+                assert _inertia_float(t, -x.numerator, x.denominator, root) == (t.n, 0, 0)
 
 
 class TestMultiplicityOfOne:
