@@ -18,7 +18,6 @@ from .tree import (
     degree_summary,
     delete_edge,
     diameter,
-    from_edge_list,
     from_pruefer,
     join_trees,
     parse_edge_text,
@@ -40,12 +39,10 @@ from .families import (
 from .enumeration import EnumRange, count_free_trees, free_trees, free_trees_sharded
 from .charpoly import (
     Poly,
-    RationalFn,
     char_poly,
     closed_form_t4,
     closed_form_tdprime,
     closed_form_tprime,
-    sign_changes_sturm,
     tdprime_sextic,
     tprime_quartic,
 )

@@ -42,6 +42,7 @@ from .tree import Tree, canonical_code, degree_summary, delete_edge, diameter, j
 F0 = Fraction(0)
 REFINE = 3  # tolerance halvings before a check reports undecided
 NO_CLAIM = "hypotheses not satisfied; no claim made"
+THM31_N_LIMIT = 10_000  # thm31_minimal_n searches below this n
 
 
 @dataclass
@@ -279,12 +280,12 @@ def thm31_condition(n: int, s: int) -> bool:
     return verdict
 
 
-def thm31_minimal_n(s: int, n_limit: int = 10_000) -> int:
-    """Smallest n for which the condition holds (it is monotone in n)."""
-    for n in range(max(s + 2, 3), n_limit):
+def thm31_minimal_n(s: int) -> int:
+    """Smallest n < THM31_N_LIMIT meeting the condition (monotone in n)."""
+    for n in range(max(s + 2, 3), THM31_N_LIMIT):
         if thm31_condition(n, s):
             return n
-    raise BadParam(f"no n <= {n_limit} satisfies the condition for s={s}")
+    raise BadParam(f"no n < {THM31_N_LIMIT} satisfies the condition for s={s}")
 
 
 @_refining

@@ -9,16 +9,12 @@ denominators.
 
 Coefficients are arbitrary-precision integers throughout (the Laplacian
 characteristic polynomial of a forest is monic and integral).  Closed forms
-for the three special diameter-4 families are provided alongside, plus
-exact gcds, squarefree parts and Sturm-sequence counts of distinct roots.
+for the three special diameter-4 families are provided alongside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BadParam
 from .tree import Tree
@@ -46,15 +42,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise BadParam("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -104,16 +91,6 @@ class Poly:
             k >>= 1
         return result
 
-    def __call__(self, x):
-        """Exact Horner evaluation; Fraction in, Fraction out."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
@@ -122,19 +99,13 @@ X = Poly((0, 1))
 ONE = Poly((1,))
 
 
-@dataclass(frozen=True)
-class RationalFn:
-    """The per-vertex rational function a(v) = numerator / denominator,
-    where the denominator is the product of the children's numerators."""
+def char_poly(tree: Tree) -> Poly:
+    """det(xI - L(T)) exactly: monic, degree n, constant term 0.
 
-    numerator: Poly
-    denominator: Poly
-
-
-def rational_functions(tree: Tree, root: int | None = None) -> tuple[RationalFn, ...]:
-    """All a(v) from the bottom-up recurrence, indexed by vertex."""
-    if root is None:
-        root = tree.centroids()[0]
+    One post-order pass from a centroid builds N_v and D_v for every vertex
+    (a lone vertex has no children, so N = x) and returns N_root.
+    """
+    root = tree.centroids()[0]
     order, _, kids = tree.rooted(root)
     N: list[Poly | None] = [None] * tree.n
     D: list[Poly | None] = [None] * tree.n
@@ -146,17 +117,7 @@ def rational_functions(tree: Tree, root: int | None = None) -> tuple[RationalFn,
             nprod = nprod * N[c]
         N[v] = Poly((-tree.degrees[v], 1)) * nprod - s
         D[v] = nprod
-    return tuple(RationalFn(N[v], D[v]) for v in range(tree.n))
-
-
-def char_poly(tree: Tree) -> Poly:
-    """det(xI - L(T)) exactly: monic, degree n, constant term 0."""
-    if tree.n == 1:
-        return X
-    fns = rational_functions(tree)
-    # product of all a(v) telescopes to the root numerator
-    root = tree.centroids()[0]
-    return fns[root].numerator
+    return N[root]
 
 
 # ---- closed forms for the diameter-4 families ------------------------------
@@ -222,111 +183,3 @@ def closed_form_tdprime(r: int, s1: int, s2: int) -> Poly:
         * Poly((1, -3, 1)) ** (r - 3)
         * tdprime_sextic(r, s1, s2)
     )
-
-
-# ---- exact root location ----------------------------------------------------
-
-
-def _content(p: Poly) -> Fraction:
-    """Positive rational c with p/c primitive integer, matching p's lead sign."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        f = Fraction(c)
-        num_gcd = gcd(num_gcd, abs(f.numerator))
-        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
-
-
-def primitive(p: Poly) -> Poly:
-    """Integer polynomial with coprime coefficients and positive leading term."""
-    if p.is_zero():
-        return p
-    c = _content(p)
-    if p.leading < 0:
-        c = -c
-    return Poly([Fraction(x) / c for x in p.coeffs])
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact (quotient, remainder) over the rationals; b must be nonzero."""
-    if b.is_zero():
-        raise BadParam("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    bl = Fraction(b.leading)
-    bdeg = b.degree
-    quo = [Fraction(0)] * max(len(rem) - bdeg, 0)
-    while len(rem) - 1 >= bdeg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < bdeg:
-            break
-        shift = len(rem) - 1 - bdeg
-        q = rem[-1] / bl
-        quo[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-        rem.pop()
-    return Poly(quo), Poly(rem)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive positive-leading gcd over the rationals."""
-    a, b = primitive(a), primitive(b)
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, primitive(r)
-    return a
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p with all root multiplicities reduced to one (primitive, lead > 0)."""
-    if p.is_zero():
-        raise BadParam("zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return ONE
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return primitive(p)
-    q, r = poly_divmod(p, g)
-    assert r.is_zero()
-    return primitive(q)
-
-
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, primitive(p.derivative())]
-    while chain[-1].degree > 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(primitive(-r))
-    return [q for q in chain if not q.is_zero()]
-
-
-def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sign_changes_sturm(p: Poly, lo, hi) -> int:
-    """Exact count of distinct real roots of p in the half-open interval (lo, hi].
-
-    The chain is built on the squarefree part, so multiple roots are counted
-    once.  Standard Sturm convention: dropping zero entries from the sign
-    sequences makes the count inclusive at hi and exclusive at lo.
-    """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo >= hi:
-        raise BadParam(f"need lo < hi, got {lo} >= {hi}")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    chain = _sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)

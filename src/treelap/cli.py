@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -152,7 +153,6 @@ def _cmd_check_conjecture(args) -> int:
         shard_index=i,
         shard_count=k,
         out=args.out,
-        fmt=args.format,
         checks=("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ()),
         allow_large=args.allow_large,
     )
@@ -162,7 +162,7 @@ def _cmd_check_conjecture(args) -> int:
     summary = run_exhaustive(config)
     print(summary.describe())
     if args.report:
-        emit_report(summary.records, config.fmt, args.report)
+        emit_report(summary.records, args.format, args.report)
         print(f"report written to {args.report}")
     return _exit_code(summary)
 
@@ -174,8 +174,13 @@ def _cmd_sweep(args) -> int:
     return _exit_code(summary)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, like bad input; 2 means a violation
+        raise TreelapError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="treelap", description=__doc__)
+    ap = _Parser(prog="treelap", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("enumerate", help="stream all free trees of order n")
@@ -200,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", default=None, help="edge-list file (default stdin)")
         p.add_argument("--pruefer", default=None, help="comma-separated Pruefer labels instead of an edge list")
-        p.add_argument("--tol", type=float, default=1e-12)
+        if name != "charpoly":
+            p.add_argument("--tol", type=float, default=1e-12)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("bounds", help="evaluate bound checks on one tree")
@@ -233,8 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:
+            raise TreelapError(f"--tol must be finite and > 0, got {args.tol}")
         return args.fn(args)
     except TreelapError as exc:
         print(f"error: {exc}", file=sys.stderr)

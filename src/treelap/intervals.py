@@ -116,10 +116,6 @@ class Enclosure:
     def le(self, other) -> bool | None:
         return _coerce(other).ge(self)
 
-    def __contains__(self, x) -> bool:
-        f = Fraction(x)
-        return self.lo <= f <= self.hi
-
     def __repr__(self):
         return f"Enclosure({self.value:.17g} +- {self.err:.3g})"
 

@@ -80,17 +80,6 @@ class Tree:
 
     # ---- basic queries -------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self._edge_set()
-
-    def _edge_set(self):
-        es = self._cache.get("edge_set")
-        if es is None:
-            es = frozenset(self.edges)
-            self._cache["edge_set"] = es
-        return es
-
     def rooted(self, root: int = 0) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(post-order, parent, children) for the orientation rooted at `root`.
 
@@ -157,10 +146,6 @@ class Tree:
 
 
 # ---- constructors -------------------------------------------------------
-
-
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
-    return Tree(n, edges)
 
 
 def from_pruefer(seq: Sequence[int]) -> Tree:
@@ -310,43 +295,33 @@ def degree_summary(tree: Tree) -> DegreeSummary:
 
 
 class EdgeSplit(NamedTuple):
-    """Result of deleting one edge: components ordered larger-first, with
-    labels[i][new_label] = old_label giving the compaction maps."""
+    """Result of deleting one edge: components ordered larger-first."""
 
     first: Tree
     second: Tree
-    labels: tuple[tuple[int, ...], tuple[int, ...]]
     pendant: bool
 
 
 def delete_edge(tree: Tree, edge: tuple[int, int]) -> EdgeSplit:
-    u, v = edge
-    e = (u, v) if u < v else (v, u)
-    if not tree.has_edge(*e):
-        raise EdgeAbsent(f"edge {e} is not in the tree")
-
-    def component(start: int) -> tuple[Tree, tuple[int, ...]]:
-        old = [start]
-        seen = {start}
-        i = 0
-        while i < len(old):
-            x = old[i]
-            i += 1
-            for w in tree.adj[x]:
-                if w not in seen and {x, w} != {e[0], e[1]}:
-                    seen.add(w)
-                    old.append(w)
-        old.sort()
+    a, b = sorted(edge)
+    if (a, b) not in tree.edges:
+        raise EdgeAbsent(f"edge {(a, b)} is not in the tree")
+    # a's side: everything reachable from a without passing through b
+    side = {a, b}
+    stack = [a]
+    while stack:
+        for w in tree.adj[stack.pop()]:
+            if w not in side:
+                side.add(w)
+                stack.append(w)
+    side.discard(b)
+    parts = []
+    for old in ([x for x in range(tree.n) if x in side], [x for x in range(tree.n) if x not in side]):
         new_of = {o: i for i, o in enumerate(old)}
-        sub = [(new_of[a], new_of[b]) for a, b in tree.edges if a in seen and b in seen]
-        return Tree(len(old), sub), tuple(old)
-
-    t_u, map_u = component(e[0])
-    t_v, map_v = component(e[1])
-    pendant = min(t_u.n, t_v.n) == 1
-    if t_u.n >= t_v.n:
-        return EdgeSplit(t_u, t_v, (map_u, map_v), pendant)
-    return EdgeSplit(t_v, t_u, (map_v, map_u), pendant)
+        parts.append(Tree(len(old), [(new_of[x], new_of[y]) for x, y in tree.edges if x in new_of and y in new_of]))
+    t_a, t_b = parts
+    pendant = min(t_a.n, t_b.n) == 1
+    return EdgeSplit(t_a, t_b, pendant) if t_a.n >= t_b.n else EdgeSplit(t_b, t_a, pendant)
 
 
 def join_trees(t1: Tree, t2: Tree, u1: int = 0, u2: int = 0) -> Tree:

@@ -32,7 +32,6 @@ class RunConfig:
     shard_index: int = 0
     shard_count: int = 1
     out: str | None = None
-    fmt: str = "jsonl"
     checks: tuple[str, ...] = ("conjecture",)
     allow_large: bool = False
 
@@ -47,8 +46,6 @@ class RunConfig:
                 f"n_max={self.n_max} exceeds the ceiling {ceiling}"
                 + ("" if self.allow_large else " (pass allow_large to go to 18)")
             )
-        if self.fmt not in ("jsonl", "csv"):
-            raise BadParam(f"format must be jsonl or csv, got {self.fmt!r}")
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
 
 
@@ -155,18 +152,31 @@ def _sort_key(rec):
 
 
 def emit_report(records: Sequence, fmt: str, path: str) -> None:
-    """Deterministic artifact: records sorted by (n, code), bit-stable."""
+    """Deterministic report of verification records, bit-stable."""
+    _write_report(VerifyRecord, records, fmt, path)
+
+
+def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
+    """Records sorted by _sort_key, one per line.  A CSV report starts with
+    the header of cls, the record type its caller writes (also when there
+    are no records), and holds only records of that type."""
     if fmt not in ("jsonl", "csv"):
         raise BadParam(f"format must be jsonl or csv, got {fmt!r}")
+    if fmt == "csv" and any(type(rec) is not cls for rec in records):
+        raise BadParam(f"a CSV report of {cls.__name__} rows holds only {cls.__name__} records")
     ordered = sorted(records, key=_sort_key)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if fmt == "csv":
-            fh.write(_csv_header(type(ordered[0]) if ordered else VerifyRecord) + "\n")
+            fh.write(_csv_header(cls) + "\n")
             for rec in ordered:
                 fh.write(record_to_csv(rec) + "\n")
         else:
             for rec in ordered:
                 fh.write(record_to_json(rec) + "\n")
+
+
+# VerifyRecord field annotation -> the JSON value types a sink line may hold.
+_SINK_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
 
 
 def _load_sink(path: str) -> dict[str, VerifyRecord]:
@@ -186,8 +196,11 @@ def _load_sink(path: str) -> dict[str, VerifyRecord]:
         if line.strip():
             try:
                 rec = VerifyRecord(**json.loads(line))
-                if not isinstance(rec.checks, dict) or type(rec.tol) not in (int, float):
-                    raise TypeError("checks must be an object and tol a number")
+                for f in fields(VerifyRecord):
+                    if type(getattr(rec, f.name)) not in _SINK_TYPES[f.type]:
+                        raise TypeError(f"{f.name} is not of type {f.type}")
+                if not all(v is None or type(v) is bool for v in rec.checks.values()):
+                    raise TypeError("a check verdict is not true, false or null")
                 records[rec.code] = rec
             except (TypeError, ValueError) as exc:
                 raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
@@ -374,5 +387,5 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
         summary.trees += 1
         summary._tally(rec, verdicts, f"{family}({params})")
     if config.out:
-        emit_report(summary.records, config.fmt, config.out)
+        _write_report(SweepRecord, summary.records, config.fmt, config.out)
     return summary

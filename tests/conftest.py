@@ -20,10 +20,14 @@ package so that `src/` has one implementation of each thing:
 * `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
 * `le_two_forms`, the trace-identity energy intersected with the sum of
   absolute deviations over unclamped enclosures,
-* `squarefree_decomposition` (Yun) and `root_count_with_multiplicity`,
-  multiplicity-aware Sturm counts,
-* `char_poly_forest`, `eval_poly`, `relabel`, and `pi_rational_bounds`,
-  an independent Machin-series enclosure of pi.
+* the Sturm/gcd root counter, which checks the congruence counts from the
+  polynomial side: `sign_changes_sturm` (distinct roots in (lo, hi]) over
+  `primitive`, `poly_divmod`, `poly_gcd` and `squarefree_part`, and Yun's
+  `squarefree_decomposition` with `root_count_with_multiplicity`,
+* `leading`, `is_zero`, `eval_poly` and `derivative`, the `Poly` helpers
+  only that counter and the tests use,
+* `char_poly_forest`, `relabel`, and `pi_rational_bounds`, an independent
+  Machin-series enclosure of pi.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from treelap.charpoly import ONE, Poly, char_poly, poly_divmod, poly_gcd, primitive, sign_changes_sturm
+from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
 from treelap.spectral import EigCounts, Spectrum
@@ -341,8 +347,27 @@ def le_two_forms(spec: Spectrum) -> Enclosure:
 # ------------------------------------------------------------ polynomial oracles
 
 
+def leading(p: Poly):
+    if not p.coeffs:
+        raise BadParam("zero polynomial has no leading coefficient")
+    return p.coeffs[-1]
+
+
+def is_zero(p: Poly) -> bool:
+    return not p.coeffs
+
+
 def eval_poly(p: Poly, x) -> Fraction:
-    return Fraction(p(Fraction(x)))
+    """Exact Horner evaluation."""
+    acc = Fraction(0)
+    x = Fraction(x)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
 
 
 def char_poly_forest(trees) -> Poly:
@@ -353,22 +378,127 @@ def char_poly_forest(trees) -> Poly:
     return out
 
 
+def _content(p: Poly) -> Fraction:
+    """Positive rational c with p/c primitive integer, matching p's lead sign."""
+    num_gcd = 0
+    den_lcm = 1
+    for c in p.coeffs:
+        f = Fraction(c)
+        num_gcd = gcd(num_gcd, abs(f.numerator))
+        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
+    if num_gcd == 0:
+        return Fraction(1)
+    return Fraction(num_gcd, den_lcm)
+
+
+def primitive(p: Poly) -> Poly:
+    """Integer polynomial with coprime coefficients and positive leading term."""
+    if is_zero(p):
+        return p
+    c = _content(p)
+    if leading(p) < 0:
+        c = -c
+    return Poly([Fraction(x) / c for x in p.coeffs])
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Exact (quotient, remainder) over the rationals; b must be nonzero."""
+    if is_zero(b):
+        raise BadParam("polynomial division by zero")
+    rem = [Fraction(c) for c in a.coeffs]
+    bl = Fraction(leading(b))
+    bdeg = b.degree
+    quo = [Fraction(0)] * max(len(rem) - bdeg, 0)
+    while len(rem) - 1 >= bdeg and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < bdeg:
+            break
+        shift = len(rem) - 1 - bdeg
+        q = rem[-1] / bl
+        quo[shift] = q
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= q * c
+        rem.pop()
+    return Poly(quo), Poly(rem)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive positive-leading gcd over the rationals."""
+    a, b = primitive(a), primitive(b)
+    while not is_zero(b):
+        _, r = poly_divmod(a, b)
+        a, b = b, primitive(r)
+    return a
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """p with all root multiplicities reduced to one (primitive, lead > 0)."""
+    if is_zero(p):
+        raise BadParam("zero polynomial has no squarefree part")
+    if p.degree == 0:
+        return ONE
+    g = poly_gcd(p, derivative(p))
+    if g.degree == 0:
+        return primitive(p)
+    q, r = poly_divmod(p, g)
+    assert is_zero(r)
+    return primitive(q)
+
+
+def _sturm_chain(p: Poly) -> list[Poly]:
+    chain = [p, primitive(derivative(p))]
+    while chain[-1].degree > 0:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if is_zero(r):
+            break
+        chain.append(primitive(-r))
+    return [q for q in chain if not is_zero(q)]
+
+
+def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
+    signs = []
+    for q in chain:
+        v = eval_poly(q, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sign_changes_sturm(p: Poly, lo, hi) -> int:
+    """Exact count of distinct real roots of p in the half-open interval (lo, hi].
+
+    The chain is built on the squarefree part, so multiple roots are counted
+    once.  Standard Sturm convention: dropping zero entries from the sign
+    sequences makes the count inclusive at hi and exclusive at lo.
+    """
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    if lo >= hi:
+        raise BadParam(f"need lo < hi, got {lo} >= {hi}")
+    sf = squarefree_part(p)
+    if sf.degree <= 0:
+        return 0
+    chain = _sturm_chain(sf)
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: [(q_i, i)] with p = lc * prod q_i^i, q_i squarefree,
     pairwise coprime, primitive, positive-leading; factors with q_i = 1 omitted."""
-    if p.is_zero():
+    if is_zero(p):
         raise BadParam("zero polynomial has no squarefree decomposition")
     p = primitive(p)
     if p.degree == 0:
         return []
     out = []
-    g = poly_gcd(p, p.derivative())
+    g = poly_gcd(p, derivative(p))
     if g.degree == 0:
         return [(p, 1)]
     b, rb = poly_divmod(p, g)
-    c, rc = poly_divmod(p.derivative(), g)
-    assert rb.is_zero() and rc.is_zero()
-    d = c - b.derivative()
+    c, rc = poly_divmod(derivative(p), g)
+    assert is_zero(rb) and is_zero(rc)
+    d = c - derivative(b)
     i = 1
     while b.degree > 0:
         a = poly_gcd(b, d)
@@ -379,7 +509,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         else:
             c = d
         b = primitive(b)
-        d = c - b.derivative()
+        d = c - derivative(b)
         i += 1
     return out
 

@@ -1,5 +1,6 @@
-"""Property tests: record round trips, resuming a killed run, and the float
-stage of the congruence pass against its exact stage."""
+"""Property tests: record round trips, resuming a killed run, the float
+stage of the congruence pass against its exact stage, and exact counts and
+certified enclosures against a dense eigensolver."""
 
 import functools
 import io
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelap.cli import main as cli_main
-from treelap.spectral import _inertia_exact, _inertia_float, average_degree, laplacian_matrix
+from treelap.spectral import _inertia_exact, _inertia_float, average_degree, count_eigs, eigenvalues, laplacian_matrix
 from treelap.tree import Tree
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
+
+from conftest import oracle_counts
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 verdict = st.sampled_from([True, False, None])
@@ -68,17 +71,22 @@ def test_resume_after_a_kill_at_any_byte_matches_an_uninterrupted_run(data):
 
 
 @st.composite
-def rooted_trees(draw):
-    n = draw(st.integers(2, 60), label="n")
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    return Tree(n, edges), draw(st.integers(0, n - 1), label="root")
+def trees(draw, n_min: int = 2, n_max: int = 60):
+    n = draw(st.integers(n_min, n_max), label="n")
+    return Tree(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
 
 
 @st.composite
-def thresholds(draw, tree: Tree):
+def rooted_trees(draw):
+    tree = draw(trees())
+    return tree, draw(st.integers(0, tree.n - 1), label="root")
+
+
+@st.composite
+def thresholds(draw, tree: Tree, kinds=("rational", "integer", "d_bar", "beside_estimate")):
     """Random rationals, integers 0..n, d_bar, and the dyadic probes that
     `_distinct_enclosures` makes tol/2 beside each eigvalsh estimate."""
-    kind = draw(st.sampled_from(["rational", "integer", "d_bar", "beside_estimate"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "rational":
         return draw(st.fractions(-1, tree.n + 1, max_denominator=10**12))
     if kind == "integer":
@@ -101,3 +109,24 @@ def test_float_stage_never_disagrees_with_the_exact_stage(data):
     if tally is not None:
         assert tally[1] == 0
         assert tally == _inertia_exact(tree, p, q, root)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_count_eigs_equals_the_dense_oracle(data):
+    # no probes beside an estimate: the oracle refuses a probe within 1e-7 of
+    # an eigenvalue it cannot pin exactly
+    tree = data.draw(trees(1, 40))
+    x = data.draw(thresholds(tree, kinds=("rational", "integer", "d_bar")), label="x")
+    assert tuple(count_eigs(tree, x)) == oracle_counts(tree, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(1, 40), st.sampled_from([1e-12, 1e-6, 0.05, 0.3]))
+def test_enclosures_are_narrow_and_hold_the_dense_eigenvalues(tree, tol):
+    spec = eigenvalues(tree, tol)
+    est = np.linalg.eigvalsh(laplacian_matrix(tree))[::-1]
+    assert len(spec.enclosures) == tree.n
+    for (lo, hi), mu in zip(spec.enclosures, est):
+        assert hi - lo <= Fraction(tol)
+        assert float(lo) - 1e-9 <= mu <= float(hi) + 1e-9

@@ -17,12 +17,12 @@ from treelap.errors import (
 from treelap.families import double_broom3, path, sns_tree, star
 from treelap.spectral import average_degree
 from treelap.tree import (
+    Tree,
     canonical_code,
     degree_summary,
     delete_edge,
     diameter,
     format_edge_text,
-    from_edge_list,
     from_pruefer,
     join_trees,
     parse_edge_text,
@@ -35,36 +35,36 @@ from conftest import random_tree, relabel
 
 class TestConstruction:
     def test_p2(self):
-        t = from_edge_list(2, [(0, 1)])
+        t = Tree(2, [(0, 1)])
         assert t.n == 2 and t.edges == ((0, 1),)
 
     def test_p4(self):
-        t = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        t = Tree(4, [(0, 1), (1, 2), (2, 3)])
         assert diameter(t) == 3
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected) as err:
-            from_edge_list(4, [(0, 1), (1, 2), (2, 0)])
+            Tree(4, [(0, 1), (1, 2), (2, 0)])
         assert any(f"({u}, {v})" in str(err.value) for u, v in [(0, 1), (0, 2), (1, 2)])
 
     def test_self_loop(self):
         with pytest.raises(CycleDetected):
-            from_edge_list(2, [(1, 1)])
+            Tree(2, [(1, 1)])
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            from_edge_list(4, [(0, 1), (2, 3)])
+            Tree(4, [(0, 1), (2, 3)])
 
     def test_bad_label(self):
         with pytest.raises(BadLabel):
-            from_edge_list(3, [(0, 1), (1, 3)])
+            Tree(3, [(0, 1), (1, 3)])
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
-            from_edge_list(3, [(0, 1), (1, 0)])
+            Tree(3, [(0, 1), (1, 0)])
 
     def test_single_vertex(self):
-        t = from_edge_list(1, [])
+        t = Tree(1, [])
         assert t.n == 1 and t.edges == ()
 
 
@@ -154,12 +154,12 @@ class TestDegreeSummary:
 
 class TestDeleteEdge:
     def test_p6_middle(self):
-        first, second, labels, pendant = delete_edge(path(6), (2, 3))
+        first, second, pendant = delete_edge(path(6), (2, 3))
         assert first.n == 3 and second.n == 3 and not pendant
         assert canonical_code(first) == canonical_code(path(3))
 
     def test_star_pendant(self):
-        first, second, labels, pendant = delete_edge(star(5), (0, 2))
+        first, second, pendant = delete_edge(star(5), (0, 2))
         assert pendant
         assert first.n == 4 and second.n == 1
         assert canonical_code(first) == canonical_code(star(4))
@@ -174,18 +174,21 @@ class TestDeleteEdge:
         with pytest.raises(EdgeAbsent):
             delete_edge(path(4), (0, 3))
 
-    def test_label_maps_and_validity(self, rng):
+    def test_components_rejoin_to_the_tree(self, rng):
         for _ in range(50):
             t = random_tree(rng.randrange(3, 25), rng)
             e = t.edges[rng.randrange(len(t.edges))]
             split = delete_edge(t, e)
             assert split.first.n + split.second.n == t.n
             assert split.first.n >= split.second.n
-            # maps carry each new label back to the original one
-            for comp, mp in zip((split.first, split.second), split.labels):
-                assert len(mp) == comp.n
-                for a, b in comp.edges:
-                    assert t.has_edge(mp[a], mp[b])
+            assert split.pendant == (split.second.n == 1)
+            # one edge between the two components gives the tree back
+            code = canonical_code(t)
+            assert any(
+                canonical_code(join_trees(split.first, split.second, a, b)) == code
+                for a in range(split.first.n)
+                for b in range(split.second.n)
+            )
 
 
 class TestJoinAndText:

@@ -155,6 +155,20 @@ def test_sweep_csv_rows_have_the_header_width(tmp_path):
     assert {"r=2,s1=2", "r=3,s1=2,s2=2", "a=1,b=1"} <= {row[1] for row in rows[1:]}
 
 
+def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
+    out = tmp_path / "sweep.csv"
+    config = SweepConfig(t4_ab=(2, 1), tprime_r=(2, 1), tdprime_r=(3, 2), broom_ab=(1, 0),
+                         out=str(out), fmt="csv")
+    assert run_family_sweep(config).trees == 0
+    assert out.read_text() == "family,params,n,sigma,le,le_err,bound,holds,slack,thm31_cond\n"
+
+
+def test_csv_report_holds_one_record_type(tmp_path):
+    rec = SweepRecord("sns", "p=1", 7, 2, 9.5, 1e-9, 10.1, None, -0.5, False)
+    with pytest.raises(BadParam):
+        emit_report([rec], "csv", str(tmp_path / "r.csv"))
+
+
 def test_csv_text_fields_round_trip():
     rec = SweepRecord("sns", 'p="1",r=2', 7, 2, 9.5, 1e-9, 10.1, None, -0.5, False)
     (row,) = csv.reader([record_to_csv(rec)])
@@ -264,6 +278,25 @@ class TestCli:
         code, out = self.run("bounds", "--check", "lemma21,bogus", "--pruefer", "1,1")
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "abc"),
+        ("check-conjecture",),
+        ("bounds", "--check", "lemma21", "--tol", "nan", "--pruefer", "1,1"),
+        ("bounds", "--tol", "nan", "--pruefer", "1,1"),
+        ("sweep", "--tol", "0"),
+        ("charpoly", "--tol", "1e-12", "--pruefer", "1,1"),
+    ], ids=["bad-int", "missing-n-max", "bounds-one-tol-nan", "bounds-all-tol-nan", "sweep-tol-0",
+            "charpoly-tol"])
+    def test_usage_errors_exit_one_before_any_output(self, argv, capsys):
+        # argparse's own exit code 2 is the documented code for a certified violation
+        try:
+            code, out = self.run(*argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        assert (code, out) == (1, "")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
 
 def _edit_sink(sink, code, check, verdict):
     """Rewrite one recorded verdict in a run's sink."""
@@ -303,6 +336,24 @@ def test_resume_rejects_a_malformed_complete_line(tmp_path, capsys, line):
     assert cli_main(["check-conjecture", "--n-max", "4", "--out", str(sink)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sink.read_text() == line + "\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "4"), ("n", 4.0), ("n", True), ("slack", "x"), ("le", None), ("code", 5),
+    ("checks", {"conjecture": "yes"}), ("checks", {"conjecture": 1}),
+], ids=["n-text", "n-float", "n-bool", "slack-text", "le-null", "code-int", "verdict-text", "verdict-int"])
+def test_resume_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    sink = tmp_path / "records.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=4, out=str(sink)))
+    rows = [json.loads(line) for line in sink.read_text().splitlines()]
+    rows[0][field] = value
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    sink.write_text(text)
+    with pytest.raises(BadParam):
+        run_exhaustive(RunConfig(n_min=4, n_max=4, out=str(sink)))
+    assert cli_main(["check-conjecture", "--n-max", "4", "--out", str(sink)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sink}:1: not a verification record")
+    assert sink.read_text() == text
 
 
 @pytest.mark.parametrize("verdict, exit_code", [(False, 2), (None, 3)])
