@@ -30,7 +30,6 @@ from .errors import BadParam, PendantEdge
 from .intervals import PI, Enclosure
 from .spectral import (
     average_degree,
-    count_at_least,
     count_eigs,
     eigenvalues,
     forest_enclosures,
@@ -339,7 +338,7 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
     if split.pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
     thr = Fraction(2 * tree.n - 4, tree.n)
-    return split.first, split.second, count_at_least(split.first, thr), count_at_least(split.second, thr)
+    return split.first, split.second, *(t.n - count_eigs(t, thr).below for t in (split.first, split.second))
 
 
 def _claim_if(

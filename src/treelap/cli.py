@@ -30,6 +30,7 @@ from .tree import (
 )
 from .verify import (
     DESK_CEILING,
+    REPORT_FORMATS,
     RunConfig,
     SweepConfig,
     emit_report,
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default="0/1")
     p.add_argument("--out", default=None, help="append-only JSONL record sink (resumable)")
     p.add_argument("--report", default=None, help="deterministic sorted artifact path")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="jsonl")
     p.add_argument("--checks", default="", help="extra per-tree checks (comma-separated)")
     p.add_argument("--allow-large", action="store_true", help="raise the ceiling from 16 to 18")
     p.set_defaults(fn=_cmd_check_conjecture)
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="diameter-4 family sweeps")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="jsonl")
     p.add_argument("--sns-random", type=int, default=0)
     p.set_defaults(fn=_cmd_sweep)
 

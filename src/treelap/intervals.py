@@ -81,9 +81,6 @@ class Enclosure:
     def __sub__(self, other) -> "Enclosure":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "Enclosure":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Enclosure":
         o = _coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)

@@ -21,16 +21,20 @@ tol.  Rational eigenvalues of a tree Laplacian are integers (the
 characteristic polynomial is monic integral), so probing nearby integers
 pins them exactly and equality cases downstream are decided, not guessed.
 
-The Laplacian energy has one form, LE = 2 (S_sigma - sigma * d_bar), summed
-over the enclosures in one pass after clamping each to its side of d_bar
-(sigma is exact, so that side is known).
+The average degree d_bar is one of the probes.  A count at a threshold
+splits the spectrum exactly there, so every enclosure lies on one side of
+d_bar, and sigma = #{mu >= d_bar} is read off the enclosures.  S_k and the
+Laplacian energy LE = 2 (S_sigma - sigma * d_bar) share one bound: the top k
+enclosures, intersected with the trace 2(n-1) minus the bottom n - k.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -199,8 +203,7 @@ def average_degree(tree: Tree) -> Fraction:
 
 def sigma(tree: Tree) -> int:
     """Number of Laplacian eigenvalues >= average degree, decided exactly."""
-    c = count_eigs(tree, average_degree(tree))
-    return c.equal + c.above
+    return tree.n - count_eigs(tree, average_degree(tree)).below
 
 
 # ---- certified enclosures ----------------------------------------------------
@@ -225,17 +228,16 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Frac
 
     Each entry is proved by exact counts to contain exactly `count`
     eigenvalues and has width <= tol; entries with lo == hi are exact hits
-    (the count is then the exact multiplicity).
+    (the count is then the exact multiplicity).  The average degree is a
+    probe, so no entry has it strictly inside.
     """
     n = tree.n
-    if n == 1:
-        return [(F0, F0, 1)]
     top = Fraction(n)
 
     # probe proposals from float estimates; correctness never depends on them
     est = np.linalg.eigvalsh(laplacian_matrix(tree))
     pad = tol / 2
-    probes = [F0, top]
+    probes = [F0, top, average_degree(tree)]
     for clo, chi in _clusters(est, float(tol)):
         center = (clo + chi) / 2
         k = round(center)
@@ -291,17 +293,16 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Frac
 class Spectrum:
     """Certified spectrum: per-index enclosures mu_1 >= ... >= mu_n = 0.
 
-    sigma is computed exactly (inertia count at the rational threshold), not
-    read off the enclosures, so mu_sigma >= d_bar > mu_(sigma+1) is known.
-    Sums, the energy and their error bounds are all exact-rational interval
-    arithmetic over the enclosure endpoints.
+    d_bar was a probe of the enclosures, so the first sigma of them have
+    lo >= d_bar and the rest hi <= d_bar: mu_sigma >= d_bar > mu_(sigma+1)
+    is proved by the same exact counts.  Sums and the energy are
+    exact-rational interval arithmetic over the enclosure endpoints.
     """
 
     n: int
     enclosures: tuple[tuple[Fraction, Fraction], ...]
     d_bar: Fraction
     sigma: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -315,17 +316,12 @@ class Spectrum:
         lo, hi = self.enclosures[i - 1]
         return Enclosure(lo, hi)
 
-    def _prefix_sums(self):
-        hit = self._cache.get("prefix")
-        if hit is None:
-            los = [F0]
-            his = [F0]
-            for lo, hi in self.enclosures:
-                los.append(los[-1] + lo)
-                his.append(his[-1] + hi)
-            hit = (los, his)
-            self._cache["prefix"] = hit
-        return hit
+    @functools.cached_property
+    def _running_sums(self) -> tuple[list[Fraction], list[Fraction]]:
+        # s_k is asked for every k by the bound checks
+        los = list(accumulate((lo for lo, _ in self.enclosures), initial=F0))
+        his = list(accumulate((hi for _, hi in self.enclosures), initial=F0))
+        return los, his
 
     def s_k(self, k: int) -> Enclosure:
         """Sum of the k largest eigenvalues; width <= k*tol (tighter via trace).
@@ -335,37 +331,21 @@ class Spectrum:
         """
         if not (0 <= k <= self.n):
             raise BadParam(f"k={k} out of range 0..{self.n}")
-        los, his = self._prefix_sums()
+        los, his = self._running_sums
         trace = Fraction(2 * (self.n - 1))
-        lo = max(los[k], trace - his[self.n] + his[k])
-        hi = min(his[k], trace - los[self.n] + los[k])
+        lo = max(los[k], trace - his[-1] + his[k])
+        hi = min(his[k], trace - los[-1] + los[k])
         return Enclosure(lo, hi)
 
     def laplacian_energy(self) -> Enclosure:
-        """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar).
+        """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar), with S_sigma
+        bounded as in s_k."""
+        return self._energy
 
-        sigma is exact, so mu_i >= d_bar for i <= sigma and mu_i < d_bar
-        after: each enclosure is first clamped to its side of d_bar, then
-        S_sigma is bounded like s_k, by the top sigma enclosures and by the
-        trace 2(n-1) minus the bottom n - sigma.
-        """
-        hit = self._cache.get("le")
-        if hit is None:
-            d_bar, k = self.d_bar, self.sigma
-            top_lo = top_hi = bot_lo = bot_hi = F0
-            for i, (lo, hi) in enumerate(self.enclosures):
-                if i < k:
-                    top_lo += max(lo, d_bar)
-                    top_hi += hi
-                else:
-                    bot_lo += lo
-                    bot_hi += min(hi, d_bar)
-            trace = 2 * (self.n - 1)
-            s_lo = max(top_lo, trace - bot_hi)
-            s_hi = min(top_hi, trace - bot_lo)
-            hit = Enclosure(2 * (s_lo - k * d_bar), 2 * (s_hi - k * d_bar))
-            self._cache["le"] = hit
-        return hit
+    @functools.cached_property
+    def _energy(self) -> Enclosure:
+        s, shift = self.s_k(self.sigma), self.sigma * self.d_bar
+        return Enclosure(2 * (s.lo - shift), 2 * (s.hi - shift))
 
 
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
@@ -381,14 +361,15 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     if hit is not None:
         return hit
     distinct = _distinct_enclosures(tree, Fraction(tol))
+    d_bar = average_degree(tree)
     per_index: list[tuple[Fraction, Fraction]] = []
     for lo, hi, m in reversed(distinct):
         per_index.extend([(lo, hi)] * m)
     spec = Spectrum(
         n=tree.n,
         enclosures=tuple(per_index),
-        d_bar=average_degree(tree),
-        sigma=sigma(tree),
+        d_bar=d_bar,
+        sigma=sum(m for lo, _, m in distinct if lo >= d_bar),
     )
     tree._cache[key] = spec
     return spec
@@ -424,9 +405,3 @@ def forest_enclosures(trees: Sequence[Tree], tol: float = 1e-12) -> tuple[tuple[
     los.sort(reverse=True)
     his.sort(reverse=True)
     return tuple(zip(los, his))
-
-
-def count_at_least(tree: Tree, x) -> int:
-    """#{mu >= x}, decided exactly at rational x."""
-    c = count_eigs(tree, x)
-    return c.equal + c.above

@@ -36,9 +36,9 @@ class Tree:
             raise BadParam(f"vertex count must be >= 1, got {n}")
         canon = []
         for u, v in edges:
-            if not (0 <= u < n) or not isinstance(u, int):
+            if not isinstance(u, int) or not (0 <= u < n):
                 raise BadLabel(f"vertex {u} out of range 0..{n - 1} in edge ({u}, {v})")
-            if not (0 <= v < n) or not isinstance(v, int):
+            if not isinstance(v, int) or not (0 <= v < n):
                 raise BadLabel(f"vertex {v} out of range 0..{n - 1} in edge ({u}, {v})")
             if u == v:
                 raise CycleDetected(f"self-loop at vertex {u}")
@@ -368,9 +368,9 @@ def format_edge_text(tree: Tree) -> str:
 
 
 def parse_pruefer_text(text: str) -> Tree:
-    """Comma-separated Pruefer labels; empty string decodes to P2."""
+    """Comma-separated Pruefer labels; a blank string decodes to P2, an empty label is refused."""
     try:
-        seq = [int(tok) for tok in text.split(",") if tok.strip()]
+        seq = [int(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
         raise BadParam(f"Pruefer labels must be comma-separated integers, got {text!r}") from None
     return from_pruefer(seq)

@@ -135,6 +135,7 @@ def _csv_header(cls) -> str:
 
 
 CSV_HEADER = _csv_header(VerifyRecord)
+REPORT_FORMATS = ("jsonl", "csv")
 
 
 def record_to_json(rec) -> str:
@@ -151,6 +152,11 @@ def _sort_key(rec):
     return (1, rec.family, rec.n, rec.params)
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in REPORT_FORMATS:
+        raise BadParam(f"format must be {' or '.join(REPORT_FORMATS)}, got {fmt!r}")
+
+
 def emit_report(records: Sequence, fmt: str, path: str) -> None:
     """Deterministic report of verification records, bit-stable."""
     _write_report(VerifyRecord, records, fmt, path)
@@ -160,8 +166,7 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
     """Records sorted by _sort_key, one per line.  A CSV report starts with
     the header of cls, the record type its caller writes (also when there
     are no records), and holds only records of that type."""
-    if fmt not in ("jsonl", "csv"):
-        raise BadParam(f"format must be jsonl or csv, got {fmt!r}")
+    _check_format(fmt)
     if fmt == "csv" and any(type(rec) is not cls for rec in records):
         raise BadParam(f"a CSV report of {cls.__name__} rows holds only {cls.__name__} records")
     ordered = sorted(records, key=_sort_key)
@@ -329,6 +334,11 @@ class SweepConfig:
     sns_seed: int = 20240901
     out: str | None = None
     fmt: str = "jsonl"
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise BadParam(f"tolerance must be finite and > 0, got {self.tol}")
+        _check_format(self.fmt)
 
 
 def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:

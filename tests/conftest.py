@@ -19,7 +19,8 @@ package so that `src/` has one implementation of each thing:
   interval contains 0),
 * `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
 * `le_two_forms`, the trace-identity energy intersected with the sum of
-  absolute deviations over unclamped enclosures,
+  absolute deviations over the enclosures; no enclosure straddles d_bar,
+  so it equals `Spectrum.laplacian_energy` on every spectrum,
 * the Sturm/gcd root counter, which checks the congruence counts from the
   polynomial side: `sign_changes_sturm` (distinct roots in (lo, hi]) over
   `primitive`, `poly_divmod`, `poly_gcd` and `squarefree_part`, and Yun's
@@ -221,8 +222,10 @@ def oracle_counts(tree: Tree, x: Fraction) -> tuple[int, int, int]:
     ties can only happen at integer probes, where the multiplicity is
     computed exactly as a kernel dimension.  The float classification then
     only has to separate the remaining eigenvalues from the probe, which is
-    asserted with a wide safety band: any float in the ambiguous annulus
-    fails the test loudly instead of guessing.
+    asserted with a wide safety band.  When x is not an eigenvalue and a
+    float falls in that band, the count below x is taken exactly instead,
+    from Sturm sequences of the Bareiss characteristic polynomial; any other
+    float in the ambiguous annulus fails the test loudly instead of guessing.
     """
     x = Fraction(x)
     vals = np.linalg.eigvalsh(laplacian_np(tree))
@@ -232,6 +235,9 @@ def oracle_counts(tree: Tree, x: Fraction) -> tuple[int, int, int]:
     else:
         equal = 0
     near = np.abs(vals - fx) < 1e-7
+    if not equal and near.any():
+        below = root_count_with_multiplicity(Poly(dense_charpoly(tree)), -1, x)
+        return below, 0, tree.n - below
     assert int(near.sum()) == equal, f"ambiguous float cluster at probe {x}"
     if equal:
         assert np.all((np.abs(vals - fx) < 1e-9) | (np.abs(vals - fx) > 1e-5))

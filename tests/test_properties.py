@@ -1,6 +1,7 @@
 """Property tests: record round trips, resuming a killed run, the float
-stage of the congruence pass against its exact stage, and exact counts and
-certified enclosures against a dense eigensolver."""
+stage of the congruence pass against its exact stage, exact counts and
+certified enclosures against a dense eigensolver, and the side of d_bar
+each enclosure lies on."""
 
 import functools
 import io
@@ -19,7 +20,7 @@ from treelap.spectral import _inertia_exact, _inertia_float, average_degree, cou
 from treelap.tree import Tree
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
-from conftest import oracle_counts
+from conftest import le_two_forms, oracle_counts
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 verdict = st.sampled_from([True, False, None])
@@ -130,3 +131,14 @@ def test_enclosures_are_narrow_and_hold_the_dense_eigenvalues(tree, tol):
     for (lo, hi), mu in zip(spec.enclosures, est):
         assert hi - lo <= Fraction(tol)
         assert float(lo) - 1e-9 <= mu <= float(hi) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(1, 40), st.sampled_from([1e-12, 1e-6, 0.05, 0.3]))
+def test_no_enclosure_straddles_the_average_degree(tree, tol):
+    spec = eigenvalues(tree, tol)
+    d_bar = average_degree(tree)
+    assert all(hi <= d_bar or lo >= d_bar for lo, hi in spec.enclosures)
+    c = count_eigs(tree, d_bar)
+    assert spec.sigma == c.equal + c.above
+    assert spec.laplacian_energy() == le_two_forms(spec)

@@ -59,6 +59,11 @@ class TestConstruction:
         with pytest.raises(BadLabel):
             Tree(3, [(0, 1), (1, 3)])
 
+    @pytest.mark.parametrize("edge", [("0", 1), (0, "1"), (None, 1)])
+    def test_non_integer_label(self, edge):
+        with pytest.raises(BadLabel):
+            Tree(2, [edge])
+
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             Tree(3, [(0, 1), (1, 0)])
@@ -205,6 +210,12 @@ class TestJoinAndText:
     def test_pruefer_text(self):
         assert parse_pruefer_text("1,1").degrees[1] == 3
         assert parse_pruefer_text("").n == 2
+
+    def test_pruefer_text_refuses_empty_labels(self):
+        assert parse_pruefer_text(" \t").n == 2
+        for text in ("1,,2", "1,2,", ",1", ",", " , "):
+            with pytest.raises(BadParam):
+                parse_pruefer_text(text)
 
     def test_parse_errors(self):
         with pytest.raises(BadParam):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from treelap import verify
 from treelap.errors import BadParam
 from treelap.verify import (
     CSV_HEADER,
@@ -163,6 +164,17 @@ def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
     assert out.read_text() == "family,params,n,sigma,le,le_err,bound,holds,slack,thm31_cond\n"
 
 
+@pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}])
+def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkeypatch):
+    def no_trees(config):
+        raise AssertionError("a tree was built before the config was checked")
+
+    monkeypatch.setattr(verify, "_sweep_trees", no_trees)
+    with pytest.raises(BadParam):
+        run_family_sweep(SweepConfig(out=str(tmp_path / "sweep.out"), **bad))
+    assert not (tmp_path / "sweep.out").exists()
+
+
 def test_csv_report_holds_one_record_type(tmp_path):
     rec = SweepRecord("sns", "p=1", 7, 2, 9.5, 1e-9, 10.1, None, -0.5, False)
     with pytest.raises(BadParam):
@@ -262,7 +274,11 @@ class TestCli:
         (("le", "--tol", "inf", "--pruefer", "1,1"), None),
         (("check-conjecture", "--n-max", "5", "--tol", "nan"), None),
         (("check-conjecture", "--n-max", "5", "--tol", "inf"), None),
-    ], ids=["edge-token", "pruefer-label", "family-s", "tol-nan", "tol-inf", "run-tol-nan", "run-tol-inf"])
+        (("le", "--pruefer", "1,,2"), None),
+        (("le", "--pruefer", "1,2,"), None),
+        (("le", "--pruefer", ","), None),
+    ], ids=["edge-token", "pruefer-label", "family-s", "tol-nan", "tol-inf", "run-tol-nan", "run-tol-inf",
+            "pruefer-empty-inner", "pruefer-empty-last", "pruefer-only-comma"])
     def test_bad_input_is_an_error_not_a_traceback(self, argv, stdin_text, capsys):
         code, _ = self.run(*argv, stdin_text=stdin_text)
         assert code == 1
