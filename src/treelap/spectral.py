@@ -5,27 +5,18 @@ pass (leaves first, a(v) = d(v) + alpha - sum 1/a(c), with the zero-child
 substitution a(v) := -1/2, a(child) := 2 and removal of the parent edge)
 yields a diagonal matrix with the same inertia, so the sign tally counts the
 eigenvalues below / equal to / above any exact rational threshold.  The
-tally is first tried in float intervals: each pivot is enclosed in [lo, hi]
-and every +, - and 1/x result is widened one ulp outward, so the interval
-holds the exact pivot.  If no interval contains 0, the exact pass would make
-no zero-child substitution and every exact pivot has the sign of its
-interval, so the float tally is the exact one.  Otherwise the same pass runs
-in integer arithmetic (numerator/denominator pairs, no gcd), so ties at
-thresholds like the average degree 2 - 2/n are decided exactly.
+tally is taken in float intervals widened one ulp outward (`_inertia_float`)
+or, when a pivot interval contains 0, by the same pass in integers, so ties
+at thresholds like the average degree 2 - 2/n are decided exactly.
 
-Eigenvalue *values* are produced as certified enclosures: float estimates
-(dense eigvalsh) only propose probe points; every reported interval is
-proved to contain its eigenvalues by exact counts at its rational endpoints,
-and is refined by bisection on dyadic midpoints until its width is at most
-tol.  Rational eigenvalues of a tree Laplacian are integers (the
-characteristic polynomial is monic integral), so probing nearby integers
-pins them exactly and equality cases downstream are decided, not guessed.
-
-The average degree d_bar is one of the probes.  A count at a threshold
-splits the spectrum exactly there, so every enclosure lies on one side of
-d_bar, and sigma = #{mu >= d_bar} is read off the enclosures.  S_k and the
-Laplacian energy LE = 2 (S_sigma - sigma * d_bar) share one bound: the top k
-enclosures, intersected with the trace 2(n-1) minus the bottom n - k.
+Eigenvalues are certified enclosures: float estimates (eigvalsh) only
+propose probes, exact counts at the endpoints prove what each interval
+holds, and bisection narrows it to width <= tol.  Rational eigenvalues of a
+tree Laplacian are integers, so probing nearby integers pins them exactly.
+The average degree d_bar = 2(n-1)/n is a probe too, so no enclosure
+straddles it.  Every probe is an integer over one denominator per tree; the
+prober, S_k and LE = 2 (S_sigma - sigma * d_bar) are integer sums over it,
+and Fractions are built only where a caller reads a value.
 """
 
 from __future__ import annotations
@@ -42,8 +33,6 @@ import numpy as np
 from .errors import BadParam
 from .intervals import Enclosure
 from .tree import Tree
-
-F0 = Fraction(0)
 
 
 class EigCounts(NamedTuple):
@@ -181,14 +170,13 @@ def count_eigs(tree: Tree, x) -> EigCounts:
     eigenvalues below x, zeros the multiplicity of x, positives the rest.
     Counts are cached per tree.
     """
-    x = Fraction(x)
-    key = ("cnt", x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    key = ("cnt", x.numerator, x.denominator)
     hit = tree._cache.get(key)
     if hit is None:
         root = tree.centroids()[0]
-        neg, zero, pos = _inertia(tree, -x.numerator, x.denominator, root)
-        hit = EigCounts(neg, zero, pos)
-        tree._cache[key] = hit
+        hit = tree._cache[key] = EigCounts(*_inertia(tree, -x.numerator, x.denominator, root))
     return hit
 
 
@@ -210,10 +198,10 @@ def sigma(tree: Tree) -> int:
 
 
 def _clusters(vals: np.ndarray, eps: float) -> list[tuple[float, float]]:
+    vals = vals.tolist()
     out = []
-    lo = hi = float(vals[0])
+    lo = hi = vals[0]
     for v in vals[1:]:
-        v = float(v)
         if v - hi <= eps:
             hi = v
         else:
@@ -223,36 +211,49 @@ def _clusters(vals: np.ndarray, eps: float) -> list[tuple[float, float]]:
     return out
 
 
-def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fraction, int]]:
-    """Ascending [(lo, hi, count)] covering the whole spectrum.
+def _to_grid(num: int, d: int, den: int, found: list, work: list) -> tuple[int, int]:
+    """(N, den) with num/d == N/den.  A float midpoint can be finer than den:
+    then den and every endpoint in `found` and `work` are multiplied, in
+    place, by the least factor that puts num/d on the grid."""
+    s = d // math.gcd(d, num * den)
+    if s > 1:
+        den *= s
+        found[:] = [(lo * s, hi * s, m) for lo, hi, m in found]
+        work[:] = [(lo * s, hi * s, m, at) for lo, hi, m, at in work]
+    return num * den // d, den
 
-    Each entry is proved by exact counts to contain exactly `count`
-    eigenvalues and has width <= tol; entries with lo == hi are exact hits
-    (the count is then the exact multiplicity).  The average degree is a
-    probe, so no entry has it strictly inside.
+
+def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
+    """(den, [(lo, hi, count)] descending) covering the whole spectrum, each
+    endpoint an integer N standing for N / den.  Each entry is proved by exact
+    counts to contain exactly `count` eigenvalues and has width <= tol; one
+    with lo == hi is an exact hit, and no entry has d_bar strictly inside.
     """
     n = tree.n
-    top = Fraction(n)
+    tn, td = tol.numerator, tol.denominator
 
     # probe proposals from float estimates; correctness never depends on them
     est = np.linalg.eigvalsh(laplacian_matrix(tree))
-    pad = tol / 2
-    probes = [F0, top, average_degree(tree)]
-    for clo, chi in _clusters(est, float(tol)):
+    clusters = _clusters(est, float(tol))
+    ratios = [(clo.as_integer_ratio(), chi.as_integer_ratio()) for clo, chi in clusters]
+    den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
+    pad = tn * (den // (2 * td))
+    top = n * den
+    probes = [0, top, 2 * (n - 1) * (den // n)]
+    for (clo, chi), ((lo_n, lo_d), (hi_n, hi_d)) in zip(clusters, ratios):
         center = (clo + chi) / 2
         k = round(center)
         if abs(center - k) < 0.45 and 0 <= k <= n:
-            probes.append(Fraction(k))
-        lo_p = Fraction(clo) - pad
-        hi_p = Fraction(chi) + pad
-        if lo_p > F0:
+            probes.append(k * den)
+        lo_p = lo_n * (den // lo_d) - pad
+        hi_p = hi_n * (den // hi_d) + pad
+        if lo_p > 0:
             probes.append(lo_p)
         if hi_p < top:
             probes.append(hi_p)
 
-    probes.sort()
-    points = [x for i, x in enumerate(probes) if i == 0 or x != probes[i - 1]]
-    counts = [count_eigs(tree, x) for x in points]
+    points = sorted(set(probes))
+    counts = [count_eigs(tree, Fraction(x, den)) for x in points]
     if counts[0].below != 0 or counts[0].equal != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
     if counts[-1].below + counts[-1].equal != n:
@@ -260,21 +261,23 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Frac
 
     # work items (lo, hi, m, #mu <= lo): hi - lo too wide, m eigenvalues strictly inside
     found = [(x, x, c.equal) for x, c in zip(points, counts) if c.equal]
-    work: list[tuple[Fraction, Fraction, int, int]] = []
+    work: list[tuple[int, int, int, int]] = []
     for a, b, ca, cb in zip(points, points[1:], counts, counts[1:]):
         m = cb.below - ca.below - ca.equal
         if m > 0:
             work.append((a, b, m, ca.below + ca.equal))
 
     while work:
-        lo, hi, m, at_lo = work.pop()
-        if hi - lo <= tol:
-            found.append((lo, hi, m))
+        lo, hi, m, at_lo = work[-1]
+        if (hi - lo) * td <= tn * den:
+            found.append(work.pop()[:3])
             continue
-        mid = Fraction((float(lo) + float(hi)) / 2)
-        if not (lo < mid < hi):
-            mid = (lo + hi) / 2
-        c = count_eigs(tree, mid)
+        num, d = ((lo / den + hi / den) / 2).as_integer_ratio()  # int / int rounds correctly
+        if not lo * d < num * den < hi * d:
+            num, d = lo + hi, 2 * den
+        mid, den = _to_grid(num, d, den, found, work)
+        lo, hi, m, at_lo = work.pop()
+        c = count_eigs(tree, Fraction(mid, den))
         if c.equal:
             found.append((mid, mid, c.equal))
         m_left = c.below - at_lo
@@ -284,58 +287,65 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Frac
         if m_right > 0:
             work.append((mid, hi, m_right, c.below + c.equal))
 
-    found.sort()
+    found.sort(reverse=True)
     assert sum(m for _, _, m in found) == n
-    return found
+    return den, found
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Certified spectrum: per-index enclosures mu_1 >= ... >= mu_n = 0.
+    """Certified spectrum mu_1 >= ... >= mu_n = 0 of one tree.
 
-    d_bar was a probe of the enclosures, so the first sigma of them have
-    lo >= d_bar and the rest hi <= d_bar: mu_sigma >= d_bar > mu_(sigma+1)
-    is proved by the same exact counts.  Sums and the energy are
-    exact-rational interval arithmetic over the enclosure endpoints.
+    `distinct` holds the distinct enclosures (lo, hi, m) descending, each
+    endpoint an integer N standing for N / den and m the eigenvalues inside.
+    d_bar was a probe, so the first sigma eigenvalues lie in enclosures with
+    lo >= d_bar and the rest in ones with hi <= d_bar.  Sums and the energy
+    are exact integer sums over den; Fractions are built at the edge.
     """
 
     n: int
-    enclosures: tuple[tuple[Fraction, Fraction], ...]
+    distinct: tuple[tuple[int, int, int], ...]
+    den: int
     d_bar: Fraction
     sigma: int
+
+    @functools.cached_property
+    def enclosures(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per-index enclosures of mu_1, ..., mu_n as Fraction pairs."""
+        den = self.den
+        return tuple(e for lo, hi, m in self.distinct for e in [(Fraction(lo, den), Fraction(hi, den))] * m)
 
     @property
     def values(self) -> tuple[float, ...]:
         """Float midpoints, descending (display only)."""
-        return tuple((float(lo) + float(hi)) / 2 for lo, hi in self.enclosures)
+        den = self.den
+        return tuple(v for lo, hi, m in self.distinct for v in [(lo / den + hi / den) / 2] * m)
 
     def enclosure(self, i: int) -> Enclosure:
         """Certified interval for mu_i (1-based, descending)."""
         if not (1 <= i <= self.n):
             raise BadParam(f"index {i} out of range 1..{self.n}")
-        lo, hi = self.enclosures[i - 1]
-        return Enclosure(lo, hi)
+        return Enclosure(*self.enclosures[i - 1])
 
     @functools.cached_property
-    def _running_sums(self) -> tuple[list[Fraction], list[Fraction]]:
+    def _running_sums(self) -> tuple[list[int], list[int]]:
         # s_k is asked for every k by the bound checks
-        los = list(accumulate((lo for lo, _ in self.enclosures), initial=F0))
-        his = list(accumulate((hi for _, hi in self.enclosures), initial=F0))
+        los = list(accumulate((lo for lo, _, m in self.distinct for _ in range(m)), initial=0))
+        his = list(accumulate((hi for _, hi, m in self.distinct for _ in range(m)), initial=0))
         return los, his
 
-    def s_k(self, k: int) -> Enclosure:
-        """Sum of the k largest eigenvalues; width <= k*tol (tighter via trace).
+    def _top_sum(self, k: int) -> tuple[int, int]:
+        """den * S_k bounded by the top k enclosures and by the trace minus the rest."""
+        los, his = self._running_sums
+        trace = 2 * (self.n - 1) * self.den
+        return max(los[k], trace - his[-1] + his[k]), min(his[k], trace - los[-1] + los[k])
 
-        Both directions are used: the direct sum of the k top enclosures, and
-        the exact trace identity sum(mu) = 2(n-1) minus the bottom n-k.
-        """
+    def s_k(self, k: int) -> Enclosure:
+        """Sum of the k largest eigenvalues; width <= k*tol (tighter via trace)."""
         if not (0 <= k <= self.n):
             raise BadParam(f"k={k} out of range 0..{self.n}")
-        los, his = self._running_sums
-        trace = Fraction(2 * (self.n - 1))
-        lo = max(los[k], trace - his[-1] + his[k])
-        hi = min(his[k], trace - los[-1] + los[k])
-        return Enclosure(lo, hi)
+        lo, hi = self._top_sum(k)
+        return Enclosure(Fraction(lo, self.den), Fraction(hi, self.den))
 
     def laplacian_energy(self) -> Enclosure:
         """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar), with S_sigma
@@ -344,8 +354,9 @@ class Spectrum:
 
     @functools.cached_property
     def _energy(self) -> Enclosure:
-        s, shift = self.s_k(self.sigma), self.sigma * self.d_bar
-        return Enclosure(2 * (s.lo - shift), 2 * (s.hi - shift))
+        lo, hi = self._top_sum(self.sigma)
+        shift = self.sigma * 2 * (self.n - 1) * (self.den // self.n)
+        return Enclosure(Fraction(2 * (lo - shift), self.den), Fraction(2 * (hi - shift), self.den))
 
 
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
@@ -360,17 +371,10 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     hit = tree._cache.get(key)
     if hit is not None:
         return hit
-    distinct = _distinct_enclosures(tree, Fraction(tol))
-    d_bar = average_degree(tree)
-    per_index: list[tuple[Fraction, Fraction]] = []
-    for lo, hi, m in reversed(distinct):
-        per_index.extend([(lo, hi)] * m)
-    spec = Spectrum(
-        n=tree.n,
-        enclosures=tuple(per_index),
-        d_bar=d_bar,
-        sigma=sum(m for lo, _, m in distinct if lo >= d_bar),
-    )
+    den, distinct = _distinct_enclosures(tree, Fraction(tol))
+    d_bar_num = 2 * (tree.n - 1) * (den // tree.n)
+    sig = sum(m for lo, _, m in distinct if lo >= d_bar_num)
+    spec = Spectrum(tree.n, tuple(distinct), den, average_degree(tree), sig)
     tree._cache[key] = spec
     return spec
 
@@ -396,12 +400,7 @@ def forest_enclosures(trees: Sequence[Tree], tol: float = 1e-12) -> tuple[tuple[
     the descending-sorted endpoints positionally; exact when intervals are
     disjoint, and a valid enclosure even when they overlap.
     """
-    los: list[Fraction] = []
-    his: list[Fraction] = []
-    for t in trees:
-        for lo, hi in eigenvalues(t, tol).enclosures:
-            los.append(lo)
-            his.append(hi)
-    los.sort(reverse=True)
-    his.sort(reverse=True)
+    encs = [e for t in trees for e in eigenvalues(t, tol).enclosures]
+    los = sorted((lo for lo, _ in encs), reverse=True)
+    his = sorted((hi for _, hi in encs), reverse=True)
     return tuple(zip(los, his))

@@ -18,7 +18,7 @@ from typing import Collection, Iterable, Sequence
 from . import bounds, families
 from .enumeration import EnumRange, free_trees_sharded
 from .errors import BadParam
-from .spectral import eigenvalues, sigma
+from .spectral import eigenvalues, sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
 
 DESK_CEILING = 16
@@ -299,7 +299,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                     n=n,
                     diam=diameter(tree),
                     s=degree_summary(tree).internal_count,
-                    sigma=sigma(tree),
+                    sigma=eigenvalues(tree, config.tol).sigma,
                     le=rep.lhs.value,
                     le_err=rep.lhs.err,
                     le_path=rep.inputs["le_path"],
@@ -386,7 +386,7 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
             family=family,
             params=params,
             n=n,
-            sigma=sigma(tree),
+            sigma=eigenvalues(tree, config.tol).sigma,
             le=le.value,
             le_err=le.err,
             bound=rhs.value,

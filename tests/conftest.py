@@ -17,6 +17,9 @@ package so that `src/` has one implementation of each thing:
   exact Fraction (the package counts signs with `spectral._inertia` alone:
   its float-interval stage, or its exact integer stage when a float pivot
   interval contains 0),
+* `fraction_enclosures`, the certified-enclosure prober with every probe an
+  exact Fraction (the package carries the same probes as integers over one
+  denominator per tree), and `fraction_s_k`, S_k summed over its output,
 * `le_max_form` / `le_argmax`, the max-over-k form of the Laplacian energy,
 * `le_two_forms`, the trace-identity energy intersected with the sum of
   absolute deviations over the enclosures; no enclosure straddles d_bar,
@@ -47,7 +50,7 @@ import pytest
 from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
-from treelap.spectral import EigCounts, Spectrum
+from treelap.spectral import EigCounts, Spectrum, _clusters, average_degree, count_eigs, laplacian_matrix
 from treelap.tree import Tree, canonical_code, from_pruefer
 
 
@@ -306,6 +309,74 @@ def diagonalize(tree: Tree, alpha, root: int = 0) -> DiagOutcome:
         removed_edges=tuple(removed),
         counts=EigCounts(neg, zero, n - neg - zero),
     )
+
+
+# ----------------------------------------------------------- Fraction prober
+
+
+def fraction_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+    """Ascending [(lo, hi, count)] covering the whole spectrum, the prober
+    of `spectral._distinct_enclosures` with every probe an exact Fraction.
+
+    Same probes and same bisection, so the same enclosures: the package keeps
+    them as integers over one denominator per tree instead.
+    """
+    n = tree.n
+    top = Fraction(n)
+    est = np.linalg.eigvalsh(laplacian_matrix(tree))
+    pad = tol / 2
+    probes = [Fraction(0), top, average_degree(tree)]
+    for clo, chi in _clusters(est, float(tol)):
+        center = (clo + chi) / 2
+        k = round(center)
+        if abs(center - k) < 0.45 and 0 <= k <= n:
+            probes.append(Fraction(k))
+        lo_p = Fraction(clo) - pad
+        hi_p = Fraction(chi) + pad
+        if lo_p > 0:
+            probes.append(lo_p)
+        if hi_p < top:
+            probes.append(hi_p)
+
+    points = sorted(set(probes))
+    counts = [count_eigs(tree, x) for x in points]
+    found = [(x, x, c.equal) for x, c in zip(points, counts) if c.equal]
+    work = []
+    for a, b, ca, cb in zip(points, points[1:], counts, counts[1:]):
+        m = cb.below - ca.below - ca.equal
+        if m > 0:
+            work.append((a, b, m, ca.below + ca.equal))
+    while work:
+        lo, hi, m, at_lo = work.pop()
+        if hi - lo <= tol:
+            found.append((lo, hi, m))
+            continue
+        mid = Fraction((float(lo) + float(hi)) / 2)
+        if not (lo < mid < hi):
+            mid = (lo + hi) / 2
+        c = count_eigs(tree, mid)
+        if c.equal:
+            found.append((mid, mid, c.equal))
+        m_left = c.below - at_lo
+        m_right = m - m_left - c.equal
+        if m_left > 0:
+            work.append((lo, mid, m_left, at_lo))
+        if m_right > 0:
+            work.append((mid, hi, m_right, c.below + c.equal))
+    found.sort()
+    return found
+
+
+def fraction_s_k(distinct: list[tuple[Fraction, Fraction, int]], n: int, k: int) -> Enclosure:
+    """S_k over `fraction_enclosures` output, summed in Fractions: the top k
+    enclosures against the trace 2(n-1) minus the bottom n - k."""
+    per_index = [(lo, hi) for lo, hi, m in reversed(distinct) for _ in range(m)]
+    trace = Fraction(2 * (n - 1))
+    top_lo = sum((lo for lo, _ in per_index[:k]), Fraction(0))
+    top_hi = sum((hi for _, hi in per_index[:k]), Fraction(0))
+    rest_lo = sum((lo for lo, _ in per_index[k:]), Fraction(0))
+    rest_hi = sum((hi for _, hi in per_index[k:]), Fraction(0))
+    return Enclosure(max(top_lo, trace - rest_hi), min(top_hi, trace - rest_lo))
 
 
 # ------------------------------------------------------- energy max-form oracle

@@ -1,7 +1,7 @@
 """Property tests: record round trips, resuming a killed run, the float
 stage of the congruence pass against its exact stage, exact counts and
-certified enclosures against a dense eigensolver, and the side of d_bar
-each enclosure lies on."""
+certified enclosures against a dense eigensolver, the side of d_bar
+each enclosure lies on, and the integer prober against the Fraction one."""
 
 import functools
 import io
@@ -20,7 +20,7 @@ from treelap.spectral import _inertia_exact, _inertia_float, average_degree, cou
 from treelap.tree import Tree
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
-from conftest import le_two_forms, oracle_counts
+from conftest import fraction_enclosures, fraction_s_k, le_two_forms, oracle_counts
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 verdict = st.sampled_from([True, False, None])
@@ -141,4 +141,18 @@ def test_no_enclosure_straddles_the_average_degree(tree, tol):
     assert all(hi <= d_bar or lo >= d_bar for lo, hi in spec.enclosures)
     c = count_eigs(tree, d_bar)
     assert spec.sigma == c.equal + c.above
+    assert spec.laplacian_energy() == le_two_forms(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(1, 60), st.sampled_from([1e-12, 1e-6, 0.05, 0.3, Fraction(1, 3)]))
+def test_integer_prober_equals_the_fraction_oracle(tree, tol):
+    # tol 1/3 gives a pad tol/2 that is not dyadic, so the denominator takes
+    # a factor 3 besides n and the powers of two of the estimates
+    spec = eigenvalues(tree, tol)
+    oracle = fraction_enclosures(Tree(tree.n, tree.edges), Fraction(tol))
+    den = spec.den
+    assert [(Fraction(lo, den), Fraction(hi, den), m) for lo, hi, m in reversed(spec.distinct)] == oracle
+    for k in range(tree.n + 1):
+        assert spec.s_k(k) == fraction_s_k(oracle, tree.n, k)
     assert spec.laplacian_energy() == le_two_forms(spec)

@@ -11,8 +11,10 @@ from treelap.enumeration import free_trees
 from treelap.errors import BadParam
 from treelap.families import path, sns_tree, star, t4_spider
 from treelap.intervals import Enclosure
+from treelap import spectral
 from treelap.spectral import (
     EigCounts,
+    _distinct_enclosures,
     _inertia,
     _inertia_exact,
     _inertia_float,
@@ -25,9 +27,18 @@ from treelap.spectral import (
     s_k,
     sigma,
 )
-from treelap.tree import degree_summary, delete_edge
+from treelap.tree import Tree, degree_summary, delete_edge
 
-from conftest import diagonalize, laplacian_np, le_argmax, le_max_form, le_two_forms, oracle_counts, random_tree
+from conftest import (
+    diagonalize,
+    fraction_enclosures,
+    laplacian_np,
+    le_argmax,
+    le_max_form,
+    le_two_forms,
+    oracle_counts,
+    random_tree,
+)
 
 
 class TestDiagonalize:
@@ -325,3 +336,54 @@ class TestInterlacing:
                 assert mids_t[i] >= mids_s[i] - 2 * tol
                 if i + 1 < t.n:
                     assert mids_s[i] >= mids_t[i + 1] - 2 * tol
+
+
+def _as_fractions(den, entries):
+    return [(Fraction(lo, den), Fraction(hi, den), *rest) for lo, hi, *rest in entries]
+
+
+class TestIntegerProber:
+    def test_a_probe_finer_than_the_denominator_rescales_every_endpoint(self):
+        # over den 12: found holds 2 and 0, work the open interval (1/12, 1)
+        found = [(24, 24, 1), (0, 0, 1)]
+        work = [(1, 12, 2, 1)]
+        x = 0.1875  # 3/16: its power of two exceeds the 4 in 12
+        before = _as_fractions(12, found), _as_fractions(12, work)
+        mid, den = spectral._to_grid(*x.as_integer_ratio(), 12, found, work)
+        assert den == 48
+        assert Fraction(mid, den) == Fraction(x)
+        assert found == [(96, 96, 1), (0, 0, 1)]
+        assert work == [(4, 48, 2, 1)]
+        assert (_as_fractions(den, found), _as_fractions(den, work)) == before
+
+    def test_the_grid_grows_only_as_far_as_a_probe_needs(self):
+        found, work = [(24, 24, 1)], [(1, 12, 2, 1)]
+        assert spectral._to_grid(3, 4, 12, found, work) == (9, 12)  # on the grid: unchanged
+        assert found == [(24, 24, 1)] and work == [(1, 12, 2, 1)]
+        assert spectral._to_grid(13, 24, 12, found, work) == (13, 24)  # exact midpoint, odd sum: doubled
+        assert found == [(48, 48, 1)] and work == [(2, 24, 2, 1)]
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 1000), Fraction(1, 3)])
+    def test_integer_estimates_force_rescales_and_keep_the_oracle_enclosures(self, tol, monkeypatch):
+        # Estimates rounded to integers leave den = lcm(n, 2 * den(tol)), so
+        # every float bisection midpoint is finer than den.  Estimates only
+        # place probes, so the enclosures must still be the oracle's.
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.round(eigvalsh(a)))
+        for t in (path(7), sns_tree(2, 3, [2, 1, 1]), random_tree(12, random.Random(7))):
+            den, distinct = _distinct_enclosures(Tree(t.n, t.edges), tol)
+            assert den > math.lcm(t.n, 2 * tol.denominator)
+            assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(Tree(t.n, t.edges), tol)
+
+    def test_counts_are_shared_through_the_cache(self, monkeypatch):
+        t = star(6)
+        eigenvalues(t)
+
+        def no_count(*args):
+            raise AssertionError("count not taken from the cache")
+
+        monkeypatch.setattr(spectral, "_inertia", no_count)
+        assert sigma(t) == 1
+        assert multiplicity_of_one(t) == 4
+        assert count_eigs(t, average_degree(t)) == EigCounts(5, 0, 1)
+        assert count_eigs(t, 1.0) == EigCounts(1, 4, 1)

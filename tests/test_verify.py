@@ -1,14 +1,16 @@
 """Verification harness: records, determinism, resume, sharding, CLI."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
-from treelap import verify
+from treelap import spectral, verify
 from treelap.errors import BadParam
 from treelap.verify import (
     CSV_HEADER,
@@ -143,6 +145,30 @@ def test_family_sweep_small(tmp_path):
     for r in rows:
         if r["family"] == "double_broom4":
             assert r["thm31_cond"] == (r["n"] >= 14)
+
+
+def test_records_take_sigma_from_the_spectrum(tmp_path, monkeypatch):
+    # the check already computed the spectrum, which holds sigma; with every
+    # treelap name for spectral.sigma made to raise, the reports keep their bytes
+    def reports(tag):
+        conj, sweep = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}-sweep.jsonl"
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(["check-conjecture", "--n-max", "8", "--report", str(conj)]) == 0
+        run_family_sweep(SweepConfig(t4_ab=(9, 12), tprime_r=(2, 3), tprime_s1=(2, 4), tdprime_r=(3, 3),
+                                     tdprime_s=(2, 3), broom_ab=(1, 3), sns_random=2, out=str(sweep)))
+        return conj.read_bytes(), sweep.read_bytes()
+
+    expected = reports("counted")
+
+    def no_sigma(tree):
+        raise AssertionError("sigma recounted for a record")
+
+    counted = spectral.sigma
+    for name, mod in list(sys.modules.items()):
+        if (name == "treelap" or name.startswith("treelap.")) and getattr(mod, "sigma", None) is counted:
+            monkeypatch.setattr(mod, "sigma", no_sigma)
+    assert spectral.sigma is no_sigma
+    assert reports("read") == expected
 
 
 def test_sweep_csv_rows_have_the_header_width(tmp_path):
