@@ -14,6 +14,13 @@ CHECKS, at the end, is the one registry of per-tree checks: each id names
 its check function and its fan-out over a tree (once, over k, over edges,
 over non-pendant edges, or only when the tree qualifies).  Exhaustive runs
 and the `bounds` subcommand both iterate it.
+
+Within one exhaustive run the components of T - e are shared per
+isomorphism class: _split_counts hands out the first component seen in the
+run with the same canonical code, so its spectra and counts, cached on that
+Tree, are computed once per class.  Isomorphic trees have the same Laplacian
+spectrum, so an enclosure certified on the shared tree is certified for
+every member of its class.  The table lives only for the length of the run.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
@@ -331,14 +339,40 @@ def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
 
 
+# canonical code -> the first component of that class seen in the current
+# exhaustive run; None outside a run (see _shared_components)
+_components: dict[bytes, Tree] | None = None
+
+
+@contextmanager
+def _shared_components() -> Iterator[None]:
+    """Share T - e components per isomorphism class for the length of the
+    block: the table starts empty and is switched off on any exit."""
+    global _components
+    _components = {}
+    try:
+        yield
+    finally:
+        _components = None
+
+
 def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, int]:
     """(T1, T2, k1, k2) for T - e = T1 u T2 at a non-pendant edge, larger
-    component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n."""
+    component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
+
+    Inside _shared_components each T_i is the run's first component with
+    the same canonical code, so the per-tree caches of that one Tree serve
+    the whole class.  Isomorphic trees share their spectrum, so every count
+    and enclosure taken on it is certified for T_i too; outside a run the
+    components are delete_edge's own."""
     split = delete_edge(tree, edge)
     if split.pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
+    parts = (split.first, split.second)
+    if _components is not None:
+        parts = tuple(_components.setdefault(canonical_code(t), t) for t in parts)
     thr = Fraction(2 * tree.n - 4, tree.n)
-    return split.first, split.second, *(t.n - count_eigs(t, thr).below for t in (split.first, split.second))
+    return *parts, *(t.n - count_eigs(t, thr).below for t in parts)
 
 
 def _claim_if(

@@ -126,7 +126,7 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_bounds(args) -> int:
     tree = _read_tree(args)
-    ids = tuple(bounds_mod.CHECKS) if args.check == "all" else tuple(args.check.split(","))
+    ids = tuple(bounds_mod.CHECKS) if args.check == "all" else tuple(dict.fromkeys(args.check.split(",")))
     for cid in ids:
         if cid not in bounds_mod.CHECKS:
             raise TreelapError(f"unknown bound id {cid!r}; choose from {', '.join(bounds_mod.CHECKS)}")

@@ -279,6 +279,10 @@ class DegreeSummary:
 
 
 def degree_summary(tree: Tree) -> DegreeSummary:
+    """The tree's DegreeSummary, computed once and cached on the tree."""
+    hit = tree._cache.get("degree_summary")
+    if hit is not None:
+        return hit
     n = tree.n
     degs = tuple(sorted(tree.degrees, reverse=True))
     p = sum(1 for d in tree.degrees if d == 1)
@@ -286,12 +290,13 @@ def degree_summary(tree: Tree) -> DegreeSummary:
     for v in range(n):
         if tree.degrees[v] == 1:
             leafy.add(tree.adj[v][0])
-    return DegreeSummary(
+    summary = tree._cache["degree_summary"] = DegreeSummary(
         degrees=degs,
         pendant_count=p,
         internal_count=n - p,
         leaf_neighbor_count=len(leafy),
     )
+    return summary
 
 
 class EdgeSplit(NamedTuple):

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Collection, Iterable, Sequence
 
@@ -257,7 +258,9 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     Trees already recorded in the sink are not evaluated again, but their
     records join the summary, so a resumed run reports and exits as an
     uninterrupted one would.  A sink whose records carry another set of
-    checks, or were made at another tolerance, is refused.
+    checks, or were made at another tolerance, is refused.  For the length
+    of the enumeration the bound checks share T - e components per
+    isomorphism class (see bounds._split_counts).
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
@@ -277,8 +280,8 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                 f"{config.out} holds records made at tol {_g15(rec.tol)}, "
                 f"this run asks for tol {_g15(config.tol)}; write to another --out"
             )
-    sink = open(config.out, "a", encoding="ascii", newline="\n") if config.out else None
-    try:
+    sink_file = open(config.out, "a", encoding="ascii", newline="\n") if config.out else nullcontext()
+    with sink_file as sink, bounds._shared_components():
         for n in range(config.n_min, config.n_max + 1):
             summary.counts_by_n[n] = 0
             for tree in free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)):
@@ -312,9 +315,6 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                 summary._tally(rec, checks.values(), code)
                 if sink:
                     sink.write(record_to_json(rec) + "\n")
-    finally:
-        if sink:
-            sink.close()
     return summary
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from treelap import bounds
+from treelap import bounds, cli, spectral
 from treelap.bounds import (
     CHECKS,
     brouwer_haemers_check,
@@ -43,6 +43,7 @@ from treelap.families import (
 )
 from treelap.spectral import laplacian_energy, sigma
 from treelap.tree import Tree, diameter
+from treelap.verify import RunConfig, run_exhaustive
 
 from conftest import random_tree
 
@@ -400,3 +401,97 @@ class TestRegistry:
     def test_check_function_is_looked_up_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bounds, "lemma26_check", lambda tree: "replaced")
         assert list(CHECKS["lemma26"].reports(star(5), 1e-12)) == ["replaced"]
+
+
+class TestSharedComponents:
+    """The run-scoped table of T - e components, one Tree per isomorphism class."""
+
+    @staticmethod
+    def _spy_splits(monkeypatch) -> list:
+        splits = []
+        real = bounds.delete_edge
+
+        def spy(tree, edge):
+            splits.append(real(tree, edge))
+            return splits[-1]
+
+        monkeypatch.setattr(bounds, "delete_edge", spy)
+        return splits
+
+    def test_inactive_outside_a_run(self, monkeypatch):
+        splits = self._spy_splits(monkeypatch)
+        t = path(9)
+        assert bounds._components is None
+        for e in ((2, 3), (5, 6)):  # both leave a P_6 and a P_3
+            t1, t2, _, _ = bounds._split_counts(t, e)
+            assert t1 is splits[-1].first and t2 is splits[-1].second
+
+    def test_isomorphic_components_are_one_tree_inside_a_run(self, monkeypatch):
+        splits = self._spy_splits(monkeypatch)
+        t = path(9)
+        with bounds._shared_components():
+            first = bounds._split_counts(t, (2, 3))
+            again = bounds._split_counts(t, (5, 6))
+            other = bounds._split_counts(t, (3, 4))
+        assert first[0] is splits[0].first and first[1] is splits[0].second
+        assert again[0] is first[0] and again[1] is first[1]
+        assert again[2:] == first[2:]
+        assert other[0] is splits[2].first  # P_5 is new; its P_4 too
+        assert bounds._components is None
+
+    @staticmethod
+    def _table_sizes(monkeypatch) -> list:
+        """len(bounds._components) at each _split_counts call."""
+        sizes = []
+        real = bounds._split_counts
+
+        def spy(tree, edge):
+            sizes.append(len(bounds._components))
+            return real(tree, edge)
+
+        monkeypatch.setattr(bounds, "_split_counts", spy)
+        return sizes
+
+    def test_empty_at_each_run_and_off_after_it(self, monkeypatch):
+        sizes = self._table_sizes(monkeypatch)
+        config = RunConfig(n_min=8, n_max=8, checks=("thm32",))
+        for _ in range(2):
+            sizes.clear()
+            run_exhaustive(config)
+            assert bounds._components is None
+            assert sizes[0] == 0 and max(sizes) > 0
+
+    def test_off_after_a_refused_sink(self, tmp_path):
+        sink = tmp_path / "records.jsonl"
+        run_exhaustive(RunConfig(n_min=8, n_max=8, out=str(sink), checks=("lemma21",)))
+        with pytest.raises(BadParam):
+            run_exhaustive(RunConfig(n_min=8, n_max=8, out=str(sink), checks=("thm32",)))
+        assert bounds._components is None
+
+    def test_off_after_a_check_raises_inside_the_run(self, monkeypatch):
+        sizes = self._table_sizes(monkeypatch)
+        real = bounds.thm32_lower_bound
+
+        def failing(tree, edge, tol):
+            real(tree, edge, tol)
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(bounds, "thm32_lower_bound", failing)
+        with pytest.raises(RuntimeError):
+            run_exhaustive(RunConfig(n_min=8, n_max=8, checks=("thm32",)))
+        assert sizes and bounds._components is None
+
+    def test_nothing_carries_between_runs(self, monkeypatch):
+        calls = []
+        real = spectral._distinct_enclosures
+        monkeypatch.setattr(spectral, "_distinct_enclosures", lambda *a: calls.append(1) or real(*a))
+        argv = ["check-conjecture", "--n-min", "8", "--n-max", "9", "--checks", "thm32"]
+        counted = []
+        for _ in range(2):
+            # the reference paths are cached across runs on purpose; start both runs cold
+            monkeypatch.setattr(bounds, "_path_code_cache", {})
+            monkeypatch.setattr(bounds, "_star_code_cache", {})
+            calls.clear()
+            assert cli.main(argv) == 0
+            counted.append(len(calls))
+        assert counted[0] == counted[1] > 0

@@ -28,6 +28,10 @@ REPORT_DIGESTS = {
     "csv": "7901626842fe451aca5c2b60eb150d368bf91e81c310849d1792145147e24980",
 }
 
+# n = 10 alone: 106 trees whose 398 non-pendant edges give 796 T - e components
+# of only 47 isomorphism classes, so thm32 reads shared component spectra
+N10_REPORT_DIGEST = "59dad241c25d7e1d6b88c882bdb5b25adde97c5603307981361b209f5dd0777d"
+
 # family arguments -> (exit code, digest of the `bounds --check all` stdout)
 BOUNDS_DIGESTS = {
     ("path", "--n", "6"): (0, "9840865cfdc4882171ea1ff8b89e0a4f36d6b713e88a7dd60f274ee3fb97fc9c"),
@@ -67,6 +71,14 @@ def test_check_conjecture_report_bytes(tmp_path, fmt):
                    "--report", str(report), "--format", fmt)
     assert code == 0
     assert _sha(report.read_bytes()) == REPORT_DIGESTS[fmt]
+
+
+def test_check_conjecture_n10_report_bytes(tmp_path):
+    report = tmp_path / "report.jsonl"
+    code, _ = _run("check-conjecture", "--n-min", "10", "--n-max", "10", "--checks", PAPER_CHECKS,
+                   "--report", str(report))
+    assert code == 0
+    assert _sha(report.read_bytes()) == N10_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(BOUNDS_DIGESTS))

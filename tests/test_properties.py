@@ -1,7 +1,8 @@
 """Property tests: record round trips, resuming a killed run, the float
 stage of the congruence pass against its exact stage, exact counts and
 certified enclosures against a dense eigensolver, the side of d_bar
-each enclosure lies on, and the integer prober against the Fraction one."""
+each enclosure lies on, the integer prober against the Fraction one, and
+thm32 with T - e components shared per isomorphism class."""
 
 import functools
 import io
@@ -15,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelap import bounds
 from treelap.cli import main as cli_main
 from treelap.spectral import _inertia_exact, _inertia_float, average_degree, count_eigs, eigenvalues, laplacian_matrix
-from treelap.tree import Tree
+from treelap.tree import Tree, delete_edge
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
 from conftest import fraction_enclosures, fraction_s_k, le_two_forms, oracle_counts
@@ -156,3 +158,37 @@ def test_integer_prober_equals_the_fraction_oracle(tree, tol):
     for k in range(tree.n + 1):
         assert spec.s_k(k) == fraction_s_k(oracle, tree.n, k)
     assert spec.laplacian_energy() == le_two_forms(spec)
+
+
+def _inner_edges(tree: Tree) -> list:
+    return [e for e in tree.edges if tree.degrees[e[0]] > 1 and tree.degrees[e[1]] > 1]
+
+
+def _dense_thm32_rhs(tree: Tree, edge, k1: int, k2: int) -> float:
+    split = delete_edge(tree, edge)
+    top = [np.linalg.eigvalsh(laplacian_matrix(t))[::-1] for t in (split.first, split.second)]
+    sig = k1 + k2
+    return 2 * sum(top[0][:k1]) + 2 * sum(top[1][:k2]) + 4 * sig / tree.n - 4 * sig
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_components_keep_every_thm32_claim(data):
+    # inside the run scope the components come from the table, filled first
+    # by a relabeled copy of the tree and by another tree, so that equal
+    # sizes of other shapes are in it too
+    tree = data.draw(trees(4, 30))
+    perm = data.draw(st.permutations(range(tree.n)), label="relabeling")
+    twin = Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+    other = data.draw(trees(4, 30), label="other")
+    alone = [bounds.thm32_lower_bound(tree, e) for e in _inner_edges(tree)]
+    with bounds._shared_components():
+        for t in (other, twin):
+            for e in _inner_edges(t):
+                bounds.thm32_lower_bound(t, e)
+        shared = [bounds.thm32_lower_bound(tree, e) for e in _inner_edges(tree)]
+    for e, a, b in zip(_inner_edges(tree), alone, shared):
+        assert (b.holds, b.inputs) == (a.holds, a.inputs)
+        dense = _dense_thm32_rhs(tree, e, a.inputs["k1"], a.inputs["k2"])
+        for rep in (a, b):
+            assert float(rep.rhs.lo) - 1e-9 <= dense <= float(rep.rhs.hi) + 1e-9

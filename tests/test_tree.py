@@ -17,6 +17,7 @@ from treelap.errors import (
 from treelap.families import double_broom3, path, sns_tree, star
 from treelap.spectral import average_degree
 from treelap.tree import (
+    DegreeSummary,
     Tree,
     canonical_code,
     degree_summary,
@@ -155,6 +156,21 @@ class TestDegreeSummary:
             assert sum(ds.degrees) == 2 * (t.n - 1)
             assert ds.pendant_count + ds.internal_count == t.n
             assert ds.pendant_count >= 2
+
+    def test_cached_per_tree(self):
+        from treelap.enumeration import free_trees
+
+        for n in range(1, 10):
+            for t in free_trees(n):
+                ds = degree_summary(t)
+                assert degree_summary(t) is ds
+                leaves = [v for v in range(n) if t.degrees[v] == 1]
+                assert ds == DegreeSummary(
+                    degrees=tuple(sorted(t.degrees, reverse=True)),
+                    pendant_count=len(leaves),
+                    internal_count=n - len(leaves),
+                    leaf_neighbor_count=len({t.adj[v][0] for v in leaves}),
+                )
 
 
 class TestDeleteEdge:

@@ -316,6 +316,13 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bounds_reports_a_repeated_id_once(self):
+        once = self.run("bounds", "--check", "thm32", "--pruefer", "1,1,2")
+        assert once[1].count("\n") == 1
+        assert self.run("bounds", "--check", "thm32,thm32", "--pruefer", "1,1,2") == once
+        both = self.run("bounds", "--check", "thm32,lemma21", "--pruefer", "1,1,2")
+        assert self.run("bounds", "--check", "thm32,lemma21,thm32", "--pruefer", "1,1,2") == both
+
     def test_bounds_rejects_unknown_id_before_any_report(self):
         code, out = self.run("bounds", "--check", "lemma21,bogus", "--pruefer", "1,1")
         assert (code, out) == (1, "")
