@@ -134,7 +134,7 @@ def path_energy_upper(n: int) -> Enclosure:
     """The certified value 2 + 4n/pi (upper bound for LE of the n-path)."""
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
-    return 2 + 4 * n * PI.reciprocal()
+    return Enclosure(2 + 4 * n / PI.hi, 2 + 4 * n / PI.lo)
 
 
 def star_energy_exact(n: int) -> Fraction:
@@ -159,8 +159,9 @@ def path_energy_closed_form(n: int) -> Enclosure:
     if n == 1:
         return Enclosure.exact(0)
     db = 2 - 2 / n
-    total = math.fsum(abs(2 - 2 * math.cos(k * math.pi / n) - db) for k in range(n))
-    return Enclosure.from_value_err(total, n * 1e-14)
+    total = Fraction(math.fsum(abs(2 - 2 * math.cos(k * math.pi / n) - db) for k in range(n)))
+    err = Fraction(n * 1e-14)
+    return Enclosure(total - err, total + err)
 
 
 def path_energy_bound_check(n: int, lhs: Enclosure | None = None) -> BoundReport:
@@ -234,7 +235,12 @@ def lemma21_check(tree: Tree) -> BoundReport:
 
 
 def lemma26_check(tree: Tree) -> BoundReport:
-    """At least ceil(n/2) eigenvalues lie strictly below the average degree."""
+    """At least ceil(n/2) eigenvalues lie strictly below the average degree.
+
+    Needs n >= 2: the 1-vertex tree's only eigenvalue 0 equals its average
+    degree."""
+    if tree.n < 2:
+        raise BadParam(f"need n >= 2, got n={tree.n}")
     below = count_eigs(tree, average_degree(tree)).below
     need = (tree.n + 1) // 2
     return _ge_report("lemma26", {"n": tree.n}, Enclosure.exact(below), Enclosure.exact(need))
@@ -280,8 +286,8 @@ def thm31_condition(n: int, s: int) -> bool:
     """
     if n < 1 or s < 0:
         raise BadParam(f"need n >= 1 and s >= 0, got ({n}, {s})")
-    lhs = Enclosure.exact(n) - 2 * n * PI.reciprocal()
-    verdict = lhs.ge(s + 2)
+    lhs = Enclosure(n - 2 * n / PI.lo, n - 2 * n / PI.hi)
+    verdict = lhs.ge(Enclosure.exact(s + 2))
     if verdict is None:  # impossible at 30-digit pi width for integer inputs
         raise AssertionError(f"pi enclosure too wide to decide condition at ({n}, {s})")
     return verdict
@@ -401,11 +407,9 @@ def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> 
     n = tree.n
     t1, t2, k1, k2 = _split_counts(tree, edge)
     sig = k1 + k2
-    rhs = (
-        2 * eigenvalues(t1, tol).s_k(k1)
-        + 2 * eigenvalues(t2, tol).s_k(k2)
-        + Enclosure.exact(Fraction(4 * sig, n) - 4 * sig)
-    )
+    s1, s2 = eigenvalues(t1, tol).s_k(k1), eigenvalues(t2, tol).s_k(k2)
+    shift = Fraction(4 * sig, n) - 4 * sig
+    rhs = Enclosure(2 * (s1.lo + s2.lo) + shift, 2 * (s1.hi + s2.hi) + shift)
     inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
     return _ge_report("thm32", inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
                       out_of_hypothesis=n < 8)
@@ -575,6 +579,7 @@ _FANOUTS: dict[str, Callable[[Tree], list[tuple]]] = {
     "k": lambda t: [(k,) for k in range(1, t.n)],
     "edge": lambda t: [(e,) for e in t.edges],
     "non-pendant edge": lambda t: [(e,) for e in t.edges if t.degrees[e[0]] > 1 and t.degrees[e[1]] > 1],
+    "n >= 2": lambda t: [()] if t.n >= 2 else [],
     "n >= 3": lambda t: [()] if t.n >= 3 else [],
     "diameter 4": lambda t: [()] if diameter(t) == 4 else [],
 }
@@ -601,7 +606,7 @@ class Check(NamedTuple):
 CHECKS: dict[str, Check] = {
     "lemma21": Check("lemma21_check", "tree", takes_tol=False),
     "lemma22": Check("brouwer_haemers_check", "tree"),
-    "lemma26": Check("lemma26_check", "tree", takes_tol=False),
+    "lemma26": Check("lemma26_check", "n >= 2", takes_tol=False),
     "lemma31": Check("majorization_check", "k"),
     "cor31": Check("cor31_check", "k"),
     "thm31": Check("thm31_lower_bound", "n >= 3"),

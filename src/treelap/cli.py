@@ -5,7 +5,7 @@ check-conjecture, sweep.  Trees are read in the plain edge-list format
 (first line n, then n-1 lines "u v") from --in or stdin.
 
 Exit codes: 0 = clean, 2 = a certified violation was found, 3 = a comparison
-stayed undecided after refinement, 1 = usage or input error.
+stayed undecided after refinement, 1 = usage, input or file error.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 < getattr(args, "tol", 1.0) < math.inf:
             raise TreelapError(f"--tol must be finite and > 0, got {args.tol}")
         return args.fn(args)
-    except TreelapError as exc:
+    except (TreelapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -249,7 +249,7 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
         hi_p = hi_n * (den // hi_d) + pad
         if lo_p > 0:
             probes.append(lo_p)
-        if hi_p < top:
+        if 0 < hi_p < top:  # eigvalsh can put the zero eigenvalue below 0
             probes.append(hi_p)
 
     points = sorted(set(probes))
@@ -306,7 +306,6 @@ class Spectrum:
     n: int
     distinct: tuple[tuple[int, int, int], ...]
     den: int
-    d_bar: Fraction
     sigma: int
 
     @functools.cached_property
@@ -374,7 +373,7 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     den, distinct = _distinct_enclosures(tree, Fraction(tol))
     d_bar_num = 2 * (tree.n - 1) * (den // tree.n)
     sig = sum(m for lo, _, m in distinct if lo >= d_bar_num)
-    spec = Spectrum(tree.n, tuple(distinct), den, average_degree(tree), sig)
+    spec = Spectrum(tree.n, tuple(distinct), den, sig)
     tree._cache[key] = spec
     return spec
 

@@ -45,7 +45,7 @@ class RunConfig:
         if self.n_max > ceiling:
             raise BadParam(
                 f"n_max={self.n_max} exceeds the ceiling {ceiling}"
-                + ("" if self.allow_large else " (pass allow_large to go to 18)")
+                + ("" if self.allow_large else " (--allow-large, or allow_large=True, goes to 18)")
             )
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
 

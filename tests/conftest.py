@@ -335,7 +335,7 @@ def fraction_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fract
         hi_p = Fraction(chi) + pad
         if lo_p > 0:
             probes.append(lo_p)
-        if hi_p < top:
+        if 0 < hi_p < top:
             probes.append(hi_p)
 
     points = sorted(set(probes))
@@ -382,23 +382,29 @@ def fraction_s_k(distinct: list[tuple[Fraction, Fraction, int]], n: int, k: int)
 # ------------------------------------------------------- energy max-form oracle
 
 
+def _d_bar(spec: Spectrum) -> Fraction:
+    return Fraction(2 * (spec.n - 1), spec.n)
+
+
 def le_max_form(spec: Spectrum) -> Enclosure:
     """2 max_k (S_k - k * d_bar); must agree with spec.laplacian_energy()."""
+    d_bar = _d_bar(spec)
     best_lo = best_hi = Fraction(0)
     for k in range(1, spec.n + 1):
-        term = spec.s_k(k) - Enclosure.exact(k * spec.d_bar)
-        best_lo = max(best_lo, term.lo)
-        best_hi = max(best_hi, term.hi)
+        s = spec.s_k(k)
+        best_lo = max(best_lo, s.lo - k * d_bar)
+        best_hi = max(best_hi, s.hi - k * d_bar)
     return Enclosure(2 * best_lo, 2 * best_hi)
 
 
 def le_argmax(spec: Spectrum) -> int:
     """k maximizing the midpoint of S_k - k*d_bar (ties: smallest k)."""
+    d_bar = _d_bar(spec)
     best_k = 1
     best = None
     for k in range(1, spec.n + 1):
-        term = spec.s_k(k) - Enclosure.exact(k * spec.d_bar)
-        mid = term.lo + term.hi
+        s = spec.s_k(k)
+        mid = s.lo + s.hi - 2 * k * d_bar
         if best is None or mid > best:
             best = mid
             best_k = k
@@ -408,8 +414,9 @@ def le_argmax(spec: Spectrum) -> int:
 def le_two_forms(spec: Spectrum) -> Enclosure:
     """2 (S_sigma - sigma * d_bar) intersected with sum |mu_i - d_bar|, both
     over the enclosures as they stand (no clamping to a side of d_bar)."""
-    d_bar = spec.d_bar
-    main = 2 * (spec.s_k(spec.sigma) - Enclosure.exact(spec.sigma * d_bar))
+    d_bar = _d_bar(spec)
+    s, shift = spec.s_k(spec.sigma), spec.sigma * d_bar
+    main_lo, main_hi = 2 * (s.lo - shift), 2 * (s.hi - shift)
     dev_lo = dev_hi = Fraction(0)
     for lo, hi in spec.enclosures:
         if lo >= d_bar:
@@ -418,7 +425,7 @@ def le_two_forms(spec: Spectrum) -> Enclosure:
             dev_lo, dev_hi = dev_lo + d_bar - hi, dev_hi + d_bar - lo
         else:
             dev_hi += max(d_bar - lo, hi - d_bar)
-    return Enclosure(max(main.lo, dev_lo), min(main.hi, dev_hi))
+    return Enclosure(max(main_lo, dev_lo), min(main_hi, dev_hi))
 
 
 # ------------------------------------------------------------ polynomial oracles

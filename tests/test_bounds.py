@@ -358,6 +358,15 @@ class TestAggregates:
             assert lemma21_check(t).holds is True
             assert lemma26_check(t).holds is True
 
+    def test_lemma26_needs_two_vertices(self):
+        # K1's only eigenvalue 0 equals its average degree 0
+        k1 = path(1)
+        with pytest.raises(BadParam):
+            lemma26_check(k1)
+        assert list(CHECKS["lemma26"].reports(k1, 1e-12)) == []
+        summary = run_exhaustive(RunConfig(n_min=1, n_max=5, checks=("lemma26",)))
+        assert (summary.violations, summary.undecided) == (0, 0)
+
     def test_interlacing_report(self):
         rep = interlacing_check(path(6), (2, 3))
         assert rep.holds is True

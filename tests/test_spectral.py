@@ -375,6 +375,21 @@ class TestIntegerProber:
             assert den > math.lcm(t.n, 2 * tol.denominator)
             assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(Tree(t.n, t.edges), tol)
 
+    def test_a_tolerance_finer_than_the_estimates_keeps_probes_inside_0_n(self):
+        # eigvalsh puts the zero eigenvalue near -3e-16, so at tol 1e-20 the
+        # probe just above that estimate is negative; it must not be kept
+        tol = 1e-20
+        for n in range(4, 10):
+            for t in free_trees(n):
+                spec = eigenvalues(t, tol)
+                est = np.sort(np.linalg.eigvalsh(laplacian_np(t)))[::-1]
+                assert spec.enclosures[-1] == (0, 0)
+                for (lo, hi), mu in zip(spec.enclosures, est):
+                    assert hi - lo <= Fraction(tol)
+                    assert float(lo) - 1e-12 <= mu <= float(hi) + 1e-12
+                den, distinct = _distinct_enclosures(Tree(t.n, t.edges), Fraction(tol))
+                assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(t, Fraction(tol))
+
     def test_counts_are_shared_through_the_cache(self, monkeypatch):
         t = star(6)
         eigenvalues(t)

@@ -288,6 +288,31 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "3"
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--in", "{missing}/tree.txt"),
+        ("spectrum", "--in", "{non_ascii}"),
+        ("check-conjecture", "--n-max", "5", "--out", "{missing}/run.jsonl"),
+        ("check-conjecture", "--n-max", "5", "--report", "{missing}/report.jsonl"),
+        ("sweep", "--out", "{missing}/sweep.jsonl"),
+    ], ids=["in-missing", "in-non-ascii", "out-missing-dir", "report-missing-dir", "sweep-out-missing-dir"])
+    def test_file_errors_are_one_error_line(self, tmp_path, argv):
+        non_ascii = tmp_path / "tree.txt"
+        non_ascii.write_bytes(b"2\n0 1\xc3\n")
+        paths = {"missing": tmp_path / "missing", "non_ascii": non_ascii}
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelap", *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_ceiling_error_names_the_option(self, capsys):
+        code, _ = self.run("check-conjecture", "--n-max", "17")
+        assert code == 1
+        assert "--allow-large" in capsys.readouterr().err
+
     def test_bad_input_exit_one(self):
         code, _ = self.run("spectrum", stdin_text="not a tree")
         assert code == 1
