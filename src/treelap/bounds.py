@@ -6,9 +6,12 @@ both sides are exact), None means undecided within the current error bounds.
 Checks that compute spectra take a tolerance; one wrapper, _refining, halves
 it up to REFINE times while the verdict is undecided and can still change.
 
-The only irrational constant, pi, enters through its 30-digit rational
-enclosure, so threshold decisions such as the internal-vertex condition
-n(pi-2)/pi >= s+2 are exact-rational comparisons.
+Each side is an Enclosure with integer endpoints over one denominator (the
+spectrum's, n, or a product of them), so a verdict is an integer
+cross-multiplication and a slack one correctly rounded division.  The only
+irrational constant, pi, enters through its 30-digit rational enclosure, so
+threshold decisions such as the internal-vertex condition n(pi-2)/pi >= s+2
+are exact-rational comparisons.
 
 CHECKS, at the end, is the one registry of per-tree checks: each id names
 its check function and its fan-out over a tree (once, over k, over edges,
@@ -18,9 +21,11 @@ and the `bounds` subcommand both iterate it.
 Within one exhaustive run the components of T - e are shared per
 isomorphism class: _split_counts hands out the first component seen in the
 run with the same canonical code, so its spectra and counts, cached on that
-Tree, are computed once per class.  Isomorphic trees have the same Laplacian
-spectrum, so an enclosure certified on the shared tree is certified for
-every member of its class.  The table lives only for the length of the run.
+Tree, are computed once per class.  The codes are read off T, and a
+component Tree is built only for a class new to the run.  Isomorphic trees
+have the same Laplacian spectrum, so an enclosure certified on the shared
+tree is certified for every member of its class.  The table lives only for
+the length of the run.
 """
 
 from __future__ import annotations
@@ -44,9 +49,8 @@ from .spectral import (
     multiplicity_of_one,
     sigma,
 )
-from .tree import Tree, canonical_code, degree_summary, delete_edge, diameter, join_trees
+from .tree import Tree, canonical_code, component_code, degree_summary, delete_edge, diameter, join_trees
 
-F0 = Fraction(0)
 REFINE = 3  # tolerance halvings before a check reports undecided
 NO_CLAIM = "hypotheses not satisfied; no claim made"
 THM31_N_LIMIT = 10_000  # thm31_minimal_n searches below this n
@@ -96,7 +100,8 @@ def _all3(*vals) -> bool | None:
 
 
 def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
-    return float(lhs.lo - rhs.hi)
+    """lhs.lo - rhs.hi, correctly rounded to a float."""
+    return (lhs.lo_n * rhs.den - rhs.hi_n * lhs.den) / (lhs.den * rhs.den)
 
 
 def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **extra) -> BoundReport:
@@ -134,16 +139,22 @@ def path_energy_upper(n: int) -> Enclosure:
     """The certified value 2 + 4n/pi (upper bound for LE of the n-path)."""
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
-    return Enclosure(2 + 4 * n / PI.hi, 2 + 4 * n / PI.lo)
+    # over PI.lo_n * PI.hi_n, where 4n / PI.hi = 4n PI.den PI.lo_n / (PI.lo_n PI.hi_n)
+    a, b, scaled = PI.lo_n, PI.hi_n, 4 * n * PI.den
+    return Enclosure(2 * a * b + scaled * a, 2 * a * b + scaled * b, a * b)
 
 
 def star_energy_exact(n: int) -> Fraction:
     """LE(S_n) = 2n - 4 + 4/n exactly (n >= 2); the 1-vertex tree has LE 0."""
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
-    if n == 1:
-        return F0
-    return Fraction(2 * n - 4) + Fraction(4, n)
+    return _star_energy(n).lo
+
+
+def _star_energy(n: int) -> Enclosure:
+    """LE(S_n) as an exact enclosure over n >= 1."""
+    le_n = 0 if n == 1 else 2 * n * n - 4 * n + 4
+    return Enclosure(le_n, le_n, n)
 
 
 def path_energy_closed_form(n: int) -> Enclosure:
@@ -159,23 +170,17 @@ def path_energy_closed_form(n: int) -> Enclosure:
     if n == 1:
         return Enclosure.exact(0)
     db = 2 - 2 / n
-    total = Fraction(math.fsum(abs(2 - 2 * math.cos(k * math.pi / n) - db) for k in range(n)))
-    err = Fraction(n * 1e-14)
-    return Enclosure(total - err, total + err)
+    total = math.fsum(abs(2 - 2 * math.cos(k * math.pi / n) - db) for k in range(n))
+    (t, t_den), (e, e_den) = total.as_integer_ratio(), (n * 1e-14).as_integer_ratio()
+    den = max(t_den, e_den)  # both powers of two
+    return Enclosure(t * (den // t_den) - e * (den // e_den), t * (den // t_den) + e * (den // e_den), den)
 
 
 def path_energy_bound_check(n: int, lhs: Enclosure | None = None) -> BoundReport:
     """LE(P_n) <= 2 + 4n/pi, certified; lhs defaults to the closed form."""
     le = lhs if lhs is not None else path_energy_closed_form(n)
     rhs = path_energy_upper(n)
-    return BoundReport(
-        bound_id="lemma24",
-        inputs={"n": n},
-        lhs=le,
-        rhs=rhs,
-        holds=rhs.ge(le),
-        slack=_ge_slack(rhs, le),
-    )
+    return BoundReport("lemma24", {"n": n}, le, rhs, holds=rhs.ge(le), slack=_ge_slack(rhs, le))
 
 
 # ---- per-tree lemma checks ---------------------------------------------------
@@ -194,9 +199,7 @@ def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     last = tree.n + 1 if tree.n >= 3 else tree.n
     note = "" if last == tree.n + 1 else "index i = n skipped: complete-graph exception"
     spec = eigenvalues(tree, tol)
-    verdicts = []
-    worst = None
-    worst_i = 0
+    verdicts, worst, worst_i = [], None, 0
     for i in range(1, last):
         rhs = Enclosure.exact(degs[i - 1] - i + 2)
         enc = spec.enclosure(i)
@@ -204,15 +207,8 @@ def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
         s = _ge_slack(enc, rhs)
         if worst is None or s < worst:
             worst, worst_i = s, i
-    return BoundReport(
-        bound_id="lemma22",
-        inputs={"n": tree.n, "worst_index": worst_i},
-        lhs=None,
-        rhs=None,
-        holds=_all3(*verdicts),
-        slack=worst,
-        note=note,
-    )
+    return BoundReport("lemma22", {"n": tree.n, "worst_index": worst_i}, None, None,
+                       holds=_all3(*verdicts), slack=worst, note=note)
 
 
 @_refining
@@ -261,15 +257,8 @@ def interlacing_check(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> 
         and (i + 1 >= tree.n or mids_s[i] >= mids_t[i + 1] - slack)
         for i in range(tree.n)
     )
-    return BoundReport(
-        bound_id="lemma25",
-        inputs={"n": tree.n, "edge": list(edge)},
-        lhs=None,
-        rhs=None,
-        holds=ok,
-        slack=None,
-        note="midpoint comparison within 2*tol; equalities are expected",
-    )
+    return BoundReport("lemma25", {"n": tree.n, "edge": list(edge)}, None, None, holds=ok, slack=None,
+                       note="midpoint comparison within 2*tol; equalities are expected")
 
 
 # ---- internal-vertex condition (Theorem 3.1 and its corollaries) -------------
@@ -286,7 +275,9 @@ def thm31_condition(n: int, s: int) -> bool:
     """
     if n < 1 or s < 0:
         raise BadParam(f"need n >= 1 and s >= 0, got ({n}, {s})")
-    lhs = Enclosure(n - 2 * n / PI.lo, n - 2 * n / PI.hi)
+    # over PI.lo_n * PI.hi_n, as in path_energy_upper
+    a, b, scaled = PI.lo_n, PI.hi_n, 2 * n * PI.den
+    lhs = Enclosure(n * a * b - scaled * b, n * a * b - scaled * a, a * b)
     verdict = lhs.ge(Enclosure.exact(s + 2))
     if verdict is None:  # impossible at 30-digit pi width for integer inputs
         raise AssertionError(f"pi enclosure too wide to decide condition at ({n}, {s})")
@@ -310,35 +301,35 @@ def thm31_lower_bound(tree: Tree, tol: float = 1e-12) -> BoundReport:
     s = degree_summary(tree).internal_count
     if n < 3:
         raise BadParam(f"need n >= 3 (s >= 1 internal vertex), got n={n}")
-    chain = Fraction(2 * n + 2 * s - 2) - 2 * s * average_degree(tree)
+    chain = n * (2 * n + 2 * s - 2) - 4 * s * (n - 1)  # over n: 2s d_bar = 4s (n - 1) / n
     condition = thm31_condition(n, s)
-    chain_enc = Enclosure.exact(chain)
+    chain_enc = Enclosure(chain, chain, n)
     rhs_path = path_energy_upper(n)
     chain_clears = chain_enc.ge(rhs_path) if condition else None
     le = eigenvalues(tree, tol).laplacian_energy()
     part1 = le.ge(chain_enc)
-    return BoundReport(
-        bound_id="thm31",
-        inputs={"n": n, "s": s},
-        lhs=le,
-        rhs=chain_enc,
-        holds=_all3(part1, chain_clears) if condition else part1,
-        slack=_ge_slack(le, chain_enc),
-        hypotheses={"condition": condition, "chain_clears_path_bound": chain_clears},
-    )
+    holds = _all3(part1, chain_clears) if condition else part1
+    return BoundReport("thm31", {"n": n, "s": s}, le, chain_enc, holds, _ge_slack(le, chain_enc),
+                       {"condition": condition, "chain_clears_path_bound": chain_clears})
 
 
 def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
     """The exact degree-based lower bound 2 (1 + sum_{i<=k} d_i - k*d_bar)."""
-    if not (1 <= k <= tree.n - 1):
-        raise BadParam(f"k={k} out of range 1..{tree.n - 1}")
-    degs = degree_summary(tree).degrees
-    return 2 * (1 + Fraction(sum(degs[:k])) - k * average_degree(tree))
+    return _cor31_bound(tree, k).lo
+
+
+def _cor31_bound(tree: Tree, k: int) -> Enclosure:
+    """cor31_lower_bound as an exact enclosure over n: k d_bar = 2k (n - 1) / n."""
+    n = tree.n
+    if not (1 <= k <= n - 1):
+        raise BadParam(f"k={k} out of range 1..{n - 1}")
+    bound = 2 * (n * (1 + sum(degree_summary(tree).degrees[:k])) - 2 * k * (n - 1))
+    return Enclosure(bound, bound, n)
 
 
 @_refining
 def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
-    bound = Enclosure.exact(cor31_lower_bound(tree, k))
+    bound = _cor31_bound(tree, k)
     return _ge_report("cor31", {"n": tree.n, "k": k}, eigenvalues(tree, tol).laplacian_energy(), bound)
 
 
@@ -367,16 +358,24 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
     component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
 
     Inside _shared_components each T_i is the run's first component with
-    the same canonical code, so the per-tree caches of that one Tree serve
-    the whole class.  Isomorphic trees share their spectrum, so every count
-    and enclosure taken on it is certified for T_i too; outside a run the
-    components are delete_edge's own."""
-    split = delete_edge(tree, edge)
-    if split.pendant:
+    the same canonical code, read off T by component_code, so the per-tree
+    caches of that one Tree serve the whole class and delete_edge runs only
+    for a class new to the run.  Isomorphic trees share their spectrum, so
+    every count and enclosure taken on it is certified for T_i too; outside
+    a run the components are delete_edge's own."""
+    a, b = sorted(edge)
+    if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
+        *parts, pendant = delete_edge(tree, edge)
+    else:
+        sides = [component_code(tree, a, b), component_code(tree, b, a)]
+        if sides[0][0] < sides[1][0]:
+            sides.reverse()  # larger first, a's side first on a tie: delete_edge's order
+        pendant = sides[1][0] == 1
+        parts = [_components.get(code) for _, code in sides]
+        if None in parts and not pendant:
+            parts = [_components.setdefault(code, t) for (_, code), t in zip(sides, delete_edge(tree, edge))]
+    if pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
-    parts = (split.first, split.second)
-    if _components is not None:
-        parts = tuple(_components.setdefault(canonical_code(t), t) for t in parts)
     thr = Fraction(2 * tree.n - 4, tree.n)
     return *parts, *(t.n - count_eigs(t, thr).below for t in parts)
 
@@ -408,8 +407,11 @@ def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> 
     t1, t2, k1, k2 = _split_counts(tree, edge)
     sig = k1 + k2
     s1, s2 = eigenvalues(t1, tol).s_k(k1), eigenvalues(t2, tol).s_k(k2)
-    shift = Fraction(4 * sig, n) - 4 * sig
-    rhs = Enclosure(2 * (s1.lo + s2.lo) + shift, 2 * (s1.hi + s2.hi) + shift)
+    # over den1 den2 n: 2 (S_k1 + S_k2) and the shift 4 sigma/n - 4 sigma = 4 sigma (1 - n) / n
+    d1, d2 = s1.den, s2.den
+    shift = 4 * sig * (1 - n) * d1 * d2
+    rhs = Enclosure(2 * n * (s1.lo_n * d2 + s2.lo_n * d1) + shift,
+                    2 * n * (s1.hi_n * d2 + s2.hi_n * d1) + shift, d1 * d2 * n)
     inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
     return _ge_report("thm32", inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
                       out_of_hypothesis=n < 8)
@@ -526,7 +528,7 @@ def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     canonical-code identity and contributes slack 0.
     """
     n = tree.n
-    star_le = Enclosure.exact(star_energy_exact(n))
+    star_le = _star_energy(n)
     path_n = _reference(_path_code_cache, families.path, n)
     code = canonical_code(tree)
     is_p = code == canonical_code(path_n)
@@ -537,16 +539,9 @@ def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     right = True if is_s else star_le.ge(le)
     left_slack = 0.0 if is_p else _ge_slack(le, le_p)
     right_slack = 0.0 if is_s else _ge_slack(star_le, le)
-    return BoundReport(
-        bound_id="conjecture",
-        inputs={"n": n, "is_path": is_p, "is_star": is_s,
-                "le_path": le_p.value, "le_star": float(star_energy_exact(n))},
-        lhs=le,
-        rhs=None,
-        holds=_all3(left, right),
-        slack=min(left_slack, right_slack),
-        hypotheses={"left": left, "right": right},
-    )
+    inputs = {"n": n, "is_path": is_p, "is_star": is_s, "le_path": le_p.value, "le_star": star_le.value}
+    return BoundReport("conjecture", inputs, le, None, holds=_all3(left, right),
+                       slack=min(left_slack, right_slack), hypotheses={"left": left, "right": right})
 
 
 @_refining
@@ -559,15 +554,8 @@ def diam4_energy_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     rhs = path_energy_upper(n)
     le = eigenvalues(tree, tol).laplacian_energy()
     in_range = n >= 19
-    return BoundReport(
-        bound_id="diam4",
-        inputs={"n": n},
-        lhs=le,
-        rhs=rhs,
-        holds=le.ge(rhs) if in_range else None,
-        slack=_ge_slack(le, rhs),
-        out_of_hypothesis=not in_range,
-    )
+    return BoundReport("diam4", {"n": n}, le, rhs, holds=le.ge(rhs) if in_range else None,
+                       slack=_ge_slack(le, rhs), out_of_hypothesis=not in_range)
 
 
 # ---- the check registry ---------------------------------------------------------

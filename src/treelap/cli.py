@@ -33,6 +33,7 @@ from .verify import (
     REPORT_FORMATS,
     RunConfig,
     SweepConfig,
+    check_writable,
     emit_report,
     run_exhaustive,
     run_family_sweep,
@@ -157,6 +158,8 @@ def _cmd_check_conjecture(args) -> int:
         checks=("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ()),
         allow_large=args.allow_large,
     )
+    if args.report:
+        check_writable(args.report)
     if config.n_max > DESK_CEILING:
         est = sum(count_free_trees(n) for n in range(config.n_min, config.n_max + 1))
         print(f"large run: ~{est} trees up to n={config.n_max}", file=sys.stderr)

@@ -1,53 +1,65 @@
-"""Certified [lo, hi] enclosures, their comparison, and the pi constant.
+"""Certified enclosures [lo_n / den, hi_n / den], their comparison, and pi.
 
 Every numeric quantity that feeds an inequality check is carried as an
-interval [lo, hi] with Fraction endpoints that provably contains the true
-value.  Callers build each side from its exact endpoints: every side the
-paper needs is monotone in pi and in the eigenvalue-sum endpoints, so no
-interval algebra is required.  An inequality "holds" only when the relevant
-endpoints clear each other (or both sides are exact), and is reported as
-undecided when the intervals overlap.
+interval, integer endpoints over one positive denominator, that provably
+contains the true value.  Callers write each side from its exact endpoints:
+every side the paper needs is monotone in pi and in the eigenvalue-sum
+endpoints, so no interval algebra is required.  An inequality "holds" only
+when the endpoints clear each other (or both sides are exact), decided by
+integer cross-multiplication, and is undecided when the intervals overlap.
+Fraction endpoints are built only when `lo` or `hi` is read.
 
 The only irrational constant needed anywhere is pi, kept here as a frozen
-outward-rounded enclosure of width 1e-30 (30 decimal digits).
+outward-rounded enclosure of width 1e-30 (30 decimal digits, over 10^30).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Enclosure:
-    """A closed interval [lo, hi] with exact rational endpoints."""
+    """The closed interval [lo_n / den, hi_n / den], integers with den > 0.
 
-    lo: Fraction
-    hi: Fraction
+    Immutable by convention.  Two enclosures are equal when they are the
+    same set of reals, whatever their denominators.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
+    __slots__ = ("lo_n", "hi_n", "den")
+
+    def __init__(self, lo_n: int, hi_n: int, den: int = 1):
+        if not (den > 0 and lo_n <= hi_n):
+            raise ValueError(f"empty enclosure or denominator <= 0: [{lo_n}, {hi_n}] / {den}")
+        self.lo_n, self.hi_n, self.den = lo_n, hi_n, den
 
     @staticmethod
     def exact(x) -> "Enclosure":
-        f = Fraction(x)
-        return Enclosure(f, f)
+        num, den = x.as_integer_ratio()  # an int, Fraction or float
+        return Enclosure(num, num, den)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_n, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_n, self.den)
 
     @property
     def value(self) -> float:
         """Midpoint as a float (display only, not certified)."""
-        return float((self.lo + self.hi) / 2)
+        return (self.lo_n + self.hi_n) / (2 * self.den)
 
     @property
     def err(self) -> float:
         """Float upper bound on the distance from .value to the truth."""
-        half = (self.hi - self.lo) / 2
-        e = float(half)
-        # outward-round the float conversion
-        while Fraction(e) < half:
+        width, twice = self.hi_n - self.lo_n, 2 * self.den
+        e = width / twice
+        p, q = e.as_integer_ratio()
+        while p * twice < width * q:  # outward-round the float conversion
             e = math.nextafter(e, math.inf)
+            p, q = e.as_integer_ratio()
         return e
 
     def ge(self, other: "Enclosure") -> bool | None:
@@ -55,11 +67,17 @@ class Enclosure:
         is decided by the enclosures; None means undecided.  Exact-vs-exact
         decides ties (this is what lets equality cases like mu_1(S_n) = n
         pass as "holds")."""
-        if self.lo > other.hi or self.lo == self.hi == other.lo == other.hi:
+        lo, other_hi = self.lo_n * other.den, other.hi_n * self.den
+        if lo > other_hi or (lo == other_hi and self.lo_n == self.hi_n and other.lo_n == other.hi_n):
             return True
-        if self.hi < other.lo:
+        if self.hi_n * other.den < other.lo_n * self.den:
             return False
         return None
+
+    def __eq__(self, other):
+        if not isinstance(other, Enclosure):
+            return NotImplemented
+        return (self.lo_n * other.den, self.hi_n * other.den) == (other.lo_n * self.den, other.hi_n * self.den)
 
     def __repr__(self):
         return f"Enclosure({self.value:.17g} +- {self.err:.3g})"
@@ -67,7 +85,4 @@ class Enclosure:
 
 # pi truncated/rounded-up at 30 decimal places; the true value continues
 # ...3279502884..., so the real pi lies strictly inside.
-PI = Enclosure(
-    Fraction("3.141592653589793238462643383279"),
-    Fraction("3.141592653589793238462643383280"),
-)
+PI = Enclosure(3141592653589793238462643383279, 3141592653589793238462643383280, 10**30)

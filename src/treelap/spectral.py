@@ -16,7 +16,11 @@ tree Laplacian are integers, so probing nearby integers pins them exactly.
 The average degree d_bar = 2(n-1)/n is a probe too, so no enclosure
 straddles it.  Every probe is an integer over one denominator per tree; the
 prober, S_k and LE = 2 (S_sigma - sigma * d_bar) are integer sums over it,
-and Fractions are built only where a caller reads a value.
+and each eigenvalue, S_k and LE is an Enclosure over that denominator, so
+the only Fractions built are the probes handed to count_eigs and the values
+a caller reads.  Once a spectrum is proved, the counts its prober made at
+one-off probes (beside estimates, at bisection midpoints) leave the tree's
+cache; the counts at 0, n, d_bar and the integers stay.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def count_eigs(tree: Tree, x) -> EigCounts:
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    key = ("cnt", x.numerator, x.denominator)
+    key = ("cnt", x.numerator, x.denominator)  # as _distinct_enclosures reads it
     hit = tree._cache.get(key)
     if hit is None:
         root = tree.centroids()[0]
@@ -239,12 +243,13 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
     den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
     pad = tn * (den // (2 * td))
     top = n * den
-    probes = [0, top, 2 * (n - 1) * (den // n)]
+    fixed = {0, top, 2 * (n - 1) * (den // n)}  # 0, n, d_bar and the integers below
+    probes = []
     for (clo, chi), ((lo_n, lo_d), (hi_n, hi_d)) in zip(clusters, ratios):
         center = (clo + chi) / 2
         k = round(center)
         if abs(center - k) < 0.45 and 0 <= k <= n:
-            probes.append(k * den)
+            fixed.add(k * den)
         lo_p = lo_n * (den // lo_d) - pad
         hi_p = hi_n * (den // hi_d) + pad
         if lo_p > 0:
@@ -252,8 +257,13 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
         if 0 < hi_p < top:  # eigvalsh can put the zero eigenvalue below 0
             probes.append(hi_p)
 
-    points = sorted(set(probes))
-    counts = [count_eigs(tree, Fraction(x, den)) for x in points]
+    points = sorted(fixed.union(probes))
+    xs = [Fraction(x, den) for x in points]
+    # counts this call adds at one-off probes leave the cache once the spectrum is proved
+    cache = tree._cache
+    one_off = [key for p, x in zip(points, xs)
+               if p not in fixed and (key := ("cnt", *x.as_integer_ratio())) not in cache]
+    counts = [count_eigs(tree, x) for x in xs]
     if counts[0].below != 0 or counts[0].equal != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
     if counts[-1].below + counts[-1].equal != n:
@@ -277,7 +287,10 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
             num, d = lo + hi, 2 * den
         mid, den = _to_grid(num, d, den, found, work)
         lo, hi, m, at_lo = work.pop()
-        c = count_eigs(tree, Fraction(mid, den))
+        x = Fraction(mid, den)
+        if (key := ("cnt", *x.as_integer_ratio())) not in cache:
+            one_off.append(key)
+        c = count_eigs(tree, x)
         if c.equal:
             found.append((mid, mid, c.equal))
         m_left = c.below - at_lo
@@ -289,6 +302,8 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
 
     found.sort(reverse=True)
     assert sum(m for _, _, m in found) == n
+    for key in one_off:
+        cache.pop(key, None)
     return den, found
 
 
@@ -300,7 +315,7 @@ class Spectrum:
     endpoint an integer N standing for N / den and m the eigenvalues inside.
     d_bar was a probe, so the first sigma eigenvalues lie in enclosures with
     lo >= d_bar and the rest in ones with hi <= d_bar.  Sums and the energy
-    are exact integer sums over den; Fractions are built at the edge.
+    are exact integer sums over den, returned as Enclosures over den.
     """
 
     n: int
@@ -312,7 +327,11 @@ class Spectrum:
     def enclosures(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Per-index enclosures of mu_1, ..., mu_n as Fraction pairs."""
         den = self.den
-        return tuple(e for lo, hi, m in self.distinct for e in [(Fraction(lo, den), Fraction(hi, den))] * m)
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._per_index)
+
+    @functools.cached_property
+    def _per_index(self) -> tuple[tuple[int, int], ...]:
+        return tuple(e for lo, hi, m in self.distinct for e in [(lo, hi)] * m)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -324,7 +343,7 @@ class Spectrum:
         """Certified interval for mu_i (1-based, descending)."""
         if not (1 <= i <= self.n):
             raise BadParam(f"index {i} out of range 1..{self.n}")
-        return Enclosure(*self.enclosures[i - 1])
+        return Enclosure(*self._per_index[i - 1], self.den)
 
     @functools.cached_property
     def _running_sums(self) -> tuple[list[int], list[int]]:
@@ -343,8 +362,7 @@ class Spectrum:
         """Sum of the k largest eigenvalues; width <= k*tol (tighter via trace)."""
         if not (0 <= k <= self.n):
             raise BadParam(f"k={k} out of range 0..{self.n}")
-        lo, hi = self._top_sum(k)
-        return Enclosure(Fraction(lo, self.den), Fraction(hi, self.den))
+        return Enclosure(*self._top_sum(k), self.den)
 
     def laplacian_energy(self) -> Enclosure:
         """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar), with S_sigma
@@ -355,7 +373,7 @@ class Spectrum:
     def _energy(self) -> Enclosure:
         lo, hi = self._top_sum(self.sigma)
         shift = self.sigma * 2 * (self.n - 1) * (self.den // self.n)
-        return Enclosure(Fraction(2 * (lo - shift), self.den), Fraction(2 * (hi - shift), self.den))
+        return Enclosure(2 * (lo - shift), 2 * (hi - shift), self.den)
 
 
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:

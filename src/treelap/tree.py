@@ -25,7 +25,7 @@ class Tree:
     ----------
     n        : vertex count (>= 1)
     edges    : tuple of canonical (min, max) vertex pairs, sorted
-    adj      : adjacency lists, adj[v] = tuple of neighbors
+    adj      : adjacency lists, adj[v] = ascending tuple of neighbors
     degrees  : degrees[v] = len(adj[v])
     """
 
@@ -88,52 +88,17 @@ class Tree:
         """
         key = ("rooted", root)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        parent = [-1] * n
-        seen = [False] * n
-        seen[root] = True
-        stack = [root]
-        order = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    stack.append(w)
-        order.reverse()
-        kids = [[] for _ in range(n)]
-        for v in range(n):
-            if parent[v] >= 0:
-                kids[parent[v]].append(v)
-        out = (tuple(order), tuple(parent), tuple(tuple(k) for k in kids))
-        self._cache[key] = out
-        return out
+        if hit is None:
+            order, parent, kids = _orient(self.adj, root)
+            hit = self._cache[key] = (tuple(order), tuple(parent), tuple(tuple(k) for k in kids))
+        return hit
 
     def centroids(self) -> tuple[int, ...]:
         """The one or two vertices minimizing the largest remaining component."""
         hit = self._cache.get("centroids")
-        if hit is not None:
-            return hit
-        n = self.n
-        order, parent, _ = self.rooted(0)
-        size = [1] * n
-        maxcomp = [0] * n
-        for v in order:
-            if parent[v] >= 0:
-                size[parent[v]] += size[v]
-            maxcomp[v] = max(maxcomp[v], n - size[v])
-        for v in range(n):
-            if parent[v] >= 0:
-                p = parent[v]
-                maxcomp[p] = max(maxcomp[p], size[v])
-        best = min(maxcomp)
-        cents = tuple(v for v in range(n) if maxcomp[v] == best)
-        self._cache["centroids"] = cents
-        return cents
+        if hit is None:
+            hit = self._cache["centroids"] = _centroids(self.rooted(0))
+        return hit
 
     def __repr__(self):
         return f"Tree(n={self.n}, edges={list(self.edges)})"
@@ -143,6 +108,43 @@ class Tree:
 
     def __hash__(self):
         return hash((self.n, self.edges))
+
+
+def _orient(adj: Sequence[Sequence[int]], root: int, cut: int = -1) -> tuple[list, list, list]:
+    """(post-order, parent, children) of the component of `root` once the edge
+    to its neighbour `cut` is left out (none for cut = -1), indexed by label."""
+    n = len(adj)
+    parent = [-1] * n
+    kids = [[] for _ in range(n)]  # ascending, as every adjacency list of a Tree is
+    seen = [False] * (n + 1)  # seen[-1] is a spare slot for cut = -1
+    seen[root] = seen[cut] = True
+    stack = [root]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                kids[v].append(w)
+                stack.append(w)
+    order.reverse()
+    return order, parent, kids
+
+
+def _centroids(orientation) -> tuple[int, ...]:
+    """The one or two centroids, ascending, of an oriented component (as from _orient)."""
+    order, parent, _ = orientation
+    size = [1] * len(parent)
+    worst = [0] * len(parent)  # the largest component left when v is removed
+    for v in order:  # children before their parent
+        worst[v] = max(worst[v], len(order) - size[v])
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+            worst[parent[v]] = max(worst[parent[v]], size[v])
+    best = min(worst[v] for v in order)
+    return tuple(sorted(v for v in order if worst[v] == best))
 
 
 # ---- constructors -------------------------------------------------------
@@ -249,22 +251,29 @@ def canonical_code(tree: Tree) -> bytes:
     canonicalized from both rootings and the lexicographic minimum taken.
     """
     hit = tree._cache.get("code")
-    if hit is not None:
-        return hit
-    code = min(_ahu(tree, c) for c in tree.centroids())
-    tree._cache["code"] = code
-    return code
+    if hit is None:
+        hit = tree._cache["code"] = min(_ahu(tree.rooted(c)) for c in tree.centroids())
+    return hit
 
 
-def _ahu(tree: Tree, root: int) -> bytes:
-    order, parent, kids = tree.rooted(root)
-    code: list[bytes | None] = [None] * tree.n
+def component_code(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
+    """(order, canonical code) of the component of a in T - ab, read off T:
+    the same bytes as canonical_code of that component, without building it."""
+    side = _orient(tree.adj, a, b)
+    code = min(_ahu(side if c == a else _orient(tree.adj, c, b)) for c in _centroids(side))
+    return len(side[0]), code
+
+
+def _ahu(orientation) -> bytes:
+    """AHU code of an oriented component (as from _orient), at its root."""
+    order, _, kids = orientation
+    code: list[bytes | None] = [None] * len(kids)
     for v in order:
         if kids[v]:
             code[v] = b"(" + b"".join(sorted(code[c] for c in kids[v])) + b")"
         else:
             code[v] = b"()"
-    return code[root]
+    return code[order[-1]]
 
 
 @dataclass(frozen=True)
@@ -311,15 +320,7 @@ def delete_edge(tree: Tree, edge: tuple[int, int]) -> EdgeSplit:
     a, b = sorted(edge)
     if (a, b) not in tree.edges:
         raise EdgeAbsent(f"edge {(a, b)} is not in the tree")
-    # a's side: everything reachable from a without passing through b
-    side = {a, b}
-    stack = [a]
-    while stack:
-        for w in tree.adj[stack.pop()]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
-    side.discard(b)
+    side = set(_orient(tree.adj, a, b)[0])  # everything reachable from a without passing through b
     parts = []
     for old in ([x for x in range(tree.n) if x in side], [x for x in range(tree.n) if x not in side]):
         new_of = {o: i for i, o in enumerate(old)}

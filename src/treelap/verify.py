@@ -158,6 +158,13 @@ def _check_format(fmt: str) -> None:
         raise BadParam(f"format must be {' or '.join(REPORT_FORMATS)}, got {fmt!r}")
 
 
+def check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before a run rather than after it."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise BadParam(f"cannot write {path}: not a file name in a writable directory")
+
+
 def emit_report(records: Sequence, fmt: str, path: str) -> None:
     """Deterministic report of verification records, bit-stable."""
     _write_report(VerifyRecord, records, fmt, path)
@@ -338,6 +345,8 @@ class SweepConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise BadParam(f"tolerance must be finite and > 0, got {self.tol}")
+        if self.sns_random < 0:
+            raise BadParam(f"sns_random must be >= 0, got {self.sns_random}")
         _check_format(self.fmt)
 
 
@@ -371,6 +380,8 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
     """Sweep the diameter-4 families, recording LE against 4n/pi + 2 and the
     internal-vertex condition; diameter-3 brooms record the condition only.
     Only diameter-4 members with n >= 19 carry a verdict into the tally."""
+    if config.out:
+        check_writable(config.out)
     summary = RunSummary()
     for family, params, tree in _sweep_trees(config):
         n = tree.n

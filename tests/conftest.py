@@ -30,14 +30,22 @@ package so that `src/` has one implementation of each thing:
   `squarefree_decomposition` with `root_count_with_multiplicity`,
 * `leading`, `is_zero`, `eval_poly` and `derivative`, the `Poly` helpers
   only that counter and the tests use,
+* `assert_component_codes`, the codes of both sides of T - e read off T
+  against those of the components delete_edge builds,
 * `char_poly_forest`, `relabel`, and `pi_rational_bounds`, an independent
-  Machin-series enclosure of pi.
+  Machin-series enclosure of pi,
+* `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
+  comparison, midpoint, error and slack of an enclosure computed on
+  Fraction endpoints (the package decides them by integer
+  cross-multiplication over each enclosure's denominator), and
+  `enclosure_of`, which puts two Fraction endpoints over one denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +59,7 @@ from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
 from treelap.spectral import EigCounts, Spectrum, _clusters, average_degree, count_eigs, laplacian_matrix
-from treelap.tree import Tree, canonical_code, from_pruefer
+from treelap.tree import Tree, canonical_code, component_code, delete_edge, from_pruefer
 
 
 # ---------------------------------------------------------------- labeled census
@@ -376,7 +384,7 @@ def fraction_s_k(distinct: list[tuple[Fraction, Fraction, int]], n: int, k: int)
     top_hi = sum((hi for _, hi in per_index[:k]), Fraction(0))
     rest_lo = sum((lo for lo, _ in per_index[k:]), Fraction(0))
     rest_hi = sum((hi for _, hi in per_index[k:]), Fraction(0))
-    return Enclosure(max(top_lo, trace - rest_hi), min(top_hi, trace - rest_lo))
+    return enclosure_of(max(top_lo, trace - rest_hi), min(top_hi, trace - rest_lo))
 
 
 # ------------------------------------------------------- energy max-form oracle
@@ -394,7 +402,7 @@ def le_max_form(spec: Spectrum) -> Enclosure:
         s = spec.s_k(k)
         best_lo = max(best_lo, s.lo - k * d_bar)
         best_hi = max(best_hi, s.hi - k * d_bar)
-    return Enclosure(2 * best_lo, 2 * best_hi)
+    return enclosure_of(2 * best_lo, 2 * best_hi)
 
 
 def le_argmax(spec: Spectrum) -> int:
@@ -425,7 +433,7 @@ def le_two_forms(spec: Spectrum) -> Enclosure:
             dev_lo, dev_hi = dev_lo + d_bar - hi, dev_hi + d_bar - lo
         else:
             dev_hi += max(d_bar - lo, hi - d_bar)
-    return Enclosure(max(main_lo, dev_lo), min(main_hi, dev_hi))
+    return enclosure_of(max(main_lo, dev_lo), min(main_hi, dev_hi))
 
 
 # ------------------------------------------------------------ polynomial oracles
@@ -610,6 +618,17 @@ def root_count_with_multiplicity(p: Poly, lo, hi) -> int:
 # ----------------------------------------------------------------- tree relabel
 
 
+def assert_component_codes(tree: Tree, a: int, b: int) -> None:
+    """component_code of both sides of the edge ab equals (order,
+    canonical_code) of delete_edge's components: the larger first, a's side
+    first when the orders tie."""
+    split = delete_edge(tree, (a, b))
+    side_a, side_b = component_code(tree, a, b), component_code(tree, b, a)
+    first, second = (side_a, side_b) if side_a[0] >= side_b[0] else (side_b, side_a)
+    assert first == (split.first.n, canonical_code(split.first))
+    assert second == (split.second.n, canonical_code(split.second))
+
+
 def relabel(tree: Tree, perm) -> Tree:
     """The same tree with vertex v renamed perm[v]."""
     if sorted(perm) != list(range(tree.n)):
@@ -643,7 +662,44 @@ def pi_rational_bounds(digits: int = 30) -> Enclosure:
 
     a5 = atan_bounds(5)
     a239 = atan_bounds(239)
-    return Enclosure(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0])
+    return enclosure_of(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0])
+
+
+# ------------------------------------------------------ Fraction enclosure oracle
+
+
+def enclosure_of(lo: Fraction, hi: Fraction) -> Enclosure:
+    """The Enclosure [lo, hi] of two rationals, over their least common denominator."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    return Enclosure(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den)
+
+
+def fraction_ge(lo: Fraction, hi: Fraction, other_lo: Fraction, other_hi: Fraction) -> bool | None:
+    """[lo, hi] >= [other_lo, other_hi]: True or False when the endpoints decide it
+    (touching endpoints decide only exact against exact), None otherwise."""
+    if lo > other_hi or lo == hi == other_lo == other_hi:
+        return True
+    if hi < other_lo:
+        return False
+    return None
+
+
+def fraction_value(lo: Fraction, hi: Fraction) -> float:
+    return float((lo + hi) / 2)
+
+
+def fraction_err(lo: Fraction, hi: Fraction) -> float:
+    """float((hi - lo) / 2), rounded up to a float no smaller than it."""
+    half = (hi - lo) / 2
+    e = float(half)
+    while Fraction(e) < half:
+        e = math.nextafter(e, math.inf)
+    return e
+
+
+def fraction_slack(lo: Fraction, other_hi: Fraction) -> float:
+    return float(lo - other_hi)
 
 
 # ------------------------------------------------------------------- randomness

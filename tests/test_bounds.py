@@ -436,16 +436,26 @@ class TestSharedComponents:
             assert t1 is splits[-1].first and t2 is splits[-1].second
 
     def test_isomorphic_components_are_one_tree_inside_a_run(self, monkeypatch):
+        # only a split with a side of a new class builds the components
         splits = self._spy_splits(monkeypatch)
         t = path(9)
         with bounds._shared_components():
-            first = bounds._split_counts(t, (2, 3))
-            again = bounds._split_counts(t, (5, 6))
-            other = bounds._split_counts(t, (3, 4))
+            first = bounds._split_counts(t, (2, 3))  # P_6 and P_3, both new
+            assert len(splits) == 1
+            again = bounds._split_counts(t, (5, 6))  # P_6 and P_3 again
+            assert len(splits) == 1
+            other = bounds._split_counts(t, (3, 4))  # P_5 is new; its P_4 too
+            assert len(splits) == 2
+            half_new = bounds._split_counts(path(10), (2, 3))  # P_7 is new, P_3 not
+            assert len(splits) == 3
+            seen = bounds._split_counts(path(10), (3, 4))  # P_6 and P_4, both seen
+            assert len(splits) == 3
         assert first[0] is splits[0].first and first[1] is splits[0].second
         assert again[0] is first[0] and again[1] is first[1]
         assert again[2:] == first[2:]
-        assert other[0] is splits[2].first  # P_5 is new; its P_4 too
+        assert other[0] is splits[1].first and other[1] is splits[1].second
+        assert half_new[0] is splits[2].first and half_new[1] is first[1]
+        assert seen[0] is first[0] and seen[1] is other[1]
         assert bounds._components is None
 
     @staticmethod

@@ -32,6 +32,9 @@ REPORT_DIGESTS = {
 # of only 47 isomorphism classes, so thm32 reads shared component spectra
 N10_REPORT_DIGEST = "59dad241c25d7e1d6b88c882bdb5b25adde97c5603307981361b209f5dd0777d"
 
+# n = 11 alone: the 235 trees of the benchmark's largest bound-checks order
+N11_REPORT_DIGEST = "503b1aafd80180f3ee50561ccd67b27b299c52fe39316c79d88bd3012d412ed3"
+
 # family arguments -> (exit code, digest of the `bounds --check all` stdout)
 BOUNDS_DIGESTS = {
     ("path", "--n", "6"): (0, "9840865cfdc4882171ea1ff8b89e0a4f36d6b713e88a7dd60f274ee3fb97fc9c"),
@@ -73,12 +76,20 @@ def test_check_conjecture_report_bytes(tmp_path, fmt):
     assert _sha(report.read_bytes()) == REPORT_DIGESTS[fmt]
 
 
-def test_check_conjecture_n10_report_bytes(tmp_path):
+def _single_order_report_digest(tmp_path, n: int) -> str:
     report = tmp_path / "report.jsonl"
-    code, _ = _run("check-conjecture", "--n-min", "10", "--n-max", "10", "--checks", PAPER_CHECKS,
+    code, _ = _run("check-conjecture", "--n-min", str(n), "--n-max", str(n), "--checks", PAPER_CHECKS,
                    "--report", str(report))
     assert code == 0
-    assert _sha(report.read_bytes()) == N10_REPORT_DIGEST
+    return _sha(report.read_bytes())
+
+
+def test_check_conjecture_n10_report_bytes(tmp_path):
+    assert _single_order_report_digest(tmp_path, 10) == N10_REPORT_DIGEST
+
+
+def test_check_conjecture_n11_report_bytes(tmp_path):
+    assert _single_order_report_digest(tmp_path, 11) == N11_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(BOUNDS_DIGESTS))

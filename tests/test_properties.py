@@ -1,8 +1,9 @@
 """Property tests: record round trips, resuming a killed run, the float
 stage of the congruence pass against its exact stage, exact counts and
 certified enclosures against a dense eigensolver, the side of d_bar
-each enclosure lies on, the integer prober against the Fraction one, and
-thm32 with T - e components shared per isomorphism class."""
+each enclosure lies on, the integer prober against the Fraction one, the
+codes of T - e components read off T, and thm32 with T - e components
+shared per isomorphism class."""
 
 import functools
 import io
@@ -22,7 +23,7 @@ from treelap.spectral import _inertia_exact, _inertia_float, average_degree, cou
 from treelap.tree import Tree, delete_edge
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
-from conftest import fraction_enclosures, fraction_s_k, le_two_forms, oracle_counts
+from conftest import assert_component_codes, fraction_enclosures, fraction_s_k, le_two_forms, oracle_counts
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 verdict = st.sampled_from([True, False, None])
@@ -158,6 +159,13 @@ def test_integer_prober_equals_the_fraction_oracle(tree, tol):
     for k in range(tree.n + 1):
         assert spec.s_k(k) == fraction_s_k(oracle, tree.n, k)
     assert spec.laplacian_energy() == le_two_forms(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees(2, 40))
+def test_component_codes_read_off_the_tree_equal_the_built_components(tree):
+    for a, b in tree.edges:
+        assert_component_codes(tree, a, b)
 
 
 def _inner_edges(tree: Tree) -> list:

@@ -390,6 +390,25 @@ class TestIntegerProber:
                 den, distinct = _distinct_enclosures(Tree(t.n, t.edges), Fraction(tol))
                 assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(t, Fraction(tol))
 
+    def test_one_off_probe_counts_leave_the_cache_once_the_spectrum_is_proved(self, monkeypatch):
+        t = random_tree(14, random.Random(3))
+        earlier = Fraction(7, 3)
+        count_eigs(t, earlier)  # a count taken before the spectrum stays
+        probes = []
+        real = spectral.count_eigs
+
+        def spy(tree, x):
+            probes.append(x)
+            return real(tree, x)
+
+        monkeypatch.setattr(spectral, "count_eigs", spy)
+        eigenvalues(t)
+        d_bar = average_degree(t)
+        assert any(x.denominator != 1 and x != d_bar for x in probes)  # one-off probes were made
+        kept = {Fraction(k[1], k[2]) for k in t._cache if type(k) is tuple and k[0] == "cnt"}
+        assert {Fraction(0), Fraction(t.n), d_bar, earlier} <= kept
+        assert all(x.denominator == 1 or x in (d_bar, earlier) for x in kept)
+
     def test_counts_are_shared_through_the_cache(self, monkeypatch):
         t = star(6)
         eigenvalues(t)

@@ -31,7 +31,7 @@ from treelap.tree import (
     to_pruefer,
 )
 
-from conftest import random_tree, relabel
+from conftest import assert_component_codes, random_tree, relabel
 
 
 class TestConstruction:
@@ -210,6 +210,21 @@ class TestDeleteEdge:
                 for a in range(split.first.n)
                 for b in range(split.second.n)
             )
+
+
+class TestComponentCode:
+    def test_equals_the_code_of_the_built_component_on_every_free_tree(self):
+        from treelap.enumeration import free_trees
+
+        for n in range(2, 12):
+            for t in free_trees(n):
+                for a, b in t.edges:
+                    assert_component_codes(t, a, b)
+
+    def test_bicentroidal_sides_and_centroids_away_from_the_cut(self):
+        for t in (sns_tree(2, 3, [1, 2, 3]), double_broom3(3, 4), path(9)):
+            for a, b in t.edges:
+                assert_component_codes(t, a, b)
 
 
 class TestJoinAndText:

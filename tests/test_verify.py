@@ -190,7 +190,8 @@ def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
     assert out.read_text() == "family,params,n,sigma,le,le_err,bound,holds,slack,thm31_cond\n"
 
 
-@pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}])
+@pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+                                 {"sns_random": -1}])
 def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkeypatch):
     def no_trees(config):
         raise AssertionError("a tree was built before the config was checked")
@@ -199,6 +200,16 @@ def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkey
     with pytest.raises(BadParam):
         run_family_sweep(SweepConfig(out=str(tmp_path / "sweep.out"), **bad))
     assert not (tmp_path / "sweep.out").exists()
+
+
+def test_sweep_refuses_an_out_path_it_cannot_write_before_any_tree(tmp_path, monkeypatch):
+    def no_trees(config):
+        raise AssertionError("a tree was built before the out path was checked")
+
+    monkeypatch.setattr(verify, "_sweep_trees", no_trees)
+    for out in (tmp_path / "missing" / "sweep.jsonl", tmp_path):
+        with pytest.raises(BadParam):
+            run_family_sweep(SweepConfig(out=str(out)))
 
 
 def test_csv_report_holds_one_record_type(tmp_path):
@@ -305,6 +316,24 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("check-conjecture", "--n-max", "6", "--report", "{missing}/report.jsonl"),
+        ("check-conjecture", "--n-max", "6", "--report", "{tmp}"),
+        ("sweep", "--out", "{missing}/sweep.jsonl"),
+        ("sweep", "--sns-random", "-1"),
+    ], ids=["report-missing-dir", "report-is-a-dir", "sweep-out-missing-dir", "sweep-negative-sns-random"])
+    def test_refused_before_the_run(self, tmp_path, argv):
+        # no summary on stdout: the command stopped before evaluating a tree
+        paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelap", *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
