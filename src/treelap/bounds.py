@@ -49,7 +49,16 @@ from .spectral import (
     multiplicity_of_one,
     sigma,
 )
-from .tree import Tree, canonical_code, component_code, degree_summary, delete_edge, diameter, join_trees
+from .tree import (
+    Tree,
+    canonical_code,
+    component_code,
+    degree_summary,
+    delete_edge,
+    diameter,
+    join_trees,
+    side_codes,
+)
 
 REFINE = 3  # tolerance halvings before a check reports undecided
 NO_CLAIM = "hypotheses not satisfied; no claim made"
@@ -337,20 +346,32 @@ def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
 
 
 # canonical code -> the first component of that class seen in the current
-# exhaustive run; None outside a run (see _shared_components)
+# exhaustive run, and rooted code of an edge side -> (order, canonical code)
+# of that side; None outside a run (see _shared_components)
 _components: dict[bytes, Tree] | None = None
+_side_classes: dict[bytes, tuple[int, bytes]] | None = None
 
 
 @contextmanager
 def _shared_components() -> Iterator[None]:
     """Share T - e components per isomorphism class for the length of the
-    block: the table starts empty and is switched off on any exit."""
-    global _components
-    _components = {}
+    block: the tables start empty and are switched off on any exit."""
+    global _components, _side_classes
+    _components, _side_classes = {}, {}
     try:
         yield
     finally:
-        _components = None
+        _components = _side_classes = None
+
+
+def _side_class(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
+    """component_code(tree, a, b), looked up by the rooted code of a's side:
+    equal rooted codes mean isomorphic sides, so it runs once per rooted class."""
+    rooted = side_codes(tree)[a, b]
+    hit = _side_classes.get(rooted)
+    if hit is None:
+        hit = _side_classes[rooted] = component_code(tree, a, b)
+    return hit
 
 
 def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, int]:
@@ -358,16 +379,17 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
     component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
 
     Inside _shared_components each T_i is the run's first component with
-    the same canonical code, read off T by component_code, so the per-tree
-    caches of that one Tree serve the whole class and delete_edge runs only
-    for a class new to the run.  Isomorphic trees share their spectrum, so
-    every count and enclosure taken on it is certified for T_i too; outside
-    a run the components are delete_edge's own."""
+    the same canonical code, read off T by component_code once per rooted
+    class of sides (see _side_class), so the per-tree caches of that one
+    Tree serve the whole class and delete_edge runs only for a class new to
+    the run.  Isomorphic trees share their spectrum, so every count and
+    enclosure taken on it is certified for T_i too; outside a run the
+    components are delete_edge's own."""
     a, b = sorted(edge)
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
         *parts, pendant = delete_edge(tree, edge)
     else:
-        sides = [component_code(tree, a, b), component_code(tree, b, a)]
+        sides = [_side_class(tree, a, b), _side_class(tree, b, a)]
         if sides[0][0] < sides[1][0]:
             sides.reverse()  # larger first, a's side first on a tie: delete_edge's order
         pendant = sides[1][0] == 1

@@ -21,6 +21,19 @@ the only Fractions built are the probes handed to count_eigs and the values
 a caller reads.  Once a spectrum is proved, the counts its prober made at
 one-off probes (beside estimates, at bisection midpoints) leave the tree's
 cache; the counts at 0, n, d_bar and the integers stay.
+
+Block route (eigenvalues_many), for many trees of one order: one stacked
+eigvalsh, the single-tree route's probe proposals (_propose) for each tree,
+and one float walk (_below_many) whose lanes are (tree, probe) pairs.  Every
+tree's vertices are numbered by their post-order place from the root
+count_eigs uses, so step i of the walk takes vertex i of every tree; pivot
+intervals are (B, 2, P) arrays, every +, - and 1/x is widened one ulp
+outward, and each vertex's reciprocal is scattered into its parent's pivot.
+A lane that decides has the exact pass's tally, by the argument of
+_inertia_float; a lane that declines, as it must at an eigenvalue, goes to
+the exact count_eigs.  The counts are therefore those of the single-tree
+route, the bisection (_bisect) is shared, and each tree's enclosures, cache
+and every byte derived from them equal the single-tree route's.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,17 +240,13 @@ def _to_grid(num: int, d: int, den: int, found: list, work: list) -> tuple[int, 
     return num * den // d, den
 
 
-def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
-    """(den, [(lo, hi, count)] descending) covering the whole spectrum, each
-    endpoint an integer N standing for N / den.  Each entry is proved by exact
-    counts to contain exactly `count` eigenvalues and has width <= tol; one
-    with lo == hi is an exact hit, and no entry has d_bar strictly inside.
-    """
-    n = tree.n
+def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int], set[int]]:
+    """(den, points, fixed): the first probes of a tree of order n, ascending,
+    each an integer N standing for N / den, proposed from its float estimates
+    `est` (ascending).  `fixed` holds 0, n, d_bar and the integers next to a
+    cluster of estimates; the other points lie tol/2 outside each cluster.
+    Correctness never depends on the estimates."""
     tn, td = tol.numerator, tol.denominator
-
-    # probe proposals from float estimates; correctness never depends on them
-    est = np.linalg.eigvalsh(laplacian_matrix(tree))
     clusters = _clusters(est, float(tol))
     ratios = [(clo.as_integer_ratio(), chi.as_integer_ratio()) for clo, chi in clusters]
     den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
@@ -256,14 +265,23 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
             probes.append(lo_p)
         if 0 < hi_p < top:  # eigvalsh can put the zero eigenvalue below 0
             probes.append(hi_p)
+    return den, sorted(fixed.union(probes)), fixed
 
-    points = sorted(fixed.union(probes))
-    xs = [Fraction(x, den) for x in points]
-    # counts this call adds at one-off probes leave the cache once the spectrum is proved
-    cache = tree._cache
-    one_off = [key for p, x in zip(points, xs)
-               if p not in fixed and (key := ("cnt", *x.as_integer_ratio())) not in cache]
-    counts = [count_eigs(tree, x) for x in xs]
+
+def _count_key(num: int, den: int) -> tuple[str, int, int]:
+    """The cache key count_eigs files the count at num / den under."""
+    g = math.gcd(num, den)
+    return "cnt", num // g, den // g
+
+
+def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int], counts: list[EigCounts],
+            one_off: list) -> tuple[int, list[tuple[int, int, int]]]:
+    """(den, [(lo, hi, count)] descending) from the exact counts at the first
+    probes `points` (over den), each interval bisected until it is at most
+    tol wide.  The keys in `one_off`, and those of the bisection midpoints
+    not cached before, leave the tree's cache once the spectrum is proved."""
+    n = tree.n
+    tn, td = tol.numerator, tol.denominator
     if counts[0].below != 0 or counts[0].equal != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
     if counts[-1].below + counts[-1].equal != n:
@@ -277,6 +295,7 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
         if m > 0:
             work.append((a, b, m, ca.below + ca.equal))
 
+    cache = tree._cache
     while work:
         lo, hi, m, at_lo = work[-1]
         if (hi - lo) * td <= tn * den:
@@ -305,6 +324,101 @@ def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int
     for key in one_off:
         cache.pop(key, None)
     return den, found
+
+
+def _one_off(tree: Tree, points: list[int], keys: Iterable[tuple], fixed: set[int]) -> list:
+    """The count keys (one per point) of the one-off first probes not cached yet."""
+    cache = tree._cache
+    return [key for p, key in zip(points, keys) if p not in fixed and key not in cache]
+
+
+def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
+    """(den, [(lo, hi, count)] descending) covering the whole spectrum, each
+    endpoint an integer N standing for N / den.  Each entry is proved by exact
+    counts to contain exactly `count` eigenvalues and has width <= tol; one
+    with lo == hi is an exact hit, and no entry has d_bar strictly inside.
+    """
+    den, points, fixed = _propose(tree.n, np.linalg.eigvalsh(laplacian_matrix(tree)), tol)
+    one_off = _one_off(tree, points, (_count_key(p, den) for p in points), fixed)
+    counts = [count_eigs(tree, Fraction(x, den)) for x in points]
+    return _bisect(tree, tol, den, points, counts, one_off)
+
+
+# ---- block route: one float walk over many (tree, probe) lanes ------------------
+
+# trees per block: it bounds the walk's (B, n, 2, P) pivot array and the trees held
+# at once; at n <= 12, 64 and 128 were no faster and held more memory
+BLOCK = 32
+
+
+def _below_many(trees: Sequence[Tree], probes: Sequence[tuple[int, list[int]]]) -> list[list[int | None]]:
+    """For trees of one order, probes[b] = (den, [N, ...]) thresholds N / den
+    of trees[b]: the number of eigenvalues of trees[b] below each threshold,
+    or None where the float stage declines.
+
+    This is `_inertia_float` run on every (tree, probe) lane at once.  Each
+    tree's vertices are numbered by their place in its post-order from
+    count_eigs's root (the root comes last), so step i of the walk takes
+    vertex i of every tree.  Pivot intervals are (B, 2, P) arrays, lo and hi
+    on the middle axis; every +, - and 1/x is widened one ulp outward with
+    np.nextafter, and each vertex's reciprocal is scattered into its parent's
+    pivot.  A lane declines when one of its pivot intervals contains 0 or is
+    not finite; the lanes that pad a short probe list are NaN and decline
+    too.  A lane that does not decline has the tally of the exact pass, by
+    the argument in `_inertia_float`.
+    """
+    n, rows = trees[0].n, np.arange(len(trees))
+    width = max(len(points) for _, points in probes)
+    alpha = np.full((len(trees), width), np.nan)
+    deg = np.empty((len(trees), n))
+    parent = np.zeros((len(trees), n), dtype=np.intp)
+    for b, (tree, (den, points)) in enumerate(zip(trees, probes)):
+        alpha[b, :len(points)] = [-x / den for x in points]  # int / int is correctly rounded
+        order, par, _ = tree.rooted(tree.centroids()[0])
+        place = {v: i for i, v in enumerate(order)}
+        deg[b] = [tree.degrees[v] for v in order]
+        parent[b, :-1] = [place[par[v]] for v in order[:-1]]
+    out = np.array([[-np.inf], [np.inf]])  # lo rounds down, hi up
+    step = np.nextafter
+    with np.errstate(all="ignore"):
+        a = np.stack([step(alpha, -np.inf), step(alpha, np.inf)], axis=1)
+        piv = deg[:, :, None, None] + a[:, None]  # (B, n, 2, P)
+        step(piv, out, out=piv)
+        below = np.zeros(alpha.shape, dtype=np.intp)
+        declined = np.zeros(alpha.shape, dtype=bool)
+        for i in range(n):
+            v = piv[:, i]
+            lo, hi = v[:, 0], v[:, 1]
+            neg = (hi < 0.0) & (-np.inf < lo)
+            declined |= ~(neg | ((0.0 < lo) & (lo <= hi) & (hi < np.inf)))
+            below += neg
+            if i < n - 1:
+                inv = step(1.0 / v[:, ::-1], out)  # [1/hi, 1/lo], widened
+                up = parent[:, i]
+                piv[rows, up] = step(piv[rows, up] - inv[:, ::-1], out)
+    return [[None if no else k for k, no in zip(ks[:len(points)], nos)]
+            for ks, nos, (_, points) in zip(below.tolist(), declined.tolist(), probes)]
+
+
+def _block_enclosures(trees: Sequence[Tree], tol: Fraction) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """_distinct_enclosures of each of some trees of one order, the same
+    results and the same cache entries: one stacked eigvalsh, one float walk
+    for all first probes, the exact count_eigs only where a lane declines,
+    and the bisection of each tree as before."""
+    n = trees[0].n
+    est = np.linalg.eigvalsh(np.stack([laplacian_matrix(t) for t in trees]))
+    proposals = [_propose(n, row, tol) for row in est]
+    probes = [(den, points) for den, points, _ in proposals]
+    results = []
+    for tree, (den, points, fixed), below in zip(trees, proposals, _below_many(trees, probes)):
+        keys = [_count_key(x, den) for x in points]
+        one_off = _one_off(tree, points, keys, fixed)
+        cache = tree._cache
+        counts = [count_eigs(tree, Fraction(x, den)) if k is None
+                  else cache.setdefault(key, EigCounts(k, 0, n - k))
+                  for x, key, k in zip(points, keys, below)]
+        results.append(_bisect(tree, tol, den, points, counts, one_off))
+    return results
 
 
 @dataclass(frozen=True)
@@ -376,24 +490,49 @@ class Spectrum:
         return Enclosure(2 * (lo - shift), 2 * (hi - shift), self.den)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise BadParam(f"tol must be finite and > 0, got {tol}")
+
+
+def _keep_spectrum(tree: Tree, tol: float, den: int, distinct: list[tuple[int, int, int]]) -> Spectrum:
+    """The Spectrum of proved enclosures, cached on the tree under tol."""
+    d_bar_num = 2 * (tree.n - 1) * (den // tree.n)
+    sig = sum(m for lo, _, m in distinct if lo >= d_bar_num)
+    spec = tree._cache[("spectrum", tol)] = Spectrum(tree.n, tuple(distinct), den, sig)
+    return spec
+
+
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     """Certified spectrum with per-eigenvalue enclosure width <= tol.
 
     Cached on the tree per tolerance (Spectrum is immutable and trees are
     shared freely, so repeated bound checks cost one computation).
     """
-    if not 0 < tol < math.inf:
-        raise BadParam(f"tol must be finite and > 0, got {tol}")
-    key = ("spectrum", tol)
-    hit = tree._cache.get(key)
+    _check_tol(tol)
+    hit = tree._cache.get(("spectrum", tol))
     if hit is not None:
         return hit
-    den, distinct = _distinct_enclosures(tree, Fraction(tol))
-    d_bar_num = 2 * (tree.n - 1) * (den // tree.n)
-    sig = sum(m for lo, _, m in distinct if lo >= d_bar_num)
-    spec = Spectrum(tree.n, tuple(distinct), den, sig)
-    tree._cache[key] = spec
-    return spec
+    return _keep_spectrum(tree, tol, *_distinct_enclosures(tree, Fraction(tol)))
+
+
+def eigenvalues_many(trees: Sequence[Tree], tol: float = 1e-12) -> list[Spectrum]:
+    """[eigenvalues(t, tol) for t in trees], the trees not yet cached at tol
+    computed as blocks of up to BLOCK trees of one order.  Each tree's cache
+    ends as eigenvalues() would leave it."""
+    _check_tol(tol)
+    key = ("spectrum", tol)
+    by_order: dict[int, dict[int, Tree]] = {}
+    for t in trees:
+        if key not in t._cache:
+            by_order.setdefault(t.n, {})[id(t)] = t
+    for group in by_order.values():
+        group = list(group.values())
+        for i in range(0, len(group), BLOCK):
+            block = group[i:i + BLOCK]
+            for t, found in zip(block, _block_enclosures(block, Fraction(tol))):
+                _keep_spectrum(t, tol, *found)
+    return [t._cache[key] for t in trees]
 
 
 def s_k(tree: Tree, k: int, tol: float = 1e-12) -> Enclosure:

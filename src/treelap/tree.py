@@ -264,6 +264,29 @@ def component_code(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
     return len(side[0]), code
 
 
+def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
+    """(a, b) -> AHU code of the component of a in T - ab, rooted at a, for
+    both directions of every edge: one pass up the tree and one down it, so
+    rooted isomorphism classes of edge sides cost no walk per edge.  Cached."""
+    hit = tree._cache.get("side_codes")
+    if hit is not None:
+        return hit
+    order, parent, kids = tree.rooted(0)
+    below: list[bytes] = [b""] * tree.n  # v's side of the edge to its parent
+    above: list[bytes] = [b""] * tree.n  # the parent's side of that edge
+    for v in order:
+        below[v] = b"(" + b"".join(sorted(below[c] for c in kids[v])) + b")"
+    codes = tree._cache["side_codes"] = {}
+    for v in reversed(order):  # parents first
+        around = sorted([below[c] for c in kids[v]] + ([above[v]] if parent[v] >= 0 else []))
+        for c in kids[v]:
+            i = around.index(below[c])
+            above[c] = b"(" + b"".join(around[:i]) + b"".join(around[i + 1:]) + b")"
+            codes[c, v] = below[c]
+            codes[v, c] = above[c]
+    return codes
+
+
 def _ahu(orientation) -> bytes:
     """AHU code of an oriented component (as from _orient), at its root."""
     order, _, kids = orientation

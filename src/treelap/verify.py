@@ -14,12 +14,14 @@ import os
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Collection, Iterable, Sequence
 
 from . import bounds, families
 from .enumeration import EnumRange, free_trees_sharded
 from .errors import BadParam
-from .spectral import eigenvalues, sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
+from .spectral import BLOCK, eigenvalues, eigenvalues_many
+from .spectral import sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
 
 DESK_CEILING = 16
@@ -258,6 +260,30 @@ class RunSummary:
             self.argmin_code = label
 
 
+def _evaluate(tree: Tree, code: str, config: RunConfig) -> VerifyRecord:
+    """The record of one tree: the conjecture and every configured check."""
+    rep = bounds.conjecture_check(tree, config.tol)
+    checks = {"conjecture": rep.holds}
+    for cid in config.checks:
+        if cid not in checks:
+            reports = bounds.CHECKS[cid].reports(tree, config.tol)
+            checks[cid] = bounds._all3(*(r.holds for r in reports))
+    return VerifyRecord(
+        code=code,
+        n=tree.n,
+        diam=diameter(tree),
+        s=degree_summary(tree).internal_count,
+        sigma=eigenvalues(tree, config.tol).sigma,
+        le=rep.lhs.value,
+        le_err=rep.lhs.err,
+        le_path=rep.inputs["le_path"],
+        le_star=rep.inputs["le_star"],
+        slack=rep.slack,
+        tol=config.tol,
+        checks=checks,
+    )
+
+
 def run_exhaustive(config: RunConfig) -> RunSummary:
     """Stream all free trees in the configured range through the conjecture
     check (plus any enabled bound checks), appending one record per tree.
@@ -268,6 +294,11 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     checks, or were made at another tolerance, is refused.  For the length
     of the enumeration the bound checks share T - e components per
     isomorphism class (see bounds._split_counts).
+
+    The trees of one order go through in blocks of up to BLOCK: the spectra
+    of a block's trees not in the sink are computed together
+    (spectral.eigenvalues_many), then each tree is checked and its record
+    written in enumeration order.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
@@ -291,37 +322,21 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     with sink_file as sink, bounds._shared_components():
         for n in range(config.n_min, config.n_max + 1):
             summary.counts_by_n[n] = 0
-            for tree in free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)):
-                code = canonical_code(tree).decode("ascii")
-                rec = existing.get(code)
-                if rec is not None:
-                    summary.skipped += 1
+            trees = iter(free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)))
+            while block := [(canonical_code(t).decode("ascii"), t) for t in islice(trees, BLOCK)]:
+                fresh = [tree for code, tree in block if code not in existing]
+                if fresh:
+                    eigenvalues_many(fresh, config.tol)
+                for code, tree in block:
+                    rec = existing.get(code)
+                    if rec is not None:
+                        summary.skipped += 1
+                    else:
+                        rec = _evaluate(tree, code, config)
+                        summary.trees += 1
+                        if sink:
+                            sink.write(record_to_json(rec) + "\n")
                     summary._tally(rec, rec.checks.values(), code)
-                    continue
-                rep = bounds.conjecture_check(tree, config.tol)
-                checks = {"conjecture": rep.holds}
-                for cid in config.checks:
-                    if cid not in checks:
-                        reports = bounds.CHECKS[cid].reports(tree, config.tol)
-                        checks[cid] = bounds._all3(*(r.holds for r in reports))
-                rec = VerifyRecord(
-                    code=code,
-                    n=n,
-                    diam=diameter(tree),
-                    s=degree_summary(tree).internal_count,
-                    sigma=eigenvalues(tree, config.tol).sigma,
-                    le=rep.lhs.value,
-                    le_err=rep.lhs.err,
-                    le_path=rep.inputs["le_path"],
-                    le_star=rep.inputs["le_star"],
-                    slack=rep.slack,
-                    tol=config.tol,
-                    checks=checks,
-                )
-                summary.trees += 1
-                summary._tally(rec, checks.values(), code)
-                if sink:
-                    sink.write(record_to_json(rec) + "\n")
     return summary
 
 

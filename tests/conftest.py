@@ -31,7 +31,8 @@ package so that `src/` has one implementation of each thing:
 * `leading`, `is_zero`, `eval_poly` and `derivative`, the `Poly` helpers
   only that counter and the tests use,
 * `assert_component_codes`, the codes of both sides of T - e read off T
-  against those of the components delete_edge builds,
+  against those of the components delete_edge builds, and the rooted side
+  codes of `side_codes` against the recursive `rooted_side_code`,
 * `char_poly_forest`, `relabel`, and `pi_rational_bounds`, an independent
   Machin-series enclosure of pi,
 * `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
@@ -59,7 +60,7 @@ from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
 from treelap.spectral import EigCounts, Spectrum, _clusters, average_degree, count_eigs, laplacian_matrix
-from treelap.tree import Tree, canonical_code, component_code, delete_edge, from_pruefer
+from treelap.tree import Tree, canonical_code, component_code, delete_edge, from_pruefer, side_codes
 
 
 # ---------------------------------------------------------------- labeled census
@@ -618,15 +619,22 @@ def root_count_with_multiplicity(p: Poly, lo, hi) -> int:
 # ----------------------------------------------------------------- tree relabel
 
 
+def rooted_side_code(tree: Tree, v: int, away: int) -> bytes:
+    """AHU code of the component of v in T - {v, away}, rooted at v, by recursion."""
+    return b"(" + b"".join(sorted(rooted_side_code(tree, c, v) for c in tree.adj[v] if c != away)) + b")"
+
+
 def assert_component_codes(tree: Tree, a: int, b: int) -> None:
     """component_code of both sides of the edge ab equals (order,
     canonical_code) of delete_edge's components: the larger first, a's side
-    first when the orders tie."""
+    first when the orders tie.  side_codes holds each side's rooted code."""
     split = delete_edge(tree, (a, b))
     side_a, side_b = component_code(tree, a, b), component_code(tree, b, a)
     first, second = (side_a, side_b) if side_a[0] >= side_b[0] else (side_b, side_a)
     assert first == (split.first.n, canonical_code(split.first))
     assert second == (split.second.n, canonical_code(split.second))
+    rooted = side_codes(tree)
+    assert (rooted[a, b], rooted[b, a]) == (rooted_side_code(tree, a, b), rooted_side_code(tree, b, a))
 
 
 def relabel(tree: Tree, perm) -> Tree:

@@ -458,6 +458,20 @@ class TestSharedComponents:
         assert seen[0] is first[0] and seen[1] is other[1]
         assert bounds._components is None
 
+    def test_component_code_runs_once_per_rooted_class_of_sides(self, monkeypatch):
+        sides = []
+        real = bounds.component_code
+        monkeypatch.setattr(bounds, "component_code", lambda tree, a, b: sides.append((a, b)) or real(tree, a, b))
+        with bounds._shared_components():
+            bounds._split_counts(path(9), (2, 3))  # P_3 and P_6, each rooted at an end: new
+            assert sides == [(2, 3), (3, 2)]
+            bounds._split_counts(path(9), (5, 6))  # the same two rooted sides
+            bounds._split_counts(path(10), (3, 4))  # P_4 is new, P_6 rooted at an end is not
+            assert sides == [(2, 3), (3, 2), (3, 4)]
+            with pytest.raises(PendantEdge):  # S_4 rooted at its center and a lone vertex, both new
+                bounds._split_counts(star(5), (0, 1))
+            assert len(sides) == 5
+
     @staticmethod
     def _table_sizes(monkeypatch) -> list:
         """len(bounds._components) at each _split_counts call."""

@@ -2,12 +2,14 @@
 stage of the congruence pass against its exact stage, exact counts and
 certified enclosures against a dense eigensolver, the side of d_bar
 each enclosure lies on, the integer prober against the Fraction one, the
-codes of T - e components read off T, and thm32 with T - e components
-shared per isomorphism class."""
+block route (one float walk over many trees and probes) against the exact
+pass and against the single-tree route, the codes of T - e components read
+off T, and thm32 with T - e components shared per isomorphism class."""
 
 import functools
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -19,7 +21,16 @@ from hypothesis import strategies as st
 
 from treelap import bounds
 from treelap.cli import main as cli_main
-from treelap.spectral import _inertia_exact, _inertia_float, average_degree, count_eigs, eigenvalues, laplacian_matrix
+from treelap.spectral import (
+    _below_many,
+    _inertia_exact,
+    _inertia_float,
+    average_degree,
+    count_eigs,
+    eigenvalues,
+    eigenvalues_many,
+    laplacian_matrix,
+)
 from treelap.tree import Tree, delete_edge
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
@@ -159,6 +170,52 @@ def test_integer_prober_equals_the_fraction_oracle(tree, tol):
     for k in range(tree.n + 1):
         assert spec.s_k(k) == fraction_s_k(oracle, tree.n, k)
     assert spec.laplacian_energy() == le_two_forms(spec)
+
+
+@st.composite
+def blocks(draw, n_max: int = 30):
+    """1 to 6 random trees of one order, the smallest orders drawn often;
+    sometimes the first tree appears twice."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, n_max)), label="n")
+    block = [draw(trees(n, n)) for _ in range(draw(st.integers(1, 6), label="trees"))]
+    return block + block[:1] if draw(st.booleans(), label="repeat") else block
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_decided_lane_of_a_block_walk_has_the_exact_tally(data):
+    # each tree gets its own number of probes, none included, so lanes are padded
+    block = data.draw(blocks())
+    probes = []
+    for tree in block:
+        xs = data.draw(st.lists(thresholds(tree), max_size=12), label="thresholds")
+        den = math.lcm(*(x.denominator for x in xs))
+        probes.append((den, [int(x * den) for x in xs]))
+    for tree, (den, points), below in zip(block, probes, _below_many(block, probes)):
+        assert len(below) == len(points)
+        root = tree.centroids()[0]
+        for x, k in zip(points, below):
+            if k is not None:
+                assert (k, 0, tree.n - k) == _inertia_exact(tree, -x, den, root)
+
+
+def _counts(tree: Tree) -> dict:
+    return {key: val for key, val in tree._cache.items() if key[0] == "cnt"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks(), st.sampled_from([1e-12, 1e-6, 0.05, 0.3]))
+def test_a_block_leaves_each_cache_as_eigenvalues_does(block, tol):
+    specs = eigenvalues_many(block, tol)
+    for tree, spec in zip(block, specs):
+        fresh = Tree(tree.n, tree.edges)
+        assert spec == eigenvalues(fresh, tol)
+        assert tree._cache[("spectrum", tol)] is spec
+        assert _counts(tree) == _counts(fresh)
+        # the one-off probe counts are gone: what stays is at 0, n, d_bar and the integers
+        kept = {Fraction(num, den) for _, num, den in _counts(tree)}
+        assert {0, tree.n, average_degree(tree)} <= kept
+        assert all(x.denominator == 1 or x == average_degree(tree) for x in kept)
 
 
 @settings(max_examples=100, deadline=None)

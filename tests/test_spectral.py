@@ -421,3 +421,51 @@ class TestIntegerProber:
         assert multiplicity_of_one(t) == 4
         assert count_eigs(t, average_degree(t)) == EigCounts(5, 0, 1)
         assert count_eigs(t, 1.0) == EigCounts(1, 4, 1)
+
+
+class TestBlockRoute:
+    """eigenvalues_many: one stacked estimate and one float walk per block of
+    trees of one order, then the single-tree route's bisection."""
+
+    def test_the_walk_declines_at_zero_and_decides_between_the_integers(self):
+        # no eigenvalue and no pivot of a tree Laplacian is a half-integer
+        trees = list(free_trees(8))
+        points = [0, *(2 * k + 1 for k in range(8))]  # over 2: 0, 1/2, 3/2, ..., 15/2
+        below = spectral._below_many(trees, [(2, points)] * len(trees))
+        for t, ks in zip(trees, below):
+            assert ks[0] is None
+            root = t.centroids()[0]
+            assert [(k, 0, t.n - k) for k in ks[1:]] == [_inertia_exact(t, -x, 2, root) for x in points[1:]]
+
+    def test_blocks_of_mixed_orders_leave_the_caches_of_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(spectral, "BLOCK", 5)
+        blocks = []
+        real = spectral._block_enclosures
+        monkeypatch.setattr(spectral, "_block_enclosures", lambda trees, tol: blocks.append(trees) or real(trees, tol))
+        trees = [t for n in range(1, 9) for t in free_trees(n)]
+        random.Random(5).shuffle(trees)
+        fresh = [Tree(t.n, t.edges) for t in trees]
+        for t in trees[::4] + fresh[::4]:
+            count_eigs(t, Fraction(7, 3))  # a count taken before the spectrum stays
+        specs = spectral.eigenvalues_many(trees + trees[:3], 1e-9)
+        assert specs[-3:] == specs[:3]
+        assert sum(len(b) for b in blocks) == len(trees)
+        assert all(len(b) <= 5 and len({t.n for t in b}) == 1 for b in blocks)
+        for t, f, spec in zip(trees, fresh, specs):
+            assert spec == eigenvalues(f, 1e-9)
+            assert t._cache == f._cache
+
+    def test_a_cached_spectrum_is_not_computed_again(self, monkeypatch):
+        t = path(6)
+        spec = eigenvalues(t)
+
+        def no_block(*args):
+            raise AssertionError("block computed for a cached spectrum")
+
+        monkeypatch.setattr(spectral, "_block_enclosures", no_block)
+        assert spectral.eigenvalues_many([t, t]) == [spec, spec]
+        assert spectral.eigenvalues_many([]) == []
+
+    def test_bad_tol(self):
+        with pytest.raises(BadParam):
+            spectral.eigenvalues_many([path(3)], math.inf)

@@ -25,6 +25,7 @@ from treelap.verify import (
     run_family_sweep,
 )
 from treelap.cli import main as cli_main
+from treelap.tree import canonical_code
 
 
 def test_run_exhaustive_counts_and_zero_violations(tmp_path):
@@ -89,6 +90,70 @@ def test_resume_skips_existing_codes(tmp_path):
     assert second.trees == 6
     codes = [json.loads(x)["code"] for x in sink.read_text().splitlines()]
     assert len(codes) == len(set(codes)) == 9
+
+
+def _lines(summary) -> list[str]:
+    return [record_to_json(rec) for rec in summary.records]
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """The trees of each block whose spectra run_exhaustive computes."""
+    blocks = []
+    real = verify.eigenvalues_many
+
+    def spy(trees, tol):
+        blocks.append(list(trees))
+        return real(trees, tol)
+
+    monkeypatch.setattr(verify, "eigenvalues_many", spy)
+    return blocks
+
+
+def test_fully_resumed_run_computes_no_block(tmp_path, monkeypatch):
+    sink = tmp_path / "records.jsonl"
+    first = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink)))
+    blocks = _spy_blocks(monkeypatch)
+    again = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink)))
+    assert blocks == []
+    assert (again.trees, again.skipped) == (0, first.trees)
+    assert _lines(again) == _lines(first)
+
+
+def test_blocks_hold_only_trees_missing_from_the_sink(tmp_path, monkeypatch):
+    sink = tmp_path / "records.jsonl"
+    full = run_exhaustive(RunConfig(n_min=9, n_max=9))
+    kept = _lines(full)[::3]
+    sink.write_text("".join(line + "\n" for line in kept))
+    blocks = _spy_blocks(monkeypatch)
+    resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
+    codes = [canonical_code(t).decode() for block in blocks for t in block]
+    assert sorted(codes) == sorted(rec.code for rec in full.records[1::3] + full.records[2::3])
+    assert all(0 < len(block) <= spectral.BLOCK for block in blocks)
+    assert _lines(resumed) == _lines(full)  # enumeration order, skipped records in place
+
+
+def test_interrupted_block_loses_work_but_never_a_record(tmp_path, monkeypatch):
+    # the 47 trees of order 9 make one block; the check fails on the 20th
+    sink = tmp_path / "records.jsonl"
+    real = verify.bounds.conjecture_check
+    calls = []
+
+    def failing(tree, tol):
+        calls.append(1)
+        if len(calls) == 20:
+            raise KeyboardInterrupt
+        return real(tree, tol)
+
+    monkeypatch.setattr(verify.bounds, "conjecture_check", failing)
+    with pytest.raises(KeyboardInterrupt):
+        run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
+    monkeypatch.undo()
+    lines = sink.read_text().splitlines()
+    assert len(lines) == 19  # every tree checked before the failure
+    full = run_exhaustive(RunConfig(n_min=9, n_max=9))
+    resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
+    assert (resumed.skipped, resumed.trees) == (19, full.trees - 19)
+    assert _lines(resumed) == _lines(full)
 
 
 def test_sharding_merges_to_full_run():
