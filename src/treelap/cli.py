@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds as bounds_mod
@@ -20,7 +19,7 @@ from . import families
 from .charpoly import char_poly
 from .enumeration import EnumRange, count_free_trees, free_trees_sharded
 from .errors import TreelapError
-from .spectral import eigenvalues
+from .spectral import check_tol, eigenvalues
 from .tree import (
     Tree,
     format_edge_text,
@@ -245,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not 0 < getattr(args, "tol", 1.0) < math.inf:
-            raise TreelapError(f"--tol must be finite and > 0, got {args.tol}")
+        check_tol(getattr(args, "tol", 1.0))
         return args.fn(args)
     except (TreelapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,6 +106,10 @@ def _next_free(seq: list[int]) -> list[int] | None:
 
 
 def _free_layouts(n: int) -> Iterator[list[int]]:
+    if n < 1:
+        raise BadParam(f"order must be >= 1, got {n}")
+    if n > MAX_ORDER:
+        raise BadParam(f"enumeration is supported up to n = {MAX_ORDER}, got {n}")
     if n == 1:
         yield [0]
         return
@@ -137,10 +141,6 @@ def _layout_to_tree(seq: list[int]) -> Tree:
 
 def free_trees(n: int) -> Iterator[Tree]:
     """Stream one representative per isomorphism class of trees on n vertices."""
-    if n < 1:
-        raise BadParam(f"order must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise BadParam(f"enumeration is supported up to n = {MAX_ORDER}, got {n}")
     for seq in _free_layouts(n):
         yield _layout_to_tree(seq)
 
@@ -148,10 +148,6 @@ def free_trees(n: int) -> Iterator[Tree]:
 def count_free_trees(n: int) -> int:
     """Number of isomorphism classes, by running the generator without
     materializing trees (layout iteration only)."""
-    if n < 1:
-        raise BadParam(f"order must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise BadParam(f"enumeration is supported up to n = {MAX_ORDER}, got {n}")
     return sum(1 for _ in _free_layouts(n))
 
 

@@ -18,22 +18,26 @@ straddles it.  Every probe is an integer over one denominator per tree; the
 prober, S_k and LE = 2 (S_sigma - sigma * d_bar) are integer sums over it,
 and each eigenvalue, S_k and LE is an Enclosure over that denominator, so
 the only Fractions built are the probes handed to count_eigs and the values
-a caller reads.  Once a spectrum is proved, the counts its prober made at
-one-off probes (beside estimates, at bisection midpoints) leave the tree's
-cache; the counts at 0, n, d_bar and the integers stay.
+a caller reads.  Once a spectrum is proved, the counts its prover added to
+the tree's cache leave it, except those at d_bar and at the integers;
+counts cached before the proof stay.
 
-Block route (eigenvalues_many), for many trees of one order: one stacked
-eigvalsh, the single-tree route's probe proposals (_propose) for each tree,
-and one float walk (_below_many) whose lanes are (tree, probe) pairs.  Every
-tree's vertices are numbered by their post-order place from the root
-count_eigs uses, so step i of the walk takes vertex i of every tree; pivot
-intervals are (B, 2, P) arrays, every +, - and 1/x is widened one ulp
-outward, and each vertex's reciprocal is scattered into its parent's pivot.
-A lane that decides has the exact pass's tally, by the argument of
-_inertia_float; a lane that declines, as it must at an eigenvalue, goes to
-the exact count_eigs.  The counts are therefore those of the single-tree
-route, the bisection (_bisect) is shared, and each tree's enclosures, cache
-and every byte derived from them equal the single-tree route's.
+One prover (_prove) takes a block of trees of one order: one stacked
+eigvalsh, the probe proposals (_propose) of each tree, the first counts,
+then each tree's bisection (_bisect).  A lone tree (eigenvalues) is a block
+of one, and its first counts are count_eigs calls, probe by probe.  A block
+of several (eigenvalues_many, for exhaustive runs) takes them from one float
+walk (_below_many) whose lanes are (tree, probe) pairs.  Lone trees stay on
+count_eigs: the walk is faster on large ones too, but that switch waits for
+a benchmark that reads memory apart from throughput.  Every tree's vertices
+are numbered by their post-order place from the root count_eigs uses, so
+step i of the walk takes vertex i of every tree; pivot intervals are
+(B, 2, P) arrays, every +, - and 1/x is widened one ulp outward, and each
+vertex's reciprocal is scattered into its parent's pivot.  A lane that decides has
+the exact pass's tally, by the argument of _inertia_float; a lane that
+declines, as it must at an eigenvalue, goes to the exact count_eigs.  Either
+way the first counts are the same, so each tree's enclosures, cache and
+every byte derived from them do not depend on the block it was proved in.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,7 +193,7 @@ def count_eigs(tree: Tree, x) -> EigCounts:
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    key = ("cnt", x.numerator, x.denominator)  # as _distinct_enclosures reads it
+    key = ("cnt", x.numerator, x.denominator)  # as _count_key builds it
     hit = tree._cache.get(key)
     if hit is None:
         root = tree.centroids()[0]
@@ -240,32 +244,31 @@ def _to_grid(num: int, d: int, den: int, found: list, work: list) -> tuple[int, 
     return num * den // d, den
 
 
-def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int], set[int]]:
-    """(den, points, fixed): the first probes of a tree of order n, ascending,
-    each an integer N standing for N / den, proposed from its float estimates
-    `est` (ascending).  `fixed` holds 0, n, d_bar and the integers next to a
-    cluster of estimates; the other points lie tol/2 outside each cluster.
-    Correctness never depends on the estimates."""
+def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int]]:
+    """(den, points): the first probes of a tree of order n, ascending, each
+    an integer N standing for N / den, proposed from its float estimates
+    `est` (ascending): 0, n, d_bar, the integers next to a cluster of
+    estimates and the points tol/2 outside each cluster.  Correctness never
+    depends on the estimates."""
     tn, td = tol.numerator, tol.denominator
     clusters = _clusters(est, float(tol))
     ratios = [(clo.as_integer_ratio(), chi.as_integer_ratio()) for clo, chi in clusters]
     den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
     pad = tn * (den // (2 * td))
     top = n * den
-    fixed = {0, top, 2 * (n - 1) * (den // n)}  # 0, n, d_bar and the integers below
-    probes = []
+    points = {0, top, 2 * (n - 1) * (den // n)}  # 0, n, d_bar
     for (clo, chi), ((lo_n, lo_d), (hi_n, hi_d)) in zip(clusters, ratios):
         center = (clo + chi) / 2
         k = round(center)
         if abs(center - k) < 0.45 and 0 <= k <= n:
-            fixed.add(k * den)
+            points.add(k * den)
         lo_p = lo_n * (den // lo_d) - pad
         hi_p = hi_n * (den // hi_d) + pad
         if lo_p > 0:
-            probes.append(lo_p)
+            points.add(lo_p)
         if 0 < hi_p < top:  # eigvalsh can put the zero eigenvalue below 0
-            probes.append(hi_p)
-    return den, sorted(fixed.union(probes)), fixed
+            points.add(hi_p)
+    return den, sorted(points)
 
 
 def _count_key(num: int, den: int) -> tuple[str, int, int]:
@@ -274,12 +277,13 @@ def _count_key(num: int, den: int) -> tuple[str, int, int]:
     return "cnt", num // g, den // g
 
 
-def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int], counts: list[EigCounts],
-            one_off: list) -> tuple[int, list[tuple[int, int, int]]]:
+def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
+            counts: list[EigCounts]) -> tuple[int, list[tuple[int, int, int]]]:
     """(den, [(lo, hi, count)] descending) from the exact counts at the first
     probes `points` (over den), each interval bisected until it is at most
-    tol wide.  The keys in `one_off`, and those of the bisection midpoints
-    not cached before, leave the tree's cache once the spectrum is proved."""
+    tol wide.  Each entry is proved by exact counts to hold exactly `count`
+    eigenvalues; one with lo == hi is an exact hit, and no entry has d_bar
+    strictly inside."""
     n = tree.n
     tn, td = tol.numerator, tol.denominator
     if counts[0].below != 0 or counts[0].equal != 1:
@@ -295,7 +299,6 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int], counts: list
         if m > 0:
             work.append((a, b, m, ca.below + ca.equal))
 
-    cache = tree._cache
     while work:
         lo, hi, m, at_lo = work[-1]
         if (hi - lo) * td <= tn * den:
@@ -306,10 +309,7 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int], counts: list
             num, d = lo + hi, 2 * den
         mid, den = _to_grid(num, d, den, found, work)
         lo, hi, m, at_lo = work.pop()
-        x = Fraction(mid, den)
-        if (key := ("cnt", *x.as_integer_ratio())) not in cache:
-            one_off.append(key)
-        c = count_eigs(tree, x)
+        c = count_eigs(tree, Fraction(mid, den))
         if c.equal:
             found.append((mid, mid, c.equal))
         m_left = c.below - at_lo
@@ -321,30 +321,10 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int], counts: list
 
     found.sort(reverse=True)
     assert sum(m for _, _, m in found) == n
-    for key in one_off:
-        cache.pop(key, None)
     return den, found
 
 
-def _one_off(tree: Tree, points: list[int], keys: Iterable[tuple], fixed: set[int]) -> list:
-    """The count keys (one per point) of the one-off first probes not cached yet."""
-    cache = tree._cache
-    return [key for p, key in zip(points, keys) if p not in fixed and key not in cache]
-
-
-def _distinct_enclosures(tree: Tree, tol: Fraction) -> tuple[int, list[tuple[int, int, int]]]:
-    """(den, [(lo, hi, count)] descending) covering the whole spectrum, each
-    endpoint an integer N standing for N / den.  Each entry is proved by exact
-    counts to contain exactly `count` eigenvalues and has width <= tol; one
-    with lo == hi is an exact hit, and no entry has d_bar strictly inside.
-    """
-    den, points, fixed = _propose(tree.n, np.linalg.eigvalsh(laplacian_matrix(tree)), tol)
-    one_off = _one_off(tree, points, (_count_key(p, den) for p in points), fixed)
-    counts = [count_eigs(tree, Fraction(x, den)) for x in points]
-    return _bisect(tree, tol, den, points, counts, one_off)
-
-
-# ---- block route: one float walk over many (tree, probe) lanes ------------------
+# ---- block walk: one float pass over many (tree, probe) lanes -------------------
 
 # trees per block: it bounds the walk's (B, n, 2, P) pivot array and the trees held
 # at once; at n <= 12, 64 and 128 were no faster and held more memory
@@ -400,27 +380,6 @@ def _below_many(trees: Sequence[Tree], probes: Sequence[tuple[int, list[int]]]) 
             for ks, nos, (_, points) in zip(below.tolist(), declined.tolist(), probes)]
 
 
-def _block_enclosures(trees: Sequence[Tree], tol: Fraction) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """_distinct_enclosures of each of some trees of one order, the same
-    results and the same cache entries: one stacked eigvalsh, one float walk
-    for all first probes, the exact count_eigs only where a lane declines,
-    and the bisection of each tree as before."""
-    n = trees[0].n
-    est = np.linalg.eigvalsh(np.stack([laplacian_matrix(t) for t in trees]))
-    proposals = [_propose(n, row, tol) for row in est]
-    probes = [(den, points) for den, points, _ in proposals]
-    results = []
-    for tree, (den, points, fixed), below in zip(trees, proposals, _below_many(trees, probes)):
-        keys = [_count_key(x, den) for x in points]
-        one_off = _one_off(tree, points, keys, fixed)
-        cache = tree._cache
-        counts = [count_eigs(tree, Fraction(x, den)) if k is None
-                  else cache.setdefault(key, EigCounts(k, 0, n - k))
-                  for x, key, k in zip(points, keys, below)]
-        results.append(_bisect(tree, tol, den, points, counts, one_off))
-    return results
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Certified spectrum mu_1 >= ... >= mu_n = 0 of one tree.
@@ -435,7 +394,12 @@ class Spectrum:
     n: int
     distinct: tuple[tuple[int, int, int], ...]
     den: int
-    sigma: int
+
+    @functools.cached_property
+    def sigma(self) -> int:
+        """#{mu_i >= d_bar}: the eigenvalues in enclosures with lo >= d_bar."""
+        d_bar = 2 * (self.n - 1) * (self.den // self.n)
+        return sum(m for lo, _, m in self.distinct if lo >= d_bar)
 
     @functools.cached_property
     def enclosures(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -490,17 +454,43 @@ class Spectrum:
         return Enclosure(2 * (lo - shift), 2 * (hi - shift), self.den)
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """The one rule for a tolerance: finite and > 0."""
     if not 0 < tol < math.inf:
         raise BadParam(f"tol must be finite and > 0, got {tol}")
 
 
-def _keep_spectrum(tree: Tree, tol: float, den: int, distinct: list[tuple[int, int, int]]) -> Spectrum:
-    """The Spectrum of proved enclosures, cached on the tree under tol."""
-    d_bar_num = 2 * (tree.n - 1) * (den // tree.n)
-    sig = sum(m for lo, _, m in distinct if lo >= d_bar_num)
-    spec = tree._cache[("spectrum", tol)] = Spectrum(tree.n, tuple(distinct), den, sig)
-    return spec
+def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
+    """The Spectrums of trees of one order at tol, each cached on its tree.
+
+    One stacked eigvalsh proposes every tree's first probes; a lone tree
+    counts them through count_eigs one by one, a block of several in one
+    float walk (_below_many), with count_eigs only where a lane declines.
+    Each tree is then bisected, and the counts the proof added to its cache
+    leave it, except those at d_bar and at the integers.
+    """
+    n, frac_tol = trees[0].n, Fraction(tol)
+    # a lone tree's matrix is passed as a view: a stacked copy writes every page of
+    # a large sparse Laplacian, which cost diam4_sweep about 0.2 ms per tree
+    lap = laplacian_matrix(trees[0])[None] if len(trees) == 1 else np.stack([laplacian_matrix(t) for t in trees])
+    est = np.linalg.eigvalsh(lap)
+    probes = [_propose(n, row, frac_tol) for row in est]
+    walked = _below_many(trees, probes) if len(trees) > 1 else [[None] * len(probes[0][1])]
+    at_d_bar = _count_key(2 * (n - 1), n)
+    specs = []
+    for tree, (den, points), below in zip(trees, probes, walked):
+        cache = tree._cache
+        before = set(cache)
+        counts = [count_eigs(tree, Fraction(x, den)) if k is None
+                  else cache.setdefault(_count_key(x, den), EigCounts(k, 0, n - k))
+                  for x, k in zip(points, below)]
+        den, distinct = _bisect(tree, frac_tol, den, points, counts)
+        for key in cache.keys() - before:  # a count key is ("cnt", num, den)
+            if key[0] == "cnt" and key[2] != 1 and key != at_d_bar:
+                del cache[key]
+        specs.append(Spectrum(n, tuple(distinct), den))
+        cache[("spectrum", tol)] = specs[-1]
+    return specs
 
 
 def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
@@ -509,29 +499,22 @@ def eigenvalues(tree: Tree, tol: float = 1e-12) -> Spectrum:
     Cached on the tree per tolerance (Spectrum is immutable and trees are
     shared freely, so repeated bound checks cost one computation).
     """
-    _check_tol(tol)
+    check_tol(tol)
     hit = tree._cache.get(("spectrum", tol))
-    if hit is not None:
-        return hit
-    return _keep_spectrum(tree, tol, *_distinct_enclosures(tree, Fraction(tol)))
+    return hit if hit is not None else _prove([tree], tol)[0]
 
 
 def eigenvalues_many(trees: Sequence[Tree], tol: float = 1e-12) -> list[Spectrum]:
-    """[eigenvalues(t, tol) for t in trees], the trees not yet cached at tol
-    computed as blocks of up to BLOCK trees of one order.  Each tree's cache
+    """[eigenvalues(t, tol) for t in trees] for trees of one order, the ones
+    not yet cached at tol proved in blocks of up to BLOCK.  Each tree's cache
     ends as eigenvalues() would leave it."""
-    _check_tol(tol)
+    check_tol(tol)
+    if len(orders := {t.n for t in trees}) > 1:
+        raise BadParam(f"eigenvalues_many takes trees of one order, got orders {sorted(orders)}")
     key = ("spectrum", tol)
-    by_order: dict[int, dict[int, Tree]] = {}
-    for t in trees:
-        if key not in t._cache:
-            by_order.setdefault(t.n, {})[id(t)] = t
-    for group in by_order.values():
-        group = list(group.values())
-        for i in range(0, len(group), BLOCK):
-            block = group[i:i + BLOCK]
-            for t, found in zip(block, _block_enclosures(block, Fraction(tol))):
-                _keep_spectrum(t, tol, *found)
+    fresh = [t for t in trees if key not in t._cache]
+    for i in range(0, len(fresh), BLOCK):
+        _prove(fresh[i:i + BLOCK], tol)
     return [t._cache[key] for t in trees]
 
 

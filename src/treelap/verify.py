@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Sequence
 from . import bounds, families
 from .enumeration import EnumRange, free_trees_sharded
 from .errors import BadParam
-from .spectral import BLOCK, eigenvalues, eigenvalues_many
+from .spectral import BLOCK, check_tol, eigenvalues, eigenvalues_many
 from .spectral import sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
 
@@ -39,8 +39,7 @@ class RunConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise BadParam(f"tolerance must be finite and > 0, got {self.tol}")
+        check_tol(self.tol)
         if not (1 <= self.n_min <= self.n_max):
             raise BadParam(f"bad order range {self.n_min}..{self.n_max}")
         ceiling = HARD_CEILING if self.allow_large else DESK_CEILING
@@ -358,8 +357,7 @@ class SweepConfig:
     fmt: str = "jsonl"
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise BadParam(f"tolerance must be finite and > 0, got {self.tol}")
+        check_tol(self.tol)
         if self.sns_random < 0:
             raise BadParam(f"sns_random must be >= 0, got {self.sns_random}")
         _check_format(self.fmt)

@@ -325,7 +325,7 @@ def diagonalize(tree: Tree, alpha, root: int = 0) -> DiagOutcome:
 
 def fraction_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fraction, int]]:
     """Ascending [(lo, hi, count)] covering the whole spectrum, the prober
-    of `spectral._distinct_enclosures` with every probe an exact Fraction.
+    of `spectral._prove` with every probe an exact Fraction.
 
     Same probes and same bisection, so the same enclosures: the package keeps
     them as integers over one denominator per tree instead.

@@ -516,8 +516,8 @@ class TestSharedComponents:
 
     def test_nothing_carries_between_runs(self, monkeypatch):
         calls = []
-        real = spectral._distinct_enclosures
-        monkeypatch.setattr(spectral, "_distinct_enclosures", lambda *a: calls.append(1) or real(*a))
+        real = spectral._prove
+        monkeypatch.setattr(spectral, "_prove", lambda *a: calls.append(1) or real(*a))
         argv = ["check-conjecture", "--n-min", "8", "--n-max", "9", "--checks", "thm32"]
         counted = []
         for _ in range(2):

@@ -100,7 +100,7 @@ def rooted_trees(draw):
 @st.composite
 def thresholds(draw, tree: Tree, kinds=("rational", "integer", "d_bar", "beside_estimate")):
     """Random rationals, integers 0..n, d_bar, and the dyadic probes that
-    `_distinct_enclosures` makes tol/2 beside each eigvalsh estimate."""
+    `spectral._propose` makes tol/2 beside each eigvalsh estimate."""
     kind = draw(st.sampled_from(kinds))
     if kind == "rational":
         return draw(st.fractions(-1, tree.n + 1, max_denominator=10**12))

@@ -14,10 +14,10 @@ from treelap.intervals import Enclosure
 from treelap import spectral
 from treelap.spectral import (
     EigCounts,
-    _distinct_enclosures,
     _inertia,
     _inertia_exact,
     _inertia_float,
+    _prove,
     average_degree,
     count_eigs,
     eigenvalues,
@@ -371,9 +371,9 @@ class TestIntegerProber:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.round(eigvalsh(a)))
         for t in (path(7), sns_tree(2, 3, [2, 1, 1]), random_tree(12, random.Random(7))):
-            den, distinct = _distinct_enclosures(Tree(t.n, t.edges), tol)
-            assert den > math.lcm(t.n, 2 * tol.denominator)
-            assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(Tree(t.n, t.edges), tol)
+            spec, = _prove([Tree(t.n, t.edges)], tol)
+            assert spec.den > math.lcm(t.n, 2 * tol.denominator)
+            assert _as_fractions(spec.den, reversed(spec.distinct)) == fraction_enclosures(Tree(t.n, t.edges), tol)
 
     def test_a_tolerance_finer_than_the_estimates_keeps_probes_inside_0_n(self):
         # eigvalsh puts the zero eigenvalue near -3e-16, so at tol 1e-20 the
@@ -387,8 +387,8 @@ class TestIntegerProber:
                 for (lo, hi), mu in zip(spec.enclosures, est):
                     assert hi - lo <= Fraction(tol)
                     assert float(lo) - 1e-12 <= mu <= float(hi) + 1e-12
-                den, distinct = _distinct_enclosures(Tree(t.n, t.edges), Fraction(tol))
-                assert _as_fractions(den, reversed(distinct)) == fraction_enclosures(t, Fraction(tol))
+                lone, = _prove([Tree(t.n, t.edges)], tol)
+                assert _as_fractions(lone.den, reversed(lone.distinct)) == fraction_enclosures(t, Fraction(tol))
 
     def test_one_off_probe_counts_leave_the_cache_once_the_spectrum_is_proved(self, monkeypatch):
         t = random_tree(14, random.Random(3))
@@ -425,7 +425,8 @@ class TestIntegerProber:
 
 class TestBlockRoute:
     """eigenvalues_many: one stacked estimate and one float walk per block of
-    trees of one order, then the single-tree route's bisection."""
+    trees of one order, then each tree's bisection; a lone tree is a block
+    of one that counts through count_eigs."""
 
     def test_the_walk_declines_at_zero_and_decides_between_the_integers(self):
         # no eigenvalue and no pivot of a tree Laplacian is a half-integer
@@ -437,23 +438,47 @@ class TestBlockRoute:
             root = t.centroids()[0]
             assert [(k, 0, t.n - k) for k in ks[1:]] == [_inertia_exact(t, -x, 2, root) for x in points[1:]]
 
-    def test_blocks_of_mixed_orders_leave_the_caches_of_eigenvalues(self, monkeypatch):
+    def test_blocks_of_one_order_leave_the_caches_of_eigenvalues(self, monkeypatch):
         monkeypatch.setattr(spectral, "BLOCK", 5)
         blocks = []
-        real = spectral._block_enclosures
-        monkeypatch.setattr(spectral, "_block_enclosures", lambda trees, tol: blocks.append(trees) or real(trees, tol))
-        trees = [t for n in range(1, 9) for t in free_trees(n)]
+        real = spectral._prove
+        monkeypatch.setattr(spectral, "_prove", lambda trees, tol: blocks.append(trees) or real(trees, tol))
+        trees = list(free_trees(8))  # 23 trees, 26 listed: five blocks of 5 and a lone tree
         random.Random(5).shuffle(trees)
         fresh = [Tree(t.n, t.edges) for t in trees]
         for t in trees[::4] + fresh[::4]:
             count_eigs(t, Fraction(7, 3))  # a count taken before the spectrum stays
-        specs = spectral.eigenvalues_many(trees + trees[:3], 1e-9)
+        specs = spectral.eigenvalues_many(trees + trees[:3], 1e-9)  # the first three listed twice
         assert specs[-3:] == specs[:3]
-        assert sum(len(b) for b in blocks) == len(trees)
-        assert all(len(b) <= 5 and len({t.n for t in b}) == 1 for b in blocks)
+        assert {id(t) for b in blocks for t in b} == {id(t) for t in trees}
+        assert all(len(b) <= 5 for b in blocks)
         for t, f, spec in zip(trees, fresh, specs):
             assert spec == eigenvalues(f, 1e-9)
             assert t._cache == f._cache
+
+    def test_mixed_orders_are_refused_before_any_work(self):
+        trees = [Tree(t.n, t.edges) for t in (path(4), star(5), path(4))]
+        with pytest.raises(BadParam):
+            spectral.eigenvalues_many(trees, 1e-9)
+        assert all(t._cache == {} for t in trees)
+
+    def test_a_lone_tree_never_walks(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a lone tree went to the float walk")
+
+        monkeypatch.setattr(spectral, "_below_many", no_walk)
+        proposed, probes = [], []
+        real_propose, real_count = spectral._propose, spectral.count_eigs
+        monkeypatch.setattr(spectral, "_propose", lambda *a: proposed.append(real_propose(*a)) or proposed[-1])
+        monkeypatch.setattr(spectral, "count_eigs", lambda tree, x: probes.append(x) or real_count(tree, x))
+        for prove in (eigenvalues, lambda t: spectral.eigenvalues_many([t])[0]):
+            proposed.clear()
+            probes.clear()
+            t = random_tree(14, random.Random(3))
+            assert prove(t) == eigenvalues(Tree(t.n, t.edges))
+            (den, points), = proposed[:1]
+            first = probes[:len(points)]
+            assert first == [Fraction(x, den) for x in points] and first == sorted(set(first))
 
     def test_a_cached_spectrum_is_not_computed_again(self, monkeypatch):
         t = path(6)
@@ -462,7 +487,7 @@ class TestBlockRoute:
         def no_block(*args):
             raise AssertionError("block computed for a cached spectrum")
 
-        monkeypatch.setattr(spectral, "_block_enclosures", no_block)
+        monkeypatch.setattr(spectral, "_prove", no_block)
         assert spectral.eigenvalues_many([t, t]) == [spec, spec]
         assert spectral.eigenvalues_many([]) == []
 
