@@ -106,10 +106,16 @@ def _next_free(seq: list[int]) -> list[int] | None:
 
 
 def _free_layouts(n: int) -> Iterator[list[int]]:
+    """The canonical level sequences of the free trees on n vertices; n is
+    checked at the call, not at the first next()."""
     if n < 1:
         raise BadParam(f"order must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise BadParam(f"enumeration is supported up to n = {MAX_ORDER}, got {n}")
+    return _layouts(n)
+
+
+def _layouts(n: int) -> Iterator[list[int]]:
     if n == 1:
         yield [0]
         return
@@ -140,9 +146,9 @@ def _layout_to_tree(seq: list[int]) -> Tree:
 
 
 def free_trees(n: int) -> Iterator[Tree]:
-    """Stream one representative per isomorphism class of trees on n vertices."""
-    for seq in _free_layouts(n):
-        yield _layout_to_tree(seq)
+    """Stream one representative per isomorphism class of trees on n vertices;
+    an order outside 1..MAX_ORDER raises BadParam at the call."""
+    return map(_layout_to_tree, _free_layouts(n))
 
 
 def count_free_trees(n: int) -> int:

@@ -4,10 +4,15 @@ Counting is exact: diagonalizing L(T) + alpha*I by the bottom-up congruence
 pass (leaves first, a(v) = d(v) + alpha - sum 1/a(c), with the zero-child
 substitution a(v) := -1/2, a(child) := 2 and removal of the parent edge)
 yields a diagonal matrix with the same inertia, so the sign tally counts the
-eigenvalues below / equal to / above any exact rational threshold.  The
-tally is taken in float intervals widened one ulp outward (`_inertia_float`)
-or, when a pivot interval contains 0, by the same pass in integers, so ties
-at thresholds like the average degree 2 - 2/n are decided exactly.
+eigenvalues below / equal to / above any exact rational threshold.  A pivot
+depends only on its vertex's rooted subtree, so the pass (`_inertia`) runs
+once per rooted isomorphism class (`Tree.classes`, from the root count_eigs
+uses): k children of one class enter as k / a(c), and a class's sign counts
+once per vertex in it.  The families T4, T' and T'' have 3 to 5 classes at
+any order, a path on n vertices about n/2.  The tally is taken in float
+intervals widened one ulp outward (`_inertia_float`) or, when a pivot
+interval contains 0, by the same pass in integers, so ties at thresholds
+like the average degree 2 - 2/n are decided exactly.
 
 Eigenvalues are certified enclosures: float estimates (eigvalsh) only
 propose probes, exact counts at the endpoints prove what each interval
@@ -29,15 +34,17 @@ of one, and its first counts are count_eigs calls, probe by probe.  A block
 of several (eigenvalues_many, for exhaustive runs) takes them from one float
 walk (_below_many) whose lanes are (tree, probe) pairs.  Lone trees stay on
 count_eigs: the walk is faster on large ones too, but that switch waits for
-a benchmark that reads memory apart from throughput.  Every tree's vertices
-are numbered by their post-order place from the root count_eigs uses, so
-step i of the walk takes vertex i of every tree; pivot intervals are
-(B, 2, P) arrays, every +, - and 1/x is widened one ulp outward, and each
-vertex's reciprocal is scattered into its parent's pivot.  A lane that decides has
-the exact pass's tally, by the argument of _inertia_float; a lane that
-declines, as it must at an eigenvalue, goes to the exact count_eigs.  Either
-way the first counts are the same, so each tree's enclosures, cache and
-every byte derived from them do not depend on the block it was proved in.
+a benchmark that reads memory apart from throughput.  The walk is still
+per vertex: every tree's vertices are numbered by their post-order place
+from the root count_eigs uses, so step i of the walk takes vertex i of
+every tree; pivot intervals are (B, 2, P) arrays, every +, - and 1/x is
+widened one ulp outward, and each vertex's reciprocal is scattered into its
+parent's pivot.  A lane that decides has the exact pass's tally, by the
+argument of _inertia_float; a lane that declines, as it must at an
+eigenvalue, goes straight to the exact pass, filed under count_eigs's cache
+key.  Either way the first counts are the same, so each tree's enclosures,
+cache and every byte derived from them do not depend on the block it was
+proved in.
 """
 
 from __future__ import annotations
@@ -77,15 +84,16 @@ def laplacian_matrix(tree: Tree) -> np.ndarray:
 # ---- congruence pass: float filter, exact fallback ---------------------------
 
 
-def _inertia(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
+def _inertia(tree: Tree, p: int, q: int, root: int, exact: bool = False) -> tuple[int, int, int]:
     """(negative, zero, positive) entry counts of the diagonal congruent to
     L(T) + (p/q) I, rooted at `root`.  q > 0 required.
 
     The float-interval stage decides the tally whenever no pivot interval
     contains 0; otherwise the exact integer pass runs.  Both give the same
-    tally (see `_inertia_float`).
+    tally (see `_inertia_float`).  `exact` skips the float stage, for a
+    threshold a float pass has already declined.
     """
-    tally = _inertia_float(tree, p, q, root)
+    tally = None if exact else _inertia_float(tree, p, q, root)
     return tally if tally is not None else _inertia_exact(tree, p, q, root)
 
 
@@ -93,15 +101,19 @@ def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
     """The sign tally of `_inertia` from float intervals, or None if undecided.
 
     Each pivot a(v) = d(v) + alpha - sum 1/a(c) is carried as [lo, hi], and
-    every +, - and 1/x result is moved one ulp outward with math.nextafter.
-    A round-to-nearest result is the float nearest the true value, so the
-    true value lies between it and its next float on that side, and each
-    interval encloses the exact pivot.  For a child whose interval
-    excludes 0, 1/a(c) lies in [1/hi, 1/lo].  Gives up (None) as soon as a
-    pivot interval contains 0 or is not finite.  When it does not give up,
-    every exact pivot is nonzero, so the exact pass makes no zero-child
-    substitution, its pivots are the values enclosed here, and its tally is
-    (#hi < 0, 0, the rest): the same as this one.
+    every +, -, * and 1/x result is moved one ulp outward with
+    math.nextafter.  A round-to-nearest result is the float nearest the true
+    value, so the true value lies between it and its next float on that
+    side, and each interval encloses the exact pivot.  For a child whose
+    interval excludes 0, 1/a(c) lies in [1/hi, 1/lo].  Gives up (None) as
+    soon as a pivot interval contains 0 or is not finite.  When it does not
+    give up, every exact pivot is nonzero, so the exact pass makes no
+    zero-child substitution, its pivots are the values enclosed here, and
+    its tally is (#hi < 0, 0, the rest): the same as this one.
+
+    A pivot depends only on the rooted subtree, so the pass runs once per
+    rooted isomorphism class (`Tree.classes`): k children of one class
+    enter as k [1/hi, 1/lo], and a negative class adds its vertex count.
     """
     try:
         alpha = p / q  # int true division is correctly rounded
@@ -111,77 +123,76 @@ def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
     step = math.nextafter
     a_lo = step(alpha, -inf)
     a_hi = step(alpha, inf)
-    order, _, kids = tree.rooted(root)
-    degs = tree.degrees
-    lo = [0.0] * tree.n
-    hi = [0.0] * tree.n
+    kinds, counts = tree.classes(root)
+    lo: list[float] = []
+    hi: list[float] = []
     neg = 0
-    for v in order:
-        d = degs[v]
+    for (d, kids), m in zip(kinds, counts):
         v_lo = step(d + a_lo, -inf)
         v_hi = step(d + a_hi, inf)
-        for c in kids[v]:
-            v_lo = step(v_lo - step(1.0 / lo[c], inf), -inf)
-            v_hi = step(v_hi - step(1.0 / hi[c], -inf), inf)
+        for c, k in kids:
+            up = step(1.0 / lo[c], inf)
+            down = step(1.0 / hi[c], -inf)
+            if k > 1:
+                up = step(k * up, inf)
+                down = step(k * down, -inf)
+            v_lo = step(v_lo - up, -inf)
+            v_hi = step(v_hi - down, inf)
         if v_hi < 0.0:
             if not -inf < v_lo:
                 return None
-            neg += 1
+            neg += m
         elif not 0.0 < v_lo <= v_hi < inf:
             return None
-        lo[v] = v_lo
-        hi[v] = v_hi
+        lo.append(v_lo)
+        hi.append(v_hi)
     return neg, 0, tree.n - neg
 
 
 def _inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
     """The tally of `_inertia` by the exact integer pass, zero pivots included.
 
+    Runs once per rooted isomorphism class, as `_inertia_float` does.
     Values are carried as integer pairs num/den with den > 0; no gcd
-    reduction (bit growth is O(subtree size * bits(q))).
+    reduction (bit growth is O(classes below * bits(q))).  A class with a
+    zero child class becomes -1/2 and is severed from its parent; in each
+    of its instances one zero child becomes 2, so the zero tally drops and
+    the positive one rises by the parent class's vertex count.
     """
-    n = tree.n
-    order, _, kids = tree.rooted(root)
-    degs = tree.degrees
-    num = [degs[v] * q + p for v in range(n)]
-    den = [q] * n
-    severed = [False] * n
-    for v in order:
-        ks = kids[v]
-        if not ks:
-            continue
-        zero_child = -1
-        for c in ks:
-            if not severed[c] and num[c] == 0:
-                zero_child = c
+    kinds, counts = tree.classes(root)
+    num: list[int] = []
+    den: list[int] = []
+    severed: list[bool] = []
+    neg = zero = 0
+    for (d, kids), m in zip(kinds, counts):
+        nprod = 1
+        s = 0
+        for c, k in kids:
+            nc = num[c]
+            if nc == 0:  # a severed class is -1/2, never 0
                 break
-        if zero_child >= 0:
-            num[zero_child] = 2
-            den[zero_child] = 1
-            num[v] = -1
-            den[v] = 2
-            severed[v] = True
+            if not severed[c]:
+                s = s * nc + k * den[c] * nprod
+                nprod = nprod * nc
         else:
-            nprod = 1
-            s = 0
-            for c in ks:
-                if severed[c]:
-                    continue
-                s = s * num[c] + den[c] * nprod
-                nprod = nprod * num[c]
-            nv = (degs[v] * q + p) * nprod - q * s
+            nv = (d * q + p) * nprod - q * s
             dv = q * nprod
             if dv < 0:
                 nv = -nv
-            num[v] = nv
-            den[v] = abs(dv)
-    neg = zero = 0
-    for v in range(n):
-        if num[v] < 0:
-            neg += 1
-        elif num[v] == 0:
-            zero += 1
-    return neg, zero, n - neg - zero
+            num.append(nv)
+            den.append(abs(dv))
+            severed.append(False)
+            if nv < 0:
+                neg += m
+            elif nv == 0:
+                zero += m
+            continue
+        num.append(-1)
+        den.append(2)
+        severed.append(True)
+        neg += m
+        zero -= m
+    return neg, zero, tree.n - neg - zero
 
 
 def count_eigs(tree: Tree, x) -> EigCounts:
@@ -336,10 +347,12 @@ def _below_many(trees: Sequence[Tree], probes: Sequence[tuple[int, list[int]]]) 
     of trees[b]: the number of eigenvalues of trees[b] below each threshold,
     or None where the float stage declines.
 
-    This is `_inertia_float` run on every (tree, probe) lane at once.  Each
-    tree's vertices are numbered by their place in its post-order from
-    count_eigs's root (the root comes last), so step i of the walk takes
-    vertex i of every tree.  Pivot intervals are (B, 2, P) arrays, lo and hi
+    This is `_inertia_float` run on every (tree, probe) lane at once, but
+    per vertex, not per rooted isomorphism class: the trees of a block have
+    different class tables, while their vertices line up.  Each tree's
+    vertices are numbered by their place in its post-order from count_eigs's
+    root (the root comes last), so step i of the walk takes vertex i of
+    every tree.  Pivot intervals are (B, 2, P) arrays, lo and hi
     on the middle axis; every +, - and 1/x is widened one ulp outward with
     np.nextafter, and each vertex's reciprocal is scattered into its parent's
     pivot.  A lane declines when one of its pivot intervals contains 0 or is
@@ -460,12 +473,23 @@ def check_tol(tol: float) -> None:
         raise BadParam(f"tol must be finite and > 0, got {tol}")
 
 
+def _exact_count(tree: Tree, x: int, den: int) -> EigCounts:
+    """count_eigs(tree, x / den) where the block walk declined: the exact
+    pass alone, since a lane declines at every eigenvalue, and there the
+    float stage declines too."""
+    key = _count_key(x, den)
+    hit = tree._cache.get(key)
+    if hit is None:
+        hit = tree._cache[key] = EigCounts(*_inertia(tree, -key[1], key[2], tree.centroids()[0], True))
+    return hit
+
+
 def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     """The Spectrums of trees of one order at tol, each cached on its tree.
 
     One stacked eigvalsh proposes every tree's first probes; a lone tree
     counts them through count_eigs one by one, a block of several in one
-    float walk (_below_many), with count_eigs only where a lane declines.
+    float walk (_below_many), with the exact pass only where a lane declines.
     Each tree is then bisected, and the counts the proof added to its cache
     leave it, except those at d_bar and at the integers.
     """
@@ -475,15 +499,18 @@ def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     lap = laplacian_matrix(trees[0])[None] if len(trees) == 1 else np.stack([laplacian_matrix(t) for t in trees])
     est = np.linalg.eigvalsh(lap)
     probes = [_propose(n, row, frac_tol) for row in est]
-    walked = _below_many(trees, probes) if len(trees) > 1 else [[None] * len(probes[0][1])]
+    walked = _below_many(trees, probes) if len(trees) > 1 else [None]
     at_d_bar = _count_key(2 * (n - 1), n)
     specs = []
     for tree, (den, points), below in zip(trees, probes, walked):
         cache = tree._cache
         before = set(cache)
-        counts = [count_eigs(tree, Fraction(x, den)) if k is None
-                  else cache.setdefault(_count_key(x, den), EigCounts(k, 0, n - k))
-                  for x, k in zip(points, below)]
+        if below is None:
+            counts = [count_eigs(tree, Fraction(x, den)) for x in points]
+        else:
+            counts = [_exact_count(tree, x, den) if k is None
+                      else cache.setdefault(_count_key(x, den), EigCounts(k, 0, n - k))
+                      for x, k in zip(points, below)]
         den, distinct = _bisect(tree, frac_tol, den, points, counts)
         for key in cache.keys() - before:  # a count key is ("cnt", num, den)
             if key[0] == "cnt" and key[2] != 1 and key != at_d_bar:

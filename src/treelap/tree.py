@@ -7,15 +7,32 @@ no duplicates, no cycles, connected.
 
 Isomorphism testing goes through canonical_code(), an AHU-style level
 encoding rooted at the centroid(s); equal codes iff isomorphic trees.
+Tree.classes(root) is the quotient by rooted isomorphism that the
+congruence pass of `spectral` runs on: one post-order pass numbers each
+class (a degree plus the multiset of its children's classes) and counts
+its vertices.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadLabel, BadParam, CycleDetected, Disconnected, DuplicateEdge, EdgeAbsent
+
+
+class RootedClasses(NamedTuple):
+    """The quotient of a rooted tree by rooted isomorphism.
+
+    kinds[c] = (degree, ((child class, k), ...)) with child classes ascending
+    and k the number of children of that class; counts[c] is the number of
+    vertices in class c.
+    """
+
+    kinds: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    counts: tuple[int, ...]
 
 
 class Tree:
@@ -93,6 +110,37 @@ class Tree:
             hit = self._cache[key] = (tuple(order), tuple(parent), tuple(tuple(k) for k in kids))
         return hit
 
+    def classes(self, root: int) -> RootedClasses:
+        """The rooted isomorphism classes of the orientation rooted at `root`.
+
+        A vertex's class is its degree plus the multiset of its children's
+        classes, numbered in order of first appearance in the post-order, so
+        every child class comes before its parents.  Cached per root.
+        """
+        key = ("classes", root)
+        hit = self._cache.get(key)
+        if hit is None:
+            order, _, kids = self.rooted(root)
+            ids: dict[tuple[int, ...], int] = {}
+            kinds = []
+            of = [0] * self.n
+            for v in order[:-1]:
+                ks = kids[v]
+                sig = tuple(sorted([of[c] for c in ks]))
+                c = of[v] = ids.setdefault(sig, len(ids))
+                if c == len(kinds):
+                    kinds.append((len(ks) + 1, _runs(sig)))
+            # the root is the one vertex whose degree is its number of children
+            ks = kids[order[-1]]
+            kinds.append((len(ks), _runs(sorted([of[c] for c in ks]))))
+            counts = [0] * len(kinds)
+            counts[-1] = 1
+            for c in range(len(kinds) - 1, 0, -1):  # parents before children
+                for child, k in kinds[c][1]:
+                    counts[child] += k * counts[c]
+            hit = self._cache[key] = RootedClasses(tuple(kinds), tuple(counts))
+        return hit
+
     def centroids(self) -> tuple[int, ...]:
         """The one or two vertices minimizing the largest remaining component."""
         hit = self._cache.get("centroids")
@@ -108,6 +156,13 @@ class Tree:
 
     def __hash__(self):
         return hash((self.n, self.edges))
+
+
+def _runs(ids: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """((id, k), ...): the ascending `ids` with each run of k equal ids as one pair."""
+    if ids and ids[0] == ids[-1]:  # one run, as under most vertices
+        return ((ids[0], len(ids)),)
+    return tuple((i, len(list(run))) for i, run in groupby(ids))
 
 
 def _orient(adj: Sequence[Sequence[int]], root: int, cut: int = -1) -> tuple[list, list, list]:

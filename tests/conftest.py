@@ -17,6 +17,9 @@ package so that `src/` has one implementation of each thing:
   exact Fraction (the package counts signs with `spectral._inertia` alone:
   its float-interval stage, or its exact integer stage when a float pivot
   interval contains 0),
+* `vertex_inertia_float` and `vertex_inertia_exact`, those two stages run
+  once per vertex (the package runs them once per rooted isomorphism
+  class),
 * `fraction_enclosures`, the certified-enclosure prober with every probe an
   exact Fraction (the package carries the same probes as integers over one
   denominator per tree), and `fraction_s_k`, S_k summed over its output,
@@ -318,6 +321,103 @@ def diagonalize(tree: Tree, alpha, root: int = 0) -> DiagOutcome:
         removed_edges=tuple(removed),
         counts=EigCounts(neg, zero, n - neg - zero),
     )
+
+
+def vertex_inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int] | None:
+    """The float stage of `spectral._inertia` run once per vertex: the sign
+    tally from float intervals, or None if undecided.
+
+    Each pivot a(v) = d(v) + alpha - sum 1/a(c) is carried as [lo, hi], and
+    every +, - and 1/x result is moved one ulp outward with math.nextafter.
+    A round-to-nearest result is the float nearest the true value, so the
+    true value lies between it and its next float on that side, and each
+    interval encloses the exact pivot.  For a child whose interval
+    excludes 0, 1/a(c) lies in [1/hi, 1/lo].  Gives up (None) as soon as a
+    pivot interval contains 0 or is not finite.  When it does not give up,
+    every exact pivot is nonzero, so the exact pass makes no zero-child
+    substitution, its pivots are the values enclosed here, and its tally is
+    (#hi < 0, 0, the rest): the same as this one.
+    """
+    try:
+        alpha = p / q  # int true division is correctly rounded
+    except OverflowError:
+        return None
+    inf = math.inf
+    step = math.nextafter
+    a_lo = step(alpha, -inf)
+    a_hi = step(alpha, inf)
+    order, _, kids = tree.rooted(root)
+    degs = tree.degrees
+    lo = [0.0] * tree.n
+    hi = [0.0] * tree.n
+    neg = 0
+    for v in order:
+        d = degs[v]
+        v_lo = step(d + a_lo, -inf)
+        v_hi = step(d + a_hi, inf)
+        for c in kids[v]:
+            v_lo = step(v_lo - step(1.0 / lo[c], inf), -inf)
+            v_hi = step(v_hi - step(1.0 / hi[c], -inf), inf)
+        if v_hi < 0.0:
+            if not -inf < v_lo:
+                return None
+            neg += 1
+        elif not 0.0 < v_lo <= v_hi < inf:
+            return None
+        lo[v] = v_lo
+        hi[v] = v_hi
+    return neg, 0, tree.n - neg
+
+
+def vertex_inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
+    """The exact stage of `spectral._inertia` run once per vertex: the tally
+    by the exact integer pass, zero pivots included.
+
+    Values are carried as integer pairs num/den with den > 0; no gcd
+    reduction (bit growth is O(subtree size * bits(q))).
+    """
+    n = tree.n
+    order, _, kids = tree.rooted(root)
+    degs = tree.degrees
+    num = [degs[v] * q + p for v in range(n)]
+    den = [q] * n
+    severed = [False] * n
+    for v in order:
+        ks = kids[v]
+        if not ks:
+            continue
+        zero_child = -1
+        for c in ks:
+            if not severed[c] and num[c] == 0:
+                zero_child = c
+                break
+        if zero_child >= 0:
+            num[zero_child] = 2
+            den[zero_child] = 1
+            num[v] = -1
+            den[v] = 2
+            severed[v] = True
+        else:
+            nprod = 1
+            s = 0
+            for c in ks:
+                if severed[c]:
+                    continue
+                s = s * num[c] + den[c] * nprod
+                nprod = nprod * num[c]
+            nv = (degs[v] * q + p) * nprod - q * s
+            dv = q * nprod
+            if dv < 0:
+                nv = -nv
+            num[v] = nv
+            den[v] = abs(dv)
+    neg = zero = 0
+    for v in range(n):
+        if num[v] < 0:
+            neg += 1
+        elif num[v] == 0:
+            zero += 1
+    return neg, zero, n - neg - zero
 
 
 # ----------------------------------------------------------- Fraction prober

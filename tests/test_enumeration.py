@@ -2,7 +2,7 @@
 
 import pytest
 
-from treelap.enumeration import EnumRange, count_free_trees, free_trees, free_trees_sharded
+from treelap.enumeration import MAX_ORDER, EnumRange, count_free_trees, free_trees, free_trees_sharded
 from treelap.errors import BadParam
 from treelap.tree import canonical_code, degree_summary, diameter
 
@@ -81,3 +81,9 @@ def test_param_validation():
         count_free_trees(21)
     with pytest.raises(BadParam):
         next(free_trees(0))
+
+
+@pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+def test_free_trees_checks_the_order_at_the_call(n):
+    with pytest.raises(BadParam):
+        free_trees(n)  # not only at the first next()

@@ -1,10 +1,12 @@
 """Property tests: record round trips, resuming a killed run, the float
-stage of the congruence pass against its exact stage, exact counts and
-certified enclosures against a dense eigensolver, the side of d_bar
-each enclosure lies on, the integer prober against the Fraction one, the
-block route (one float walk over many trees and probes) against the exact
-pass and against the single-tree route, the codes of T - e components read
-off T, and thm32 with T - e components shared per isomorphism class."""
+stage of the congruence pass against its exact stage, the pass run once
+per rooted isomorphism class against the pass run once per vertex, exact
+counts and certified enclosures against a dense eigensolver, the side of
+d_bar each enclosure lies on, the integer prober against the Fraction one,
+the block route (one float walk over many trees and probes) against the
+exact pass and against the single-tree route, the codes of T - e
+components read off T, and thm32 with T - e components shared per
+isomorphism class."""
 
 import functools
 import io
@@ -23,6 +25,7 @@ from treelap import bounds
 from treelap.cli import main as cli_main
 from treelap.spectral import (
     _below_many,
+    _inertia,
     _inertia_exact,
     _inertia_float,
     average_degree,
@@ -34,7 +37,14 @@ from treelap.spectral import (
 from treelap.tree import Tree, delete_edge
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
-from conftest import assert_component_codes, fraction_enclosures, fraction_s_k, le_two_forms, oracle_counts
+from conftest import (
+    assert_component_codes,
+    fraction_enclosures,
+    fraction_s_k,
+    le_two_forms,
+    oracle_counts,
+    vertex_inertia_exact,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 verdict = st.sampled_from([True, False, None])
@@ -124,6 +134,36 @@ def test_float_stage_never_disagrees_with_the_exact_stage(data):
     if tally is not None:
         assert tally[1] == 0
         assert tally == _inertia_exact(tree, p, q, root)
+
+
+@st.composite
+def branchy_trees(draw):
+    """Copies of one random rooted branch grafted under a shared root, with
+    another random tree hung off that root, randomly relabeled: many
+    vertices share a rooted isomorphism class."""
+    branch = draw(trees(1, 8), label="branch")
+    edges, n = [], 1
+    for _ in range(draw(st.integers(2, 6), label="copies")):
+        edges += [(0, n)] + [(u + n, v + n) for u, v in branch.edges]
+        n += branch.n
+    rest = draw(trees(1, 10), label="rest")
+    edges += [(0, n)] + [(u + n, v + n) for u, v in rest.edges]
+    n += rest.n
+    perm = draw(st.permutations(range(n)), label="relabeling")
+    return Tree(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_class_pass_equals_the_vertex_pass(data):
+    tree = data.draw(branchy_trees())
+    root = data.draw(st.sampled_from([tree.centroids()[0], *range(tree.n)]), label="root")
+    x = data.draw(thresholds(tree, kinds=("rational", "integer", "d_bar")), label="x")
+    p, q = -x.numerator, x.denominator
+    tally = vertex_inertia_exact(tree, p, q, root)
+    assert _inertia(tree, p, q, root) == tally
+    assert _inertia_exact(tree, p, q, root) == tally
+    assert _inertia_float(tree, p, q, root) in (None, tally)
 
 
 @settings(max_examples=100, deadline=None)

@@ -38,6 +38,8 @@ from conftest import (
     le_two_forms,
     oracle_counts,
     random_tree,
+    vertex_inertia_exact,
+    vertex_inertia_float,
 )
 
 
@@ -148,6 +150,52 @@ class TestFloatStage:
             x = Fraction(2 * t.n + 1, 2)  # above the spectrum, which ends at n
             for root in (0, t.n - 1):
                 assert _inertia_float(t, -x.numerator, x.denominator, root) == (t.n, 0, 0)
+
+
+class TestClassPass:
+    """`_inertia` runs once per rooted isomorphism class; the per-vertex
+    passes of tests/conftest.py are its oracles."""
+
+    def test_equals_the_vertex_pass_on_every_small_tree_at_every_integer(self):
+        substituted = 0  # probes where the zero-child substitution fired at several vertices
+        for n in range(1, 11):
+            for t in free_trees(n):
+                for root in {t.centroids()[0], n - 1}:
+                    for x in range(n + 1):
+                        tally = vertex_inertia_exact(t, -x, 1, root)
+                        assert _inertia(t, -x, 1, root) == tally
+                        assert _inertia_exact(t, -x, 1, root) == tally
+                        assert _inertia_float(t, -x, 1, root) in (None, tally)
+                        assert vertex_inertia_float(t, -x, 1, root) in (None, tally)
+                        substituted += len(diagonalize(t, -x, root).substitutions) > 1
+        assert substituted > 100
+
+    def test_a_large_spider_counts_at_the_roots_of_its_factors(self):
+        # closed_form_t4(a, b) = x (x^2 - 3x + 1)^(k-1) (x^2 - (k+3)x + 2k+1), k = a + b
+        a, b = 1000, 999
+        k = a + b
+        t = t4_spider(a, b)
+        assert t.n == 2 * k + 1 >= 2000
+
+        def quadratic(p, c, x):
+            """(#roots < x, #roots == x) of x^2 - p x + c, which has two real roots."""
+            at = x * x - p * x + c
+            if at < 0:
+                return 1, 0
+            if at == 0:
+                return int(2 * x > p), 1
+            return (2 if 2 * x > p else 0), 0
+
+        for x in (Fraction(1), Fraction(3), average_degree(t)):
+            below, equal = (int(x > 0), int(x == 0))
+            for (bq, eq), times in ((quadratic(3, 1, x), k - 1), (quadratic(k + 3, 2 * k + 1, x), 1)):
+                below += bq * times
+                equal += eq * times
+            expected = EigCounts(below, equal, t.n - below - equal)
+            assert count_eigs(t, x) == expected
+            assert vertex_inertia_exact(t, -x.numerator, x.denominator, t.centroids()[0]) == expected
+        assert count_eigs(t, 1) == (k, 0, k + 1)
+        assert count_eigs(t, average_degree(t)) == (k + 1, 0, k)
 
 
 class TestMultiplicityOfOne:
@@ -455,6 +503,29 @@ class TestBlockRoute:
         for t, f, spec in zip(trees, fresh, specs):
             assert spec == eigenvalues(f, 1e-9)
             assert t._cache == f._cache
+
+    def test_a_declined_lane_goes_straight_to_the_exact_pass(self, monkeypatch):
+        declined, floated = set(), set()
+        real_walk, real_float = spectral._below_many, spectral._inertia_float
+
+        def walk(block, probes):
+            out = real_walk(block, probes)
+            for t, (den, points), ks in zip(block, probes, out):
+                declined.update((id(t), Fraction(x, den)) for x, k in zip(points, ks) if k is None)
+            return out
+
+        def float_stage(t, p, q, root):
+            floated.add((id(t), Fraction(-p, q)))
+            return real_float(t, p, q, root)
+
+        monkeypatch.setattr(spectral, "_below_many", walk)
+        monkeypatch.setattr(spectral, "_inertia_float", float_stage)
+        trees = list(free_trees(9))
+        specs = spectral.eigenvalues_many(trees, 1e-9)
+        assert declined and not declined & floated
+        for t, spec in zip(trees, specs):
+            fresh = Tree(t.n, t.edges)
+            assert spec == eigenvalues(fresh, 1e-9) and t._cache == fresh._cache
 
     def test_mixed_orders_are_refused_before_any_work(self):
         trees = [Tree(t.n, t.edges) for t in (path(4), star(5), path(4))]

@@ -14,7 +14,7 @@ from treelap.errors import (
     DuplicateEdge,
     EdgeAbsent,
 )
-from treelap.families import double_broom3, path, sns_tree, star
+from treelap.families import double_broom3, path, sns_tree, star, t4_spider, t_dprime, t_prime
 from treelap.spectral import average_degree
 from treelap.tree import (
     DegreeSummary,
@@ -31,7 +31,7 @@ from treelap.tree import (
     to_pruefer,
 )
 
-from conftest import assert_component_codes, random_tree, relabel
+from conftest import assert_component_codes, random_tree, relabel, rooted_side_code
 
 
 class TestConstruction:
@@ -131,6 +131,42 @@ class TestCanonicalCode:
                     perm = list(range(n))
                     rng.shuffle(perm)
                     assert canonical_code(relabel(tree, perm)) == base
+
+
+class TestRootedClasses:
+    def test_small_examples(self):
+        assert path(1).classes(0) == (((0, ()),), (1,))
+        assert star(5).classes(0) == (((1, ()), (4, ((0, 4),))), (4, 1))
+        assert star(5).classes(1) == (((1, ()), (4, ((0, 3),)), (1, ((1, 1),))), (3, 1, 1))
+        assert path(5).classes(2) == (((1, ()), (2, ((0, 1),)), (2, ((1, 2),))), (2, 2, 1))
+
+    def test_a_class_is_a_degree_and_a_rooted_subtree(self, rng):
+        for _ in range(60):
+            t = random_tree(rng.randrange(1, 40), rng)
+            root = rng.randrange(t.n)
+            kinds, counts = t.classes(root)
+            _, parent, kids = t.rooted(root)
+            shapes = {}
+            for v in range(t.n):
+                shape = (t.degrees[v], rooted_side_code(t, v, parent[v]))
+                shapes[shape] = shapes.get(shape, 0) + 1
+            assert sorted(counts) == sorted(shapes.values()) and sum(counts) == t.n
+            assert counts[-1] == 1 and kinds[-1][0] == t.degrees[root]
+            for c, (d, children) in enumerate(kinds):
+                assert all(child < c for child, _ in children)  # children come first
+                assert [child for child, _ in children] == sorted({child for child, _ in children})
+                assert d == sum(k for _, k in children) + (c != len(kinds) - 1)
+
+    @pytest.mark.parametrize("tree, classes", [
+        (t4_spider(2, 3), 3), (t4_spider(1000, 999), 3),
+        (t_prime(5, 3), 4), (t_prime(4, 30), 4), (t_prime(1000, 50), 4),
+        (t_dprime(4, 2, 3), 5), (t_dprime(4, 3, 3), 4),
+        (t_dprime(1000, 20, 30), 5), (t_dprime(1000, 25, 25), 4),
+    ])
+    def test_diameter_4_families_have_a_few_classes_at_any_size(self, tree, classes):
+        # leaves, the vertices holding one leaf, one class per other leaf
+        # count and the root, wherever the centroid falls
+        assert len(tree.classes(tree.centroids()[0]).kinds) == classes
 
 
 class TestDegreeSummary:
