@@ -20,12 +20,12 @@ and the `bounds` subcommand both iterate it.
 
 Within one exhaustive run the components of T - e are shared per
 isomorphism class: _split_counts hands out the first component seen in the
-run with the same canonical code, so its spectra and counts, cached on that
-Tree, are computed once per class.  The codes are read off T, and a
-component Tree is built only for a class new to the run.  Isomorphic trees
-have the same Laplacian spectrum, so an enclosure certified on the shared
-tree is certified for every member of its class.  The table lives only for
-the length of the run.
+run with the same canonical code, so its spectra, cached on that Tree, are
+computed once per class.  The codes are read off T, and a component Tree
+is built only for a class new to the run.  Isomorphic trees have the same
+Laplacian spectrum, so an enclosure certified on the shared tree is
+certified for every member of its class.  The table lives only for the
+length of the run.
 """
 
 from __future__ import annotations
@@ -380,11 +380,13 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
 
     Inside _shared_components each T_i is the run's first component with
     the same canonical code, read off T by component_code once per rooted
-    class of sides (see _side_class), so the per-tree caches of that one
-    Tree serve the whole class and delete_edge runs only for a class new to
-    the run.  Isomorphic trees share their spectrum, so every count and
-    enclosure taken on it is certified for T_i too; outside a run the
-    components are delete_edge's own."""
+    class of sides (see _side_class), so the spectra cached on that one Tree
+    serve the whole class and delete_edge runs only for a class new to the
+    run.  The count at 2 - 4/n is taken again each time: count_eigs keeps it
+    only where it is T_i's own d_bar (n_i = n/2) or an integer (n = 4).
+    Isomorphic trees share their spectrum, so every count and enclosure
+    taken on it is certified for T_i too; outside a run the components are
+    delete_edge's own."""
     a, b = sorted(edge)
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
         *parts, pendant = delete_edge(tree, edge)

@@ -4,11 +4,11 @@ Free trees are generated through canonical level sequences (depth of each
 vertex in preorder): the Beyer-Hedetniemi successor walks canonical rooted
 trees in lexicographically decreasing order, and the Wright-Richmond-
 Odlyzko-McKay filter jumps over rooted representatives whose root is not
-the canonical centroid, so each isomorphism class is produced exactly once.
+the canonical center, so each isomorphism class is produced exactly once.
 
 Prüfer-based enumeration is exponential (n^(n-2) labeled trees) and lives in
-the test suite as a small-n oracle; this module is the production path up to
-the desk-scale ceiling (n = 20).
+the test suite as a small-n oracle; this module is the production path up
+to MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def _next_free(seq: list[int]) -> list[int] | None:
 
     A rooted representative is kept when the first root subtree is not
     higher than the rest, and on equal height not bigger, and on equal size
-    not lexicographically later: this pins the root to the centroid (or the
-    canonical half of a bicentroid) exactly once per isomorphism class.
+    not lexicographically later: this pins the root to the center (or the
+    canonical end of a bicentral edge) exactly once per isomorphism class.
     """
     left, rest = _split(seq)
     lh = max(left)

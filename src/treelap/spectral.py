@@ -22,10 +22,10 @@ The average degree d_bar = 2(n-1)/n is a probe too, so no enclosure
 straddles it.  Every probe is an integer over one denominator per tree; the
 prober, S_k and LE = 2 (S_sigma - sigma * d_bar) are integer sums over it,
 and each eigenvalue, S_k and LE is an Enclosure over that denominator, so
-the only Fractions built are the probes handed to count_eigs and the values
-a caller reads.  Once a spectrum is proved, the counts its prover added to
-the tree's cache leave it, except those at d_bar and at the integers;
-counts cached before the proof stay.
+the only Fractions built are a lone tree's first probes, handed to
+count_eigs, and the values a caller reads.  Every count goes through _count,
+which files it in the tree's cache only at an integer or at d_bar (_keeps):
+those are the counts the library reads again.
 
 One prover (_prove) takes a block of trees of one order: one stacked
 eigvalsh, the probe proposals (_propose) of each tree, the first counts,
@@ -41,10 +41,9 @@ every tree; pivot intervals are (B, 2, P) arrays, every +, - and 1/x is
 widened one ulp outward, and each vertex's reciprocal is scattered into its
 parent's pivot.  A lane that decides has the exact pass's tally, by the
 argument of _inertia_float; a lane that declines, as it must at an
-eigenvalue, goes straight to the exact pass, filed under count_eigs's cache
-key.  Either way the first counts are the same, so each tree's enclosures,
-cache and every byte derived from them do not depend on the block it was
-proved in.
+eigenvalue, goes straight to the exact pass.  Either way the first counts,
+and the ones filed, are the same, so each tree's enclosures, cache and every
+byte derived from them do not depend on the block it was proved in.
 """
 
 from __future__ import annotations
@@ -71,13 +70,10 @@ class EigCounts(NamedTuple):
 
 def laplacian_matrix(tree: Tree) -> np.ndarray:
     """Dense L = D - A as float64 (estimates and oracles only)."""
-    n = tree.n
-    lap = np.zeros((n, n))
-    for u, v in tree.edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
+    lap = np.zeros((tree.n, tree.n))
+    u, v = np.array(tree.edges, dtype=np.intp).reshape(-1, 2).T
+    lap[u, v] = lap[v, u] = -1.0
+    np.fill_diagonal(lap, tree.degrees)
     return lap
 
 
@@ -195,21 +191,36 @@ def _inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
     return neg, zero, tree.n - neg - zero
 
 
+def _keeps(n: int, x: int, den: int) -> bool:
+    """The cache rule: a count at x / den on a tree of order n is filed only
+    at an integer or at d_bar, the thresholds read again (a proof's integer
+    probes, multiplicity_of_one, sigma and lemma26)."""
+    return x % den == 0 or x * n == 2 * (n - 1) * den
+
+
+def _count(tree: Tree, x: int, den: int, exact: bool = False) -> EigCounts:
+    """Exact counts at x / den (den > 0), from the tree's cache or by
+    `_inertia` (`exact` as there), and filed when `_keeps` says so."""
+    g = math.gcd(x, den)
+    key = ("cnt", x // g, den // g)
+    hit = tree._cache.get(key)
+    if hit is None:
+        hit = EigCounts(*_inertia(tree, -key[1], key[2], tree.centroids()[0], exact))
+        if _keeps(tree.n, x, den):
+            tree._cache[key] = hit
+    return hit
+
+
 def count_eigs(tree: Tree, x) -> EigCounts:
     """Exact (#mu < x, #mu == x, #mu > x), deciding ties at rational x.
 
     Equivalent to diagonalizing (T, -x): negative diagonal entries are the
     eigenvalues below x, zeros the multiplicity of x, positives the rest.
-    Counts are cached per tree.
+    Cached per tree at the integers and at d_bar only (`_keeps`).
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    key = ("cnt", x.numerator, x.denominator)  # as _count_key builds it
-    hit = tree._cache.get(key)
-    if hit is None:
-        root = tree.centroids()[0]
-        hit = tree._cache[key] = EigCounts(*_inertia(tree, -x.numerator, x.denominator, root))
-    return hit
+    return _count(tree, x.numerator, x.denominator)
 
 
 def multiplicity_of_one(tree: Tree) -> int:
@@ -282,12 +293,6 @@ def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int]]:
     return den, sorted(points)
 
 
-def _count_key(num: int, den: int) -> tuple[str, int, int]:
-    """The cache key count_eigs files the count at num / den under."""
-    g = math.gcd(num, den)
-    return "cnt", num // g, den // g
-
-
 def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
             counts: list[EigCounts]) -> tuple[int, list[tuple[int, int, int]]]:
     """(den, [(lo, hi, count)] descending) from the exact counts at the first
@@ -320,7 +325,7 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
             num, d = lo + hi, 2 * den
         mid, den = _to_grid(num, d, den, found, work)
         lo, hi, m, at_lo = work.pop()
-        c = count_eigs(tree, Fraction(mid, den))
+        c = _count(tree, mid, den)
         if c.equal:
             found.append((mid, mid, c.equal))
         m_left = c.below - at_lo
@@ -473,25 +478,14 @@ def check_tol(tol: float) -> None:
         raise BadParam(f"tol must be finite and > 0, got {tol}")
 
 
-def _exact_count(tree: Tree, x: int, den: int) -> EigCounts:
-    """count_eigs(tree, x / den) where the block walk declined: the exact
-    pass alone, since a lane declines at every eigenvalue, and there the
-    float stage declines too."""
-    key = _count_key(x, den)
-    hit = tree._cache.get(key)
-    if hit is None:
-        hit = tree._cache[key] = EigCounts(*_inertia(tree, -key[1], key[2], tree.centroids()[0], True))
-    return hit
-
-
 def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     """The Spectrums of trees of one order at tol, each cached on its tree.
 
     One stacked eigvalsh proposes every tree's first probes; a lone tree
     counts them through count_eigs one by one, a block of several in one
-    float walk (_below_many), with the exact pass only where a lane declines.
-    Each tree is then bisected, and the counts the proof added to its cache
-    leave it, except those at d_bar and at the integers.
+    float walk (_below_many), with the exact pass only where a lane declines
+    and a decided lane filed only where `_keeps` says.  Each tree is then
+    bisected.
     """
     n, frac_tol = trees[0].n, Fraction(tol)
     # a lone tree's matrix is passed as a view: a stacked copy writes every page of
@@ -500,23 +494,23 @@ def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     est = np.linalg.eigvalsh(lap)
     probes = [_propose(n, row, frac_tol) for row in est]
     walked = _below_many(trees, probes) if len(trees) > 1 else [None]
-    at_d_bar = _count_key(2 * (n - 1), n)
     specs = []
     for tree, (den, points), below in zip(trees, probes, walked):
-        cache = tree._cache
-        before = set(cache)
         if below is None:
             counts = [count_eigs(tree, Fraction(x, den)) for x in points]
         else:
-            counts = [_exact_count(tree, x, den) if k is None
-                      else cache.setdefault(_count_key(x, den), EigCounts(k, 0, n - k))
-                      for x, k in zip(points, below)]
+            counts = []
+            for x, k in zip(points, below):
+                if k is None:  # the walk declines at every eigenvalue, and so would _inertia_float
+                    counts.append(_count(tree, x, den, True))
+                    continue
+                counts.append(EigCounts(k, 0, n - k))
+                if _keeps(n, x, den):
+                    g = math.gcd(x, den)
+                    tree._cache["cnt", x // g, den // g] = counts[-1]
         den, distinct = _bisect(tree, frac_tol, den, points, counts)
-        for key in cache.keys() - before:  # a count key is ("cnt", num, den)
-            if key[0] == "cnt" and key[2] != 1 and key != at_d_bar:
-                del cache[key]
         specs.append(Spectrum(n, tuple(distinct), den))
-        cache[("spectrum", tol)] = specs[-1]
+        tree._cache[("spectrum", tol)] = specs[-1]
     return specs
 
 

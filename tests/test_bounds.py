@@ -41,7 +41,7 @@ from treelap.families import (
     t4_spider,
     t_prime,
 )
-from treelap.spectral import laplacian_energy, sigma
+from treelap.spectral import average_degree, laplacian_energy, sigma
 from treelap.tree import Tree, diameter
 from treelap.verify import RunConfig, run_exhaustive
 
@@ -457,6 +457,21 @@ class TestSharedComponents:
         assert half_new[0] is splits[2].first and half_new[1] is first[1]
         assert seen[0] is first[0] and seen[1] is other[1]
         assert bounds._components is None
+
+    def test_shared_components_keep_counts_only_at_the_integers_and_d_bar(self):
+        # thm32 counts each component at 2 - 4/n of the whole tree; that count
+        # is read once per edge and is not kept
+        with bounds._shared_components():
+            for n in range(8, 11):
+                for t in free_trees(n):
+                    for a, b in t.edges:
+                        if t.degrees[a] > 1 and t.degrees[b] > 1:
+                            thm32_lower_bound(t, (a, b), 1e-9)
+            shared = list(bounds._components.values())
+        assert len(shared) > 20
+        for c in shared:
+            kept = {Fraction(k[1], k[2]) for k in c._cache if type(k) is tuple and k[0] == "cnt"}
+            assert kept and all(x.denominator == 1 or x == average_degree(c) for x in kept)
 
     def test_component_code_runs_once_per_rooted_class_of_sides(self, monkeypatch):
         sides = []

@@ -252,7 +252,7 @@ def test_a_block_leaves_each_cache_as_eigenvalues_does(block, tol):
         assert spec == eigenvalues(fresh, tol)
         assert tree._cache[("spectrum", tol)] is spec
         assert _counts(tree) == _counts(fresh)
-        # the one-off probe counts are gone: what stays is at 0, n, d_bar and the integers
+        # no one-off probe count was filed: what stays is at 0, n, d_bar and the integers
         kept = {Fraction(num, den) for _, num, den in _counts(tree)}
         assert {0, tree.n, average_degree(tree)} <= kept
         assert all(x.denominator == 1 or x == average_degree(tree) for x in kept)

@@ -43,6 +43,11 @@ from conftest import (
 )
 
 
+def _count_keys(tree: Tree) -> set[Fraction]:
+    """The thresholds of the counts cached on tree."""
+    return {Fraction(k[1], k[2]) for k in tree._cache if type(k) is tuple and k[0] == "cnt"}
+
+
 class TestDiagonalize:
     def test_star4_at_minus_one(self):
         out = diagonalize(star(4), -1, root=0)
@@ -215,6 +220,13 @@ class TestMultiplicityOfOne:
 
 
 class TestEigenvalues:
+    def test_laplacian_matrix_is_the_per_edge_loop_bit_for_bit(self, rng):
+        trees = [t for n in range(1, 9) for t in free_trees(n)]
+        trees += [random_tree(rng.randrange(2, 60), rng) for _ in range(20)]
+        for t in trees:
+            lap = spectral.laplacian_matrix(t)
+            assert lap.dtype == np.float64 and lap.tobytes() == laplacian_np(t).tobytes()
+
     def test_p2_exact(self):
         spec = eigenvalues(path(2))
         assert spec.enclosures == ((Fraction(2), Fraction(2)), (Fraction(0), Fraction(0)))
@@ -438,24 +450,33 @@ class TestIntegerProber:
                 lone, = _prove([Tree(t.n, t.edges)], tol)
                 assert _as_fractions(lone.den, reversed(lone.distinct)) == fraction_enclosures(t, Fraction(tol))
 
-    def test_one_off_probe_counts_leave_the_cache_once_the_spectrum_is_proved(self, monkeypatch):
+    def test_a_proof_files_counts_only_at_the_integers_and_d_bar(self, monkeypatch):
         t = random_tree(14, random.Random(3))
-        earlier = Fraction(7, 3)
-        count_eigs(t, earlier)  # a count taken before the spectrum stays
+        count_eigs(t, 2)  # an earlier integer count stays
+        count_eigs(t, Fraction(7, 3))  # an earlier one-off count was never filed
+        assert _count_keys(t) == {2}
         probes = []
-        real = spectral.count_eigs
+        real = spectral._count
 
-        def spy(tree, x):
-            probes.append(x)
-            return real(tree, x)
+        def spy(tree, x, den, exact=False):
+            probes.append(Fraction(x, den))
+            return real(tree, x, den, exact)
 
-        monkeypatch.setattr(spectral, "count_eigs", spy)
+        monkeypatch.setattr(spectral, "_count", spy)
         eigenvalues(t)
         d_bar = average_degree(t)
         assert any(x.denominator != 1 and x != d_bar for x in probes)  # one-off probes were made
-        kept = {Fraction(k[1], k[2]) for k in t._cache if type(k) is tuple and k[0] == "cnt"}
-        assert {Fraction(0), Fraction(t.n), d_bar, earlier} <= kept
-        assert all(x.denominator == 1 or x in (d_bar, earlier) for x in kept)
+        assert _count_keys(t) == {x for x in probes if x.denominator == 1 or x == d_bar} | {2}
+        assert {0, t.n, d_bar} <= _count_keys(t)
+
+    def test_a_count_at_a_one_off_threshold_is_never_cached(self):
+        t = random_tree(14, random.Random(3))
+        for x in (Fraction(7, 3), 0.5, Fraction(2 * 14 - 4, 14)):
+            count_eigs(t, x)
+        assert _count_keys(t) == set()
+        assert count_eigs(t, average_degree(t)) == count_eigs(t, Fraction(26, 14))
+        assert count_eigs(t, Fraction(6, 3)) == count_eigs(t, 2)
+        assert _count_keys(t) == {average_degree(t), 2}
 
     def test_counts_are_shared_through_the_cache(self, monkeypatch):
         t = star(6)
@@ -495,7 +516,7 @@ class TestBlockRoute:
         random.Random(5).shuffle(trees)
         fresh = [Tree(t.n, t.edges) for t in trees]
         for t in trees[::4] + fresh[::4]:
-            count_eigs(t, Fraction(7, 3))  # a count taken before the spectrum stays
+            count_eigs(t, 3)  # a count taken before the spectrum stays
         specs = spectral.eigenvalues_many(trees + trees[:3], 1e-9)  # the first three listed twice
         assert specs[-3:] == specs[:3]
         assert {id(t) for b in blocks for t in b} == {id(t) for t in trees}
