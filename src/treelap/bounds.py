@@ -47,7 +47,7 @@ from .spectral import (
     eigenvalues,
     forest_enclosures,
     multiplicity_of_one,
-    sigma,
+    sigma,  # noqa: F401  (kept as bounds.sigma; the bounds read the spectrum's)
 )
 from .tree import (
     Tree,
@@ -374,7 +374,7 @@ def _side_class(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
     return hit
 
 
-def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, int]:
+def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tuple[Tree, Tree, int, int]:
     """(T1, T2, k1, k2) for T - e = T1 u T2 at a non-pendant edge, larger
     component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
 
@@ -382,11 +382,10 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
     the same canonical code, read off T by component_code once per rooted
     class of sides (see _side_class), so the spectra cached on that one Tree
     serve the whole class and delete_edge runs only for a class new to the
-    run.  The count at 2 - 4/n is taken again each time: count_eigs keeps it
-    only where it is T_i's own d_bar (n_i = n/2) or an integer (n = 4).
-    Isomorphic trees share their spectrum, so every count and enclosure
-    taken on it is certified for T_i too; outside a run the components are
-    delete_edge's own."""
+    run.  k_i is read off T_i's spectrum at tol (see _at_least), which the
+    bound reads anyway.  Isomorphic trees share their spectrum, so every
+    count and enclosure taken on it is certified for T_i too; outside a run
+    the components are delete_edge's own."""
     a, b = sorted(edge)
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
         *parts, pendant = delete_edge(tree, edge)
@@ -400,8 +399,23 @@ def _split_counts(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree, int, i
             parts = [_components.setdefault(code, t) for (_, code), t in zip(sides, delete_edge(tree, edge))]
     if pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
-    thr = Fraction(2 * tree.n - 4, tree.n)
-    return *parts, *(t.n - count_eigs(t, thr).below for t in parts)
+    return *parts, *(_at_least(t, 2 * tree.n - 4, tree.n, tol) for t in parts)
+
+
+def _at_least(tree: Tree, num: int, den: int, tol: float) -> int:
+    """#{mu >= num/den}, read off the enclosures of eigenvalues(tree, tol): an
+    enclosure (lo, hi, m) with lo < hi holds its m eigenvalues strictly
+    inside, so it counts whole unless lo < num/den < hi, and only then is
+    the count taken exactly.  Compared by integer cross-multiplication."""
+    spec = eigenvalues(tree, tol)
+    x = num * spec.den
+    k = 0
+    for lo, hi, m in spec.distinct:  # descending
+        if lo * den >= x:
+            k += m
+        elif hi * den > x:  # lo < num/den < hi
+            return tree.n - count_eigs(tree, Fraction(num, den)).below
+    return k
 
 
 def _claim_if(
@@ -428,7 +442,7 @@ def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> 
     """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
     k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
     n = tree.n
-    t1, t2, k1, k2 = _split_counts(tree, edge)
+    t1, t2, k1, k2 = _split_counts(tree, edge, tol)
     sig = k1 + k2
     s1, s2 = eigenvalues(t1, tol).s_k(k1), eigenvalues(t2, tol).s_k(k2)
     # over den1 den2 n: 2 (S_k1 + S_k2) and the shift 4 sigma/n - 4 sigma = 4 sigma (1 - n) / n
@@ -447,10 +461,10 @@ def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> Bo
     then LE(T) >= 2 + 4n/pi.  The proof's auxiliary inequality
     n1^2 (n2 - 2 sigma2) + n2^2 (n1 - 2 sigma1) >= 0 is verified alongside."""
     n = tree.n
-    t1, t2, k1, k2 = _split_counts(tree, edge)
+    t1, t2, k1, k2 = _split_counts(tree, edge, tol)
     n1, n2 = t1.n, t2.n
-    s1 = sigma(t1)
-    s2 = sigma(t2)
+    s1 = eigenvalues(t1, tol).sigma
+    s2 = eigenvalues(t2, tol).sigma
     aux = n1 * n1 * (n2 - 2 * s2) + n2 * n2 * (n1 - 2 * s1) >= 0
     hyp_k = (s1 == k1) and (s2 == k2)
     inputs = {"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
@@ -484,7 +498,7 @@ def _join_sufficient(
         raise BadParam(f"need n1 >= n2 >= 6, got ({n1}, {n2})")
     tree = join_trees(t1, t2, *join)
     n = tree.n
-    s1 = sigma(t1)
+    s1 = eigenvalues(t1, tol).sigma
     r1 = degree_summary(t1).internal_count
     inputs = {"n": n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
     hypotheses: dict = {}

@@ -6,6 +6,17 @@ trees in lexicographically decreasing order, and the Wright-Richmond-
 Odlyzko-McKay filter jumps over rooted representatives whose root is not
 the canonical center, so each isomorphism class is produced exactly once.
 
+Each tree is built straight from its level sequence, in one pass
+(_layout_to_tree): the parent array gives the sorted edges and ascending
+adjacency without the validation Tree(n, edges) gives user input, and the
+tree's cache starts with what the layout already fixes: the orientation at
+the layout root (reverse preorder is a post-order), the diameter, the
+degree summary, and vertex 0 as the root every count on the tree is taken
+from (Tree.count_root).  The layout root is a center, not a centroid;
+counts do not depend on the root, and the canonical code stays
+centroid-rooted.  Sharding slices the level sequences, so a skipped tree
+is never built.
+
 Prüfer-based enumeration is exponential (n^(n-2) labeled trees) and lives in
 the test suite as a small-n oracle; this module is the production path up
 to MAX_ORDER.
@@ -18,7 +29,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import BadParam
-from .tree import Tree
+from .tree import DegreeSummary, Tree
 
 
 @dataclass(frozen=True)
@@ -133,16 +144,41 @@ def _layouts(n: int) -> Iterator[list[int]]:
 
 
 def _layout_to_tree(seq: list[int]) -> Tree:
-    # parent of vertex i is the latest vertex at level seq[i] - 1
-    stack: list[int] = []
-    edges = []
-    for i, lev in enumerate(seq):
-        while len(stack) > lev:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return Tree(len(seq), edges)
+    """The Tree of a canonical level sequence, built in one pass without the
+    validation of Tree(n, edges): vertex i is the i-th in preorder and its
+    parent the latest vertex one level up, so each adjacency comes out
+    ascending.  Filed in its cache: the count root 0 (Tree.count_root) and
+    its orientation, with reverse preorder as the post-order; the degree
+    summary; and the diameter, the sum of the two highest branches at the
+    root, as the root is a center: the first branch is the highest (the
+    branches are in canonical order), so the second highest is the highest
+    after it."""
+    n = len(seq)
+    parent = [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    last = [0] * n  # last[l]: the latest vertex at level l
+    for i in range(1, n):
+        lev = seq[i]
+        p = parent[i] = last[lev - 1]
+        last[lev] = i
+        kids[p].append(i)
+    children = tuple(map(tuple, kids))
+    adj = (children[0], *[(p, *k) for p, k in zip(parent[1:], children[1:])])
+    degrees = tuple(map(len, adj))
+    leaves = [v for v in range(n) if degrees[v] == 1]
+    second = seq.index(1, 2) if seq.count(1) > 1 else n
+    cache = {
+        "root": 0,
+        ("rooted", 0): (tuple(range(n - 1, -1, -1)), tuple(parent), children),
+        "diameter": max(seq) + max(seq[second:], default=0),
+        "degree_summary": DegreeSummary(
+            degrees=tuple(sorted(degrees, reverse=True)),
+            pendant_count=len(leaves),
+            internal_count=n - len(leaves),
+            leaf_neighbor_count=len({adj[v][0] for v in leaves}),
+        ),
+    }
+    return Tree._trusted(n, tuple(sorted(zip(parent[1:], range(1, n)))), adj, degrees, cache)
 
 
 def free_trees(n: int) -> Iterator[Tree]:
@@ -161,9 +197,13 @@ def free_trees_sharded(rng: EnumRange) -> Iterator[Tree]:
     """The shard_index-th of shard_count contiguous index ranges of free_trees(n).
 
     The k shards partition the stream exactly; deterministic given (n, k).
+    The layouts are sliced before any tree is built, and the order is
+    counted only to split it, so a one-shard stream counts nothing.
     """
-    total = count_free_trees(rng.n)
-    start = rng.shard_index * total // rng.shard_count
-    stop = (rng.shard_index + 1) * total // rng.shard_count
-    gen = free_trees(rng.n)
-    return islice(gen, start, stop)
+    layouts = _free_layouts(rng.n)
+    if rng.shard_count > 1:
+        total = count_free_trees(rng.n)
+        start = rng.shard_index * total // rng.shard_count
+        stop = (rng.shard_index + 1) * total // rng.shard_count
+        layouts = islice(layouts, start, stop)
+    return map(_layout_to_tree, layouts)

@@ -6,13 +6,15 @@ substitution a(v) := -1/2, a(child) := 2 and removal of the parent edge)
 yields a diagonal matrix with the same inertia, so the sign tally counts the
 eigenvalues below / equal to / above any exact rational threshold.  A pivot
 depends only on its vertex's rooted subtree, so the pass (`_inertia`) runs
-once per rooted isomorphism class (`Tree.classes`, from the root count_eigs
-uses): k children of one class enter as k / a(c), and a class's sign counts
-once per vertex in it.  The families T4, T' and T'' have 3 to 5 classes at
-any order, a path on n vertices about n/2.  The tally is taken in float
-intervals widened one ulp outward (`_inertia_float`) or, when a pivot
-interval contains 0, by the same pass in integers, so ties at thresholds
-like the average degree 2 - 2/n are decided exactly.
+once per rooted isomorphism class (`Tree.classes`, at the tree's
+`count_root`: vertex 0 for a tree built from a level sequence, else its
+first centroid; Sylvester's law of inertia makes the counts the same from
+any root): k children of one class enter as k / a(c), and a class's sign
+counts once per vertex in it.  The families T4, T' and T'' have 3 to 5
+classes at any order, a path on n vertices about n/2.  The tally is taken
+in float intervals widened one ulp outward (`_inertia_float`) or, when a
+pivot interval contains 0, by the same pass in integers, so ties at
+thresholds like the average degree 2 - 2/n are decided exactly.
 
 Eigenvalues are certified enclosures: float estimates (eigvalsh) only
 propose probes, exact counts at the endpoints prove what each interval
@@ -27,23 +29,26 @@ count_eigs, and the values a caller reads.  Every count goes through _count,
 which files it in the tree's cache only at an integer or at d_bar (_keeps):
 those are the counts the library reads again.
 
-One prover (_prove) takes a block of trees of one order: one stacked
-eigvalsh, the probe proposals (_propose) of each tree, the first counts,
-then each tree's bisection (_bisect).  A lone tree (eigenvalues) is a block
-of one, and its first counts are count_eigs calls, probe by probe.  A block
-of several (eigenvalues_many, for exhaustive runs) takes them from one float
+One prover (_prove) takes a block of trees of one order: one eigvalsh over
+their Laplacians, set by index arrays in one stacked array (_laplacians),
+the probe proposals (_propose) of each tree, the first counts, then each
+tree's bisection (_bisect).  A lone tree (eigenvalues) is a block of one,
+and its first counts are count_eigs calls, probe by probe.  A block of
+several (eigenvalues_many, for exhaustive runs) takes them from one float
 walk (_below_many) whose lanes are (tree, probe) pairs.  Lone trees stay on
 count_eigs: the walk is faster on large ones too, but that switch waits for
 a benchmark that reads memory apart from throughput.  The walk is still
 per vertex: every tree's vertices are numbered by their post-order place
-from the root count_eigs uses, so step i of the walk takes vertex i of
-every tree; pivot intervals are (B, 2, P) arrays, every +, - and 1/x is
-widened one ulp outward, and each vertex's reciprocal is scattered into its
-parent's pivot.  A lane that decides has the exact pass's tally, by the
-argument of _inertia_float; a lane that declines, as it must at an
-eigenvalue, goes straight to the exact pass.  Either way the first counts,
-and the ones filed, are the same, so each tree's enclosures, cache and every
-byte derived from them do not depend on the block it was proved in.
+from its count root, so step i of the walk takes vertex i of every tree (a
+tree built from a level sequence brings that orientation with it, in
+reverse preorder); every +, - and 1/x on the pivot intervals is widened
+one ulp outward, each vertex's reciprocal is scattered into its parent's
+pivot, and the signs are tallied once every pivot is final.  A lane that
+decides has the exact pass's tally, by the argument of _inertia_float; a
+lane that declines, as it must at an eigenvalue, goes straight to the exact
+pass.  Either way the first counts, and the ones filed, are the same, so
+each tree's enclosures, cached counts and every byte derived from them do
+not depend on the block it was proved in, nor on the root.
 """
 
 from __future__ import annotations
@@ -70,10 +75,19 @@ class EigCounts(NamedTuple):
 
 def laplacian_matrix(tree: Tree) -> np.ndarray:
     """Dense L = D - A as float64 (estimates and oracles only)."""
-    lap = np.zeros((tree.n, tree.n))
-    u, v = np.array(tree.edges, dtype=np.intp).reshape(-1, 2).T
-    lap[u, v] = lap[v, u] = -1.0
-    np.fill_diagonal(lap, tree.degrees)
+    return _laplacians([tree])[0]
+
+
+def _laplacians(trees: Sequence[Tree]) -> np.ndarray:
+    """The dense Laplacians of trees of one order, stacked (B, n, n), set by
+    index arrays over every tree's edges at once."""
+    n, rows = trees[0].n, np.arange(len(trees))[:, None]
+    lap = np.zeros((len(trees), n, n))
+    edges = np.array([t.edges for t in trees], dtype=np.intp).reshape(len(trees), -1, 2)
+    u, v = edges[..., 0], edges[..., 1]
+    lap[rows, u, v] = lap[rows, v, u] = -1.0
+    diag = np.arange(n)
+    lap[:, diag, diag] = [t.degrees for t in trees]
     return lap
 
 
@@ -205,7 +219,7 @@ def _count(tree: Tree, x: int, den: int, exact: bool = False) -> EigCounts:
     key = ("cnt", x // g, den // g)
     hit = tree._cache.get(key)
     if hit is None:
-        hit = EigCounts(*_inertia(tree, -key[1], key[2], tree.centroids()[0], exact))
+        hit = EigCounts(*_inertia(tree, -key[1], key[2], tree.count_root(), exact))
         if _keeps(tree.n, x, den):
             tree._cache[key] = hit
     return hit
@@ -294,26 +308,27 @@ def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int]]:
 
 
 def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
-            counts: list[EigCounts]) -> tuple[int, list[tuple[int, int, int]]]:
+            below: list[int], equal: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
     """(den, [(lo, hi, count)] descending) from the exact counts at the first
-    probes `points` (over den), each interval bisected until it is at most
-    tol wide.  Each entry is proved by exact counts to hold exactly `count`
+    probes `points` (over den): `below[i]` eigenvalues lie below points[i]
+    and `equal[i]` on it.  Each interval is bisected until it is at most tol
+    wide.  Each entry is proved by exact counts to hold exactly `count`
     eigenvalues; one with lo == hi is an exact hit, and no entry has d_bar
     strictly inside."""
     n = tree.n
     tn, td = tol.numerator, tol.denominator
-    if counts[0].below != 0 or counts[0].equal != 1:
+    if below[0] != 0 or equal[0] != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
-    if counts[-1].below + counts[-1].equal != n:
+    if below[-1] + equal[-1] != n:
         raise AssertionError("eigenvalues must lie in [0, n]")
 
     # work items (lo, hi, m, #mu <= lo): hi - lo too wide, m eigenvalues strictly inside
-    found = [(x, x, c.equal) for x, c in zip(points, counts) if c.equal]
+    found = [(x, x, e) for x, e in zip(points, equal) if e]
     work: list[tuple[int, int, int, int]] = []
-    for a, b, ca, cb in zip(points, points[1:], counts, counts[1:]):
-        m = cb.below - ca.below - ca.equal
+    for a, b, below_a, equal_a, below_b in zip(points, points[1:], below, equal, below[1:]):
+        m = below_b - below_a - equal_a
         if m > 0:
-            work.append((a, b, m, ca.below + ca.equal))
+            work.append((a, b, m, below_a + equal_a))
 
     while work:
         lo, hi, m, at_lo = work[-1]
@@ -355,47 +370,47 @@ def _below_many(trees: Sequence[Tree], probes: Sequence[tuple[int, list[int]]]) 
     This is `_inertia_float` run on every (tree, probe) lane at once, but
     per vertex, not per rooted isomorphism class: the trees of a block have
     different class tables, while their vertices line up.  Each tree's
-    vertices are numbered by their place in its post-order from count_eigs's
+    vertices are numbered by their place in its post-order from its count
     root (the root comes last), so step i of the walk takes vertex i of
-    every tree.  Pivot intervals are (B, 2, P) arrays, lo and hi
-    on the middle axis; every +, - and 1/x is widened one ulp outward with
-    np.nextafter, and each vertex's reciprocal is scattered into its parent's
-    pivot.  A lane declines when one of its pivot intervals contains 0 or is
-    not finite; the lanes that pad a short probe list are NaN and decline
-    too.  A lane that does not decline has the tally of the exact pass, by
-    the argument in `_inertia_float`.
+    every tree; the block's degree and parent arrays are gathered through
+    that permutation and its inverse.  Pivot intervals are a (B, n, 2, P)
+    array, lo and hi on the third axis; every +, - and 1/x is widened one
+    ulp outward with np.nextafter, and each vertex's reciprocal is scattered
+    into its parent's pivot.  A pivot is final once its step has read it,
+    so the signs are tallied over all of them at the end.  A lane declines
+    when one of its pivot intervals contains 0 or is not finite; the lanes
+    that pad a short probe list are NaN and decline too.  A lane that does
+    not decline has the tally of the exact pass, by the argument in
+    `_inertia_float`.
     """
     n, rows = trees[0].n, np.arange(len(trees))
     width = max(len(points) for _, points in probes)
     alpha = np.full((len(trees), width), np.nan)
-    deg = np.empty((len(trees), n))
-    parent = np.zeros((len(trees), n), dtype=np.intp)
-    for b, (tree, (den, points)) in enumerate(zip(trees, probes)):
+    for b, (den, points) in enumerate(probes):
         alpha[b, :len(points)] = [-x / den for x in points]  # int / int is correctly rounded
-        order, par, _ = tree.rooted(tree.centroids()[0])
-        place = {v: i for i, v in enumerate(order)}
-        deg[b] = [tree.degrees[v] for v in order]
-        parent[b, :-1] = [place[par[v]] for v in order[:-1]]
+    oriented = [t.rooted(t.count_root()) for t in trees]
+    order = np.array([o for o, _, _ in oriented], dtype=np.intp)  # order[b, i]: vertex i of the walk
+    place = np.argsort(order, axis=1)  # the inverse permutation
+    deg = np.take_along_axis(np.array([t.degrees for t in trees], dtype=float), order, 1)
+    parent = np.array([p for _, p, _ in oriented], dtype=np.intp)  # -1 at the root, never read
+    parent = np.take_along_axis(place, np.take_along_axis(parent, order, 1), 1)
     out = np.array([[-np.inf], [np.inf]])  # lo rounds down, hi up
     step = np.nextafter
     with np.errstate(all="ignore"):
         a = np.stack([step(alpha, -np.inf), step(alpha, np.inf)], axis=1)
         piv = deg[:, :, None, None] + a[:, None]  # (B, n, 2, P)
         step(piv, out, out=piv)
-        below = np.zeros(alpha.shape, dtype=np.intp)
-        declined = np.zeros(alpha.shape, dtype=bool)
-        for i in range(n):
-            v = piv[:, i]
-            lo, hi = v[:, 0], v[:, 1]
-            neg = (hi < 0.0) & (-np.inf < lo)
-            declined |= ~(neg | ((0.0 < lo) & (lo <= hi) & (hi < np.inf)))
-            below += neg
-            if i < n - 1:
-                inv = step(1.0 / v[:, ::-1], out)  # [1/hi, 1/lo], widened
-                up = parent[:, i]
-                piv[rows, up] = step(piv[rows, up] - inv[:, ::-1], out)
-    return [[None if no else k for k, no in zip(ks[:len(points)], nos)]
-            for ks, nos, (_, points) in zip(below.tolist(), declined.tolist(), probes)]
+        for i in range(n - 1):  # a parent's place is after its children's
+            inv = step(1.0 / piv[:, i, ::-1], out)  # [1/hi, 1/lo], widened
+            up = parent[:, i]
+            piv[rows, up] = step(piv[rows, up] - inv[:, ::-1], out)
+        # vertex i's pivot is final once step i has read it, so all are tallied at the end
+        lo, hi = piv[:, :, 0], piv[:, :, 1]
+        neg = (hi < 0.0) & (-np.inf < lo)
+        decided = (neg | ((0.0 < lo) & (lo <= hi) & (hi < np.inf))).all(axis=1)
+        below = neg.sum(axis=1)
+    return [[k if ok else None for k, ok in zip(ks[:len(points)], oks)]
+            for ks, oks, (_, points) in zip(below.tolist(), decided.tolist(), probes)]
 
 
 @dataclass(frozen=True)
@@ -488,27 +503,24 @@ def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     bisected.
     """
     n, frac_tol = trees[0].n, Fraction(tol)
-    # a lone tree's matrix is passed as a view: a stacked copy writes every page of
-    # a large sparse Laplacian, which cost diam4_sweep about 0.2 ms per tree
-    lap = laplacian_matrix(trees[0])[None] if len(trees) == 1 else np.stack([laplacian_matrix(t) for t in trees])
-    est = np.linalg.eigvalsh(lap)
+    est = np.linalg.eigvalsh(_laplacians(trees))
     probes = [_propose(n, row, frac_tol) for row in est]
     walked = _below_many(trees, probes) if len(trees) > 1 else [None]
     specs = []
     for tree, (den, points), below in zip(trees, probes, walked):
         if below is None:
             counts = [count_eigs(tree, Fraction(x, den)) for x in points]
+            below, equal = [c.below for c in counts], [c.equal for c in counts]
         else:
-            counts = []
-            for x, k in zip(points, below):
-                if k is None:  # the walk declines at every eigenvalue, and so would _inertia_float
-                    counts.append(_count(tree, x, den, True))
-                    continue
-                counts.append(EigCounts(k, 0, n - k))
-                if _keeps(n, x, den):
+            equal = [0] * len(points)
+            for i, x in enumerate(points):
+                if below[i] is None:  # the walk declines at every eigenvalue, and so would _inertia_float
+                    exact = _count(tree, x, den, True)
+                    below[i], equal[i] = exact.below, exact.equal
+                elif _keeps(n, x, den):
                     g = math.gcd(x, den)
-                    tree._cache["cnt", x // g, den // g] = counts[-1]
-        den, distinct = _bisect(tree, frac_tol, den, points, counts)
+                    tree._cache["cnt", x // g, den // g] = EigCounts(below[i], 0, n - below[i])
+        den, distinct = _bisect(tree, frac_tol, den, points, below, equal)
         specs.append(Spectrum(n, tuple(distinct), den))
         tree._cache[("spectrum", tol)] = specs[-1]
     return specs

@@ -2,15 +2,21 @@
 
 A Tree is an immutable connected acyclic graph on labels 0..n-1.  All
 operations downstream (spectra, characteristic polynomials, bounds) consume
-this one representation.  Construction always validates: exactly n-1 edges,
-no duplicates, no cycles, connected.
+this one representation.  Tree(n, edges) always validates: exactly n-1
+edges, no duplicates, no cycles, connected.  The enumerator, whose level
+sequences are trees by construction, builds through the private
+Tree._trusted and files what the layout fixes in the tree's cache.
 
 Isomorphism testing goes through canonical_code(), an AHU-style level
-encoding rooted at the centroid(s); equal codes iff isomorphic trees.
+encoding rooted at the centroid(s); equal codes iff isomorphic trees.  The
+subtree codes are taken once, in the orientation at vertex 0, and each
+centroid's code is re-rooted from them along its path to vertex 0.
 Tree.classes(root) is the quotient by rooted isomorphism that the
 congruence pass of `spectral` runs on: one post-order pass numbers each
 class (a degree plus the multiset of its children's classes) and counts
-its vertices.
+its vertices.  Tree.count_root() is the one rule for the root of every
+count: vertex 0 for a tree built from a level sequence, the layout's root,
+and the first centroid for any other tree.
 """
 
 from __future__ import annotations
@@ -95,6 +101,15 @@ class Tree:
         self.degrees = tuple(len(a) for a in adj)
         self._cache = {}
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple, adj: tuple, degrees: tuple, cache: dict) -> Tree:
+        """A Tree from parts that form one by construction (edges canonical and
+        sorted, adjacency ascending), with `cache` pre-filled; nothing is
+        validated.  For builders inside the package only."""
+        tree = object.__new__(cls)
+        tree.n, tree.edges, tree.adj, tree.degrees, tree._cache = n, edges, adj, degrees, cache
+        return tree
+
     # ---- basic queries -------------------------------------------------
 
     def rooted(self, root: int = 0) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -115,7 +130,8 @@ class Tree:
 
         A vertex's class is its degree plus the multiset of its children's
         classes, numbered in order of first appearance in the post-order, so
-        every child class comes before its parents.  Cached per root.
+        every child class comes before its parents.  Cached per root; the
+        counts take it at count_root().
         """
         key = ("classes", root)
         hit = self._cache.get(key)
@@ -140,6 +156,16 @@ class Tree:
                     counts[child] += k * counts[c]
             hit = self._cache[key] = RootedClasses(tuple(kinds), tuple(counts))
         return hit
+
+    def count_root(self) -> int:
+        """The root every count on this tree is taken from (`spectral._count`
+        and the block walk): vertex 0 for a tree built from a level sequence,
+        the layout's root, and the first centroid for any other tree.  Counts
+        do not depend on the root (Sylvester's law of inertia)."""
+        root = self._cache.get("root")
+        if root is None:
+            root = self._cache["root"] = self.centroids()[0]
+        return root
 
     def centroids(self) -> tuple[int, ...]:
         """The one or two vertices minimizing the largest remaining component."""
@@ -189,17 +215,23 @@ def _orient(adj: Sequence[Sequence[int]], root: int, cut: int = -1) -> tuple[lis
 
 
 def _centroids(orientation) -> tuple[int, ...]:
-    """The one or two centroids, ascending, of an oriented component (as from _orient)."""
-    order, parent, _ = orientation
+    """The one or two centroids, ascending, of an oriented component (as from
+    _orient): from the root, step to the child holding more than half the
+    component while there is one; a child holding exactly half is the second."""
+    order, parent, kids = orientation
+    m = len(order)
     size = [1] * len(parent)
-    worst = [0] * len(parent)  # the largest component left when v is removed
-    for v in order:  # children before their parent
-        worst[v] = max(worst[v], len(order) - size[v])
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-            worst[parent[v]] = max(worst[parent[v]], size[v])
-    best = min(worst[v] for v in order)
-    return tuple(sorted(v for v in order if worst[v] == best))
+    for v in order[:-1]:  # children before their parent
+        size[parent[v]] += size[v]
+    v = order[-1]
+    while kids[v]:
+        big = max(kids[v], key=size.__getitem__)
+        if 2 * size[big] < m:
+            break
+        if 2 * size[big] == m:
+            return (v, big) if v < big else (big, v)
+        v = big
+    return (v,)
 
 
 # ---- constructors -------------------------------------------------------
@@ -304,11 +336,29 @@ def canonical_code(tree: Tree) -> bytes:
 
     AHU level encoding rooted at the centroid; bicentroidal trees are
     canonicalized from both rootings and the lexicographic minimum taken.
+    The subtree codes are taken once, in the orientation at vertex 0, and
+    re-rooted to each centroid (_rerooted).
     """
     hit = tree._cache.get("code")
     if hit is None:
-        hit = tree._cache["code"] = min(_ahu(tree.rooted(c)) for c in tree.centroids())
+        orientation = tree.rooted(0)
+        below = _subtree_codes(orientation)
+        hit = tree._cache["code"] = min(_rerooted(c, orientation, below) for c in tree.centroids())
     return hit
+
+
+def _rerooted(c: int, orientation, below: list[bytes]) -> bytes:
+    """The AHU code of the tree rooted at c, from the subtree codes `below` of
+    an orientation: only the sides along c's path up to the orientation's
+    root change."""
+    _, parent, kids = orientation
+    path = [c]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    up: list[bytes] = []  # the side of v away from its child on the path, rooted at v
+    for v, child in zip(path[:0:-1], path[-2::-1]):  # from the top down
+        up = [b"(" + b"".join(sorted([below[x] for x in kids[v] if x != child] + up)) + b")"]
+    return b"(" + b"".join(sorted([below[x] for x in kids[c]] + up)) + b")"
 
 
 def component_code(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
@@ -326,11 +376,9 @@ def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
     hit = tree._cache.get("side_codes")
     if hit is not None:
         return hit
-    order, parent, kids = tree.rooted(0)
-    below: list[bytes] = [b""] * tree.n  # v's side of the edge to its parent
+    order, parent, kids = orientation = tree.rooted(0)
+    below = _subtree_codes(orientation)  # v's side of the edge to its parent
     above: list[bytes] = [b""] * tree.n  # the parent's side of that edge
-    for v in order:
-        below[v] = b"(" + b"".join(sorted(below[c] for c in kids[v])) + b")"
     codes = tree._cache["side_codes"] = {}
     for v in reversed(order):  # parents first
         around = sorted([below[c] for c in kids[v]] + ([above[v]] if parent[v] >= 0 else []))
@@ -344,14 +392,17 @@ def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
 
 def _ahu(orientation) -> bytes:
     """AHU code of an oriented component (as from _orient), at its root."""
+    return _subtree_codes(orientation)[orientation[0][-1]]
+
+
+def _subtree_codes(orientation) -> list[bytes]:
+    """v -> AHU code of v's subtree in an oriented component (as from _orient
+    or Tree.rooted), indexed by label; b"" off the component."""
     order, _, kids = orientation
-    code: list[bytes | None] = [None] * len(kids)
-    for v in order:
-        if kids[v]:
-            code[v] = b"(" + b"".join(sorted(code[c] for c in kids[v])) + b")"
-        else:
-            code[v] = b"()"
-    return code[order[-1]]
+    code = [b""] * len(kids)
+    for v in order:  # children first
+        code[v] = b"(" + b"".join(sorted([code[c] for c in kids[v]])) + b")"
+    return code
 
 
 @dataclass(frozen=True)

@@ -297,7 +297,11 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     The trees of one order go through in blocks of up to BLOCK: the spectra
     of a block's trees not in the sink are computed together
     (spectral.eigenvalues_many), then each tree is checked and its record
-    written in enumeration order.
+    written in enumeration order.  Each tree comes built from its level
+    sequence (enumeration._layout_to_tree), with its diameter, degree
+    summary and orientation at the layout root already filed; its counts
+    are taken from that root (Tree.count_root), and its record key and the
+    report order are the centroid-rooted canonical code.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:

@@ -182,6 +182,32 @@ class TestThm32:
                         rep = thm32_lower_bound(t, e, 1e-10)
                         assert rep.holds is True, (t.edges, e)
 
+    @pytest.mark.parametrize("tol", [1e-12, 0.3])
+    def test_k_read_off_the_spectrum_is_the_exact_count(self, tol):
+        # every component of every free tree with n <= 11, counted at 2 - 4/n
+        for n in range(4, 12):
+            thr = Fraction(2 * n - 4, n)
+            for t in free_trees(n):
+                for a, b in t.edges:
+                    if t.degrees[a] > 1 and t.degrees[b] > 1:
+                        t1, t2, k1, k2 = bounds._split_counts(t, (a, b), tol)
+                        assert (k1, k2) == tuple(c.n - spectral.count_eigs(c, thr).below for c in (t1, t2))
+
+    def test_k_is_counted_only_where_an_enclosure_straddles_the_threshold(self, monkeypatch):
+        counted = []
+        real = bounds.count_eigs
+        monkeypatch.setattr(bounds, "count_eigs", lambda tree, x: counted.append((tree.n, x)) or real(tree, x))
+        t = path(7)
+        thr = Fraction(10, 7)  # 2 - 4/7 = 1.43; P_5 has the eigenvalue (5 - sqrt(5))/2 = 1.38
+        t1, t2, k1, k2 = bounds._split_counts(t, (1, 2), 0.3)  # P_5 and P_2
+        straddled = [(lo, hi) for lo, hi in spectral.eigenvalues(t1, 0.3).enclosures if lo < thr < hi]
+        assert t1.n == 5 and straddled
+        assert counted == [(5, thr)]
+        assert (k1, k2) == (2, 1)
+        counted.clear()
+        assert bounds._split_counts(t, (1, 2), 1e-12)[2:] == (2, 1)  # no enclosure straddles at 1e-12
+        assert counted == []
+
 
 class TestCoru:
     def test_star_component_sigma(self):
@@ -493,9 +519,9 @@ class TestSharedComponents:
         sizes = []
         real = bounds._split_counts
 
-        def spy(tree, edge):
+        def spy(tree, edge, *tol):
             sizes.append(len(bounds._components))
-            return real(tree, edge)
+            return real(tree, edge, *tol)
 
         monkeypatch.setattr(bounds, "_split_counts", spy)
         return sizes

@@ -2,9 +2,11 @@
 
 import pytest
 
+from treelap import enumeration
 from treelap.enumeration import MAX_ORDER, EnumRange, count_free_trees, free_trees, free_trees_sharded
 from treelap.errors import BadParam
-from treelap.tree import canonical_code, degree_summary, diameter
+from treelap.spectral import laplacian_matrix
+from treelap.tree import Tree, _ahu, _orient, canonical_code, degree_summary, diameter
 
 from conftest import otter_free_tree_counts, pruefer_census
 
@@ -64,6 +66,43 @@ def test_sharding_partitions_stream():
     for s in shards:
         assert flat.isdisjoint(s)
         flat.update(s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_shards_concatenate_to_the_stream(k):
+    for n in range(1, 12):
+        whole = [t.edges for t in free_trees(n)]
+        assert [t.edges for i in range(k) for t in free_trees_sharded(EnumRange(n, i, k))] == whole
+
+
+def test_a_one_shard_stream_counts_nothing(monkeypatch):
+    def no_count(n):
+        raise AssertionError("a one-shard stream counted its order")
+
+    monkeypatch.setattr(enumeration, "count_free_trees", no_count)
+    assert len(list(free_trees_sharded(EnumRange(9)))) == 47
+
+
+def test_no_skipped_tree_is_built(monkeypatch):
+    whole = [t.edges for t in free_trees(10)]
+    built = []
+    real = enumeration._layout_to_tree
+    monkeypatch.setattr(enumeration, "_layout_to_tree", lambda seq: built.append(seq) or real(seq))
+    shard = [t.edges for t in free_trees_sharded(EnumRange(10, 1, 3))]
+    assert shard == whole[35:70] and len(built) == 35  # trees 35..69 of 106
+
+
+def test_a_layout_tree_is_the_tree_of_its_edge_list():
+    # free_trees builds each tree in one pass over its level sequence, without
+    # Tree(n, edges); the two must agree on everything the library reads
+    for n in range(1, 13):
+        for t in free_trees(n):
+            f = Tree(t.n, list(t.edges))
+            assert t == f and (t.n, t.edges, t.adj, t.degrees) == (f.n, f.edges, f.adj, f.degrees)
+            ahu = min(_ahu(_orient(f.adj, c)) for c in f.centroids())  # at each centroid, as a walk
+            assert canonical_code(t) == canonical_code(f) == ahu
+            assert (diameter(t), degree_summary(t)) == (diameter(f), degree_summary(f))
+            assert laplacian_matrix(t).tobytes() == laplacian_matrix(f).tobytes()
 
 
 def test_sharding_degenerate():

@@ -48,6 +48,12 @@ def _count_keys(tree: Tree) -> set[Fraction]:
     return {Fraction(k[1], k[2]) for k in tree._cache if type(k) is tuple and k[0] == "cnt"}
 
 
+def _proved(tree: Tree) -> dict:
+    """The spectra and counts cached on tree: what a proof leaves, apart from
+    the structure a tree built from a level sequence carries from the start."""
+    return {k: v for k, v in tree._cache.items() if type(k) is tuple and k[0] in ("cnt", "spectrum")}
+
+
 class TestDiagonalize:
     def test_star4_at_minus_one(self):
         out = diagonalize(star(4), -1, root=0)
@@ -226,6 +232,13 @@ class TestEigenvalues:
         for t in trees:
             lap = spectral.laplacian_matrix(t)
             assert lap.dtype == np.float64 and lap.tobytes() == laplacian_np(t).tobytes()
+
+    def test_a_block_of_laplacians_is_the_per_edge_loop_bit_for_bit(self, rng):
+        for n in (1, 2, 9):
+            block = list(free_trees(n)) + [random_tree(n, rng) for _ in range(3)]
+            lap = spectral._laplacians(block)
+            assert lap.dtype == np.float64
+            assert lap.tobytes() == np.stack([laplacian_np(t) for t in block]).tobytes()
 
     def test_p2_exact(self):
         spec = eigenvalues(path(2))
@@ -514,7 +527,8 @@ class TestBlockRoute:
         monkeypatch.setattr(spectral, "_prove", lambda trees, tol: blocks.append(trees) or real(trees, tol))
         trees = list(free_trees(8))  # 23 trees, 26 listed: five blocks of 5 and a lone tree
         random.Random(5).shuffle(trees)
-        fresh = [Tree(t.n, t.edges) for t in trees]
+        fresh = list(free_trees(8))  # the same trees, built alike, proved one by one
+        random.Random(5).shuffle(fresh)
         for t in trees[::4] + fresh[::4]:
             count_eigs(t, 3)  # a count taken before the spectrum stays
         specs = spectral.eigenvalues_many(trees + trees[:3], 1e-9)  # the first three listed twice
@@ -544,8 +558,7 @@ class TestBlockRoute:
         trees = list(free_trees(9))
         specs = spectral.eigenvalues_many(trees, 1e-9)
         assert declined and not declined & floated
-        for t, spec in zip(trees, specs):
-            fresh = Tree(t.n, t.edges)
+        for t, fresh, spec in zip(trees, free_trees(9), specs):
             assert spec == eigenvalues(fresh, 1e-9) and t._cache == fresh._cache
 
     def test_mixed_orders_are_refused_before_any_work(self):
@@ -586,3 +599,41 @@ class TestBlockRoute:
     def test_bad_tol(self):
         with pytest.raises(BadParam):
             spectral.eigenvalues_many([path(3)], math.inf)
+
+
+class TestLayoutTrees:
+    """free_trees builds each tree from its level sequence, and such a tree
+    counts from the layout root, vertex 0, where any other tree counts from
+    its first centroid.  Counts do not depend on the root, so every proof
+    is the one of the same tree built from its edge list."""
+
+    def test_the_count_root_is_the_layout_root_or_the_first_centroid(self, monkeypatch):
+        roots = []
+        real = spectral._inertia
+
+        def spy(t, p, q, root, *exact):
+            roots.append(root)
+            return real(t, p, q, root, *exact)
+
+        monkeypatch.setattr(spectral, "_inertia", spy)
+        for t in free_trees(9):
+            f = Tree(t.n, t.edges)
+            assert t.count_root() == 0 and f.count_root() == f.centroids()[0]
+            order, _, _ = t.rooted(0)
+            assert order == tuple(range(t.n - 1, -1, -1))  # reverse preorder
+            for tree, root in ((t, 0), (f, f.centroids()[0])):
+                roots.clear()
+                count_eigs(tree, Fraction(5, 3))
+                assert roots == [root]
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.3])
+    def test_every_spectrum_and_kept_count_is_the_edge_lists(self, tol):
+        # the layout trees in blocks, from vertex 0; their edge lists one by one, from a centroid
+        for n in range(1, 13):
+            layout = list(free_trees(n))
+            edges = [Tree(t.n, t.edges) for t in layout]
+            lone = [eigenvalues(t, tol) for t in edges]
+            assert spectral.eigenvalues_many(layout, tol) == lone
+            for a, b, spec in zip(layout, edges, lone):
+                assert _proved(a) == _proved(b)
+                assert a._cache["spectrum", tol].sigma == spec.sigma

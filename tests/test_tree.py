@@ -14,11 +14,14 @@ from treelap.errors import (
     DuplicateEdge,
     EdgeAbsent,
 )
+from treelap.enumeration import free_trees
 from treelap.families import double_broom3, path, sns_tree, star, t4_spider, t_dprime, t_prime
 from treelap.spectral import average_degree
 from treelap.tree import (
     DegreeSummary,
     Tree,
+    _centroids,
+    _orient,
     canonical_code,
     degree_summary,
     delete_edge,
@@ -72,6 +75,24 @@ class TestConstruction:
     def test_single_vertex(self):
         t = Tree(1, [])
         assert t.n == 1 and t.edges == ()
+
+    def test_edge_lists_are_still_validated(self):
+        # free_trees builds its trees without validation; Tree(n, edges) still refuses bad input
+        for n in range(3, 9):
+            for t in free_trees(n):
+                edges = list(t.edges)
+                a, b = edges[-1]
+                apart = next((x, y) for x in range(n) for y in range(x + 1, n) if y not in t.adj[x])
+                for size, bad, error in [
+                    (0, edges, BadParam),
+                    (n, edges[:-1], Disconnected),
+                    (n, edges + [(b, a)], DuplicateEdge),
+                    (n, edges[:-1] + [(a, n)], BadLabel),
+                    (n, edges[:-1] + [(a, a)], CycleDetected),
+                    (n, edges + [apart], CycleDetected),
+                ]:
+                    with pytest.raises(error):
+                        Tree(size, bad)
 
 
 class TestPruefer:
@@ -131,6 +152,40 @@ class TestCanonicalCode:
                     perm = list(range(n))
                     rng.shuffle(perm)
                     assert canonical_code(relabel(tree, perm)) == base
+
+
+class TestCentroids:
+    def test_every_orientation_finds_the_vertices_of_least_largest_component(self):
+        # from every root and on both sides of every edge, against the definition
+        rng = random.Random(7)
+        for n in range(1, 10):
+            for t in free_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for tree in (t, relabel(t, perm)):
+                    for root in range(n):
+                        for cut in (-1, *tree.adj[root]):
+                            side = _orient(tree.adj, root, cut)
+                            part = set(side[0])
+                            worst = {v: max([len(c) for c in _pieces(tree, part - {v})], default=0) for v in part}
+                            best = min(worst.values())
+                            assert _centroids(side) == tuple(v for v in sorted(part) if worst[v] == best)
+
+
+def _pieces(tree: Tree, keep: set[int]) -> list[set[int]]:
+    """The connected pieces of the subgraph of tree induced on keep."""
+    pieces, left = [], set(keep)
+    while left:
+        stack = [left.pop()]
+        piece = set(stack)
+        while stack:
+            for w in tree.adj[stack.pop()]:
+                if w in left:
+                    left.discard(w)
+                    piece.add(w)
+                    stack.append(w)
+        pieces.append(piece)
+    return pieces
 
 
 class TestRootedClasses:
