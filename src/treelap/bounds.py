@@ -22,9 +22,10 @@ Within one exhaustive run the components of T - e are shared per
 isomorphism class: _split_counts hands out the first component seen in the
 run with the same canonical code, so its spectra, cached on that Tree, are
 computed once per class.  The codes are read off T, and a component Tree
-is built only for a class new to the run.  Isomorphic trees have the same
-Laplacian spectrum, so an enclosure certified on the shared tree is
-certified for every member of its class.  The table lives only for the
+is built only for a class new to the run, and proved with the block's
+other new classes of its order (_file_components).  Isomorphic trees have
+the same Laplacian spectrum, so an enclosure certified on the shared tree
+is certified for every member of its class.  The table lives only for the
 length of the run.
 """
 
@@ -36,7 +37,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .errors import BadParam, PendantEdge
@@ -45,6 +46,7 @@ from .spectral import (
     average_degree,
     count_eigs,
     eigenvalues,
+    eigenvalues_many,
     forest_enclosures,
     multiplicity_of_one,
     sigma,  # noqa: F401  (kept as bounds.sigma; the bounds read the spectrum's)
@@ -355,7 +357,7 @@ _side_classes: dict[bytes, tuple[int, bytes]] | None = None
 @contextmanager
 def _shared_components() -> Iterator[None]:
     """Share T - e components per isomorphism class for the length of the
-    block: the tables start empty and are switched off on any exit."""
+    run: the tables start empty and are switched off on any exit."""
     global _components, _side_classes
     _components, _side_classes = {}, {}
     try:
@@ -364,14 +366,36 @@ def _shared_components() -> Iterator[None]:
         _components = _side_classes = None
 
 
-def _side_class(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
-    """component_code(tree, a, b), looked up by the rooted code of a's side:
-    equal rooted codes mean isomorphic sides, so it runs once per rooted class."""
-    rooted = side_codes(tree)[a, b]
-    hit = _side_classes.get(rooted)
-    if hit is None:
-        hit = _side_classes[rooted] = component_code(tree, a, b)
-    return hit
+def _file_components(trees: Sequence[Tree], tol: float) -> None:
+    """File the T - e components new to the run of a block of trees, walked
+    in thm32's order and each as _split_counts would file it (so each class
+    keeps its Tree, spectrum and verdict), and prove them in blocks per order."""
+    new: dict[int, list[Tree]] = {}
+    for t in trees:
+        for ((a, b),) in _FANOUTS["non-pendant edge"](t):
+            sides = _sides(t, a, b)
+            if any(code not in _components for _, code in sides):
+                for (order, code), part in zip(sides, delete_edge(t, (a, b))):
+                    if code not in _components:
+                        _components[code] = part
+                        new.setdefault(order, []).append(part)
+    for parts in new.values():
+        eigenvalues_many(parts, tol)
+
+
+def _sides(tree: Tree, a: int, b: int) -> list[tuple[int, bytes]]:
+    """component_code of both sides of T - ab, larger first and a's side first
+    on a tie (delete_edge's order), each looked up by the side's rooted code:
+    equal rooted codes mean isomorphic sides, so component_code runs once per
+    rooted class."""
+    codes, sides = side_codes(tree), []
+    for u, v in ((a, b), (b, a)):
+        rooted = codes[u, v]
+        hit = _side_classes.get(rooted)
+        if hit is None:
+            hit = _side_classes[rooted] = component_code(tree, u, v)
+        sides.append(hit)
+    return sides if sides[0][0] >= sides[1][0] else sides[::-1]
 
 
 def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tuple[Tree, Tree, int, int]:
@@ -380,9 +404,11 @@ def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tupl
 
     Inside _shared_components each T_i is the run's first component with
     the same canonical code, read off T by component_code once per rooted
-    class of sides (see _side_class), so the spectra cached on that one Tree
+    class of sides (see _sides), so the spectra cached on that one Tree
     serve the whole class and delete_edge runs only for a class new to the
-    run.  k_i is read off T_i's spectrum at tol (see _at_least), which the
+    run.  An exhaustive run has filed and proved the block's new classes
+    already (_file_components), so a class is filed here only when met here
+    first.  k_i is read off T_i's spectrum at tol (see _at_least), which the
     bound reads anyway.  Isomorphic trees share their spectrum, so every
     count and enclosure taken on it is certified for T_i too; outside a run
     the components are delete_edge's own."""
@@ -390,9 +416,7 @@ def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tupl
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
         *parts, pendant = delete_edge(tree, edge)
     else:
-        sides = [_side_class(tree, a, b), _side_class(tree, b, a)]
-        if sides[0][0] < sides[1][0]:
-            sides.reverse()  # larger first, a's side first on a tie: delete_edge's order
+        sides = _sides(tree, a, b)
         pendant = sides[1][0] == 1
         parts = [_components.get(code) for _, code in sides]
         if None in parts and not pendant:

@@ -11,13 +11,14 @@ stayed undecided after refinement, 1 = usage, input or file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import bounds as bounds_mod
 from . import families
 from .charpoly import char_poly
-from .enumeration import EnumRange, count_free_trees, free_trees_sharded
+from .enumeration import EnumRange, _order_count, free_trees_sharded
 from .errors import TreelapError
 from .spectral import check_tol, eigenvalues
 from .tree import (
@@ -160,7 +161,7 @@ def _cmd_check_conjecture(args) -> int:
     if args.report:
         check_writable(args.report)
     if config.n_max > DESK_CEILING:
-        est = sum(count_free_trees(n) for n in range(config.n_min, config.n_max + 1))
+        est = sum(_order_count(n) for n in range(config.n_min, config.n_max + 1))
         print(f"large run: ~{est} trees up to n={config.n_max}", file=sys.stderr)
     summary = run_exhaustive(config)
     print(summary.describe())
@@ -241,9 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call, built on the first one: parse_args
+    keeps nothing of a call but the namespace it returns."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         check_tol(getattr(args, "tol", 1.0))
         return args.fn(args)
     except (TreelapError, OSError, UnicodeDecodeError) as exc:

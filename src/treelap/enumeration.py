@@ -24,6 +24,7 @@ to MAX_ORDER.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -193,6 +194,13 @@ def count_free_trees(n: int) -> int:
     return sum(1 for _ in _free_layouts(n))
 
 
+@functools.cache
+def _order_count(n: int) -> int:
+    """count_free_trees(n), counted once per process: sharding and the CLI's
+    large-run estimate both read it."""
+    return count_free_trees(n)
+
+
 def free_trees_sharded(rng: EnumRange) -> Iterator[Tree]:
     """The shard_index-th of shard_count contiguous index ranges of free_trees(n).
 
@@ -202,7 +210,7 @@ def free_trees_sharded(rng: EnumRange) -> Iterator[Tree]:
     """
     layouts = _free_layouts(rng.n)
     if rng.shard_count > 1:
-        total = count_free_trees(rng.n)
+        total = _order_count(rng.n)
         start = rng.shard_index * total // rng.shard_count
         stop = (rng.shard_index + 1) * total // rng.shard_count
         layouts = islice(layouts, start, stop)

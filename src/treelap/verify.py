@@ -8,6 +8,7 @@ byte-identical across reruns with the same configuration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -51,8 +52,19 @@ class RunConfig:
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
 
 
+class _Record:
+    """A record's JSON line, made once per record object: run_exhaustive
+    writes it to the sink and a jsonl report reuses it.  A record read back
+    from a sink is a new object, serialized anew, as the sink's bytes need
+    not be canonical."""
+
+    @functools.cached_property
+    def json_line(self) -> str:
+        return record_to_json(self)
+
+
 @dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(_Record):
     code: str
     n: int
     diam: int
@@ -68,7 +80,7 @@ class VerifyRecord:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Record):
     family: str
     params: str
     n: int
@@ -186,7 +198,7 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
                 fh.write(record_to_csv(rec) + "\n")
         else:
             for rec in ordered:
-                fh.write(record_to_json(rec) + "\n")
+                fh.write(rec.json_line + "\n")
 
 
 # VerifyRecord field annotation -> the JSON value types a sink line may hold.
@@ -296,8 +308,11 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
 
     The trees of one order go through in blocks of up to BLOCK: the spectra
     of a block's trees not in the sink are computed together
-    (spectral.eigenvalues_many), then each tree is checked and its record
-    written in enumeration order.  Each tree comes built from its level
+    (spectral.eigenvalues_many), and when a check splits T - e (thm32) so
+    are those of their components new to the run
+    (bounds._file_components); then each tree is checked and its record
+    written in enumeration order; a sink line is the record's json_line,
+    which a jsonl report reuses.  Each tree comes built from its level
     sequence (enumeration._layout_to_tree), with its diameter, degree
     summary and orientation at the layout root already filed; its counts
     are taken from that root (Tree.count_root), and its record key and the
@@ -308,6 +323,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
         if c not in accepted:
             raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
     wanted = {"conjecture", *config.checks}
+    splits = any(bounds.CHECKS[c].fanout == "non-pendant edge" for c in config.checks)
     summary = RunSummary()
     existing = _load_sink(config.out) if config.out else {}
     for rec in existing.values():
@@ -330,6 +346,8 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                 fresh = [tree for code, tree in block if code not in existing]
                 if fresh:
                     eigenvalues_many(fresh, config.tol)
+                    if splits:
+                        bounds._file_components(fresh, config.tol)
                 for code, tree in block:
                     rec = existing.get(code)
                     if rec is not None:
@@ -338,7 +356,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                         rec = _evaluate(tree, code, config)
                         summary.trees += 1
                         if sink:
-                            sink.write(record_to_json(rec) + "\n")
+                            sink.write(rec.json_line + "\n")
                     summary._tally(rec, rec.checks.values(), code)
     return summary
 

@@ -42,7 +42,7 @@ from treelap.families import (
     t_prime,
 )
 from treelap.spectral import average_degree, laplacian_energy, sigma
-from treelap.tree import Tree, diameter
+from treelap.tree import Tree, canonical_code, delete_edge, diameter
 from treelap.verify import RunConfig, run_exhaustive
 
 from conftest import random_tree
@@ -527,13 +527,95 @@ class TestSharedComponents:
         return sizes
 
     def test_empty_at_each_run_and_off_after_it(self, monkeypatch):
+        # a run files each block's new components before checking the block,
+        # so the table is empty when the first block's filing starts and
+        # never when thm32 reads it
         sizes = self._table_sizes(monkeypatch)
+        at_filing = self._spy_filing(monkeypatch)
         config = RunConfig(n_min=8, n_max=8, checks=("thm32",))
         for _ in range(2):
             sizes.clear()
+            at_filing.clear()
             run_exhaustive(config)
             assert bounds._components is None
-            assert sizes[0] == 0 and max(sizes) > 0
+            assert at_filing[0][1] == 0 and min(sizes) > 0
+
+    @staticmethod
+    def _spy_filing(monkeypatch) -> list:
+        """(trees, len(bounds._components) before, the table) per _file_components call."""
+        calls = []
+        real = bounds._file_components
+
+        def spy(trees, tol):
+            size = len(bounds._components)
+            real(trees, tol)
+            calls.append((list(trees), size, bounds._components))
+
+        monkeypatch.setattr(bounds, "_file_components", spy)
+        return calls
+
+    def test_a_run_proves_each_new_component_in_its_blocks_filing(self, monkeypatch):
+        # thm32 proves no filed component one tree at a time: the filing
+        # proves a block's new classes of one order in one _prove call (orders
+        # 2 and 3 have one class each, so their calls hold one tree)
+        proofs, filing = [], []
+        real_prove, real_file = spectral._prove, bounds._file_components
+
+        def prove(trees, tol):
+            proofs.append((list(trees), bool(filing)))
+            return real_prove(trees, tol)
+
+        def file_block(trees, tol):
+            filing.append(1)
+            try:
+                real_file(trees, tol)
+            finally:
+                filing.pop()
+
+        monkeypatch.setattr(spectral, "_prove", prove)
+        monkeypatch.setattr(bounds, "_file_components", file_block)
+        filings = self._spy_filing(monkeypatch)  # wraps file_block
+        run_exhaustive(RunConfig(n_min=10, n_max=10, checks=("thm32",)))
+        filed = {id(t) for t in filings[-1][2].values()}
+        assert len(filed) > 40
+        assert not [trees for trees, inside in proofs if not inside and filed & {id(t) for t in trees}]
+        in_filing = [trees for trees, inside in proofs if inside]
+        assert sorted(id(t) for trees in in_filing for t in trees) == sorted(filed)
+        assert all(len({t.n for t in trees}) == 1 for trees in in_filing)
+        assert sum(len(trees) == 1 for trees in in_filing) < len(in_filing) // 2
+
+    def test_sharded_and_resumed_runs_file_only_their_fresh_trees(self, tmp_path, monkeypatch):
+        config = {"n_min": 8, "n_max": 9, "checks": ("thm32",)}
+        full = run_exhaustive(RunConfig(**config))
+        filings = self._spy_filing(monkeypatch)
+
+        def filed_for(records) -> None:
+            """The run's filed trees are the trees of `records`; its table holds their components."""
+            fresh = [t for trees, _, _ in filings for t in trees]
+            assert [canonical_code(t).decode() for t in fresh] == [r.code for r in records]
+            parts = {canonical_code(part) for t in fresh for (e,) in bounds._FANOUTS["non-pendant edge"](t)
+                     for part in delete_edge(t, e)[:2]}
+            assert set(filings[-1][2]) == parts
+            filings.clear()
+
+        merged = []
+        for i in range(2):
+            shard = run_exhaustive(RunConfig(**config, shard_index=i, shard_count=2))
+            filed_for(shard.records)
+            merged += shard.records
+        assert sorted(merged, key=lambda r: (r.n, r.code)) == sorted(full.records, key=lambda r: (r.n, r.code))
+
+        sink = tmp_path / "records.jsonl"
+        sink.write_text("".join(rec.json_line + "\n" for rec in full.records[::3]))
+        resumed = run_exhaustive(RunConfig(**config, out=str(sink)))
+        filed_for([r for i, r in enumerate(full.records) if i % 3])
+        assert resumed.skipped == len(full.records[::3])
+        assert [r.json_line for r in resumed.records] == [r.json_line for r in full.records]
+
+    def test_a_conjecture_only_run_files_nothing(self, monkeypatch):
+        filings = self._spy_filing(monkeypatch)
+        run_exhaustive(RunConfig(n_min=8, n_max=9, checks=("lemma22", "cor31")))
+        assert filings == []
 
     def test_off_after_a_refused_sink(self, tmp_path):
         sink = tmp_path / "records.jsonl"

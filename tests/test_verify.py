@@ -580,3 +580,57 @@ def test_resume_accepts_a_sink_made_at_the_same_tolerance(tmp_path, capsys, tol,
     assert "trees evaluated: 3 (skipped 2 already recorded)" in capsys.readouterr().out
     lines = sink.read_text().splitlines()
     assert len(lines) == 5 and all(f'"tol":{written},' in line for line in lines)
+
+
+def test_a_jsonl_report_serializes_each_record_once(tmp_path, monkeypatch):
+    # a fresh record's sink line is reused by the report; a record read back
+    # from the sink is serialized again, since the sink's bytes need not be canonical
+    calls = []
+    real = verify.record_to_json
+    monkeypatch.setattr(verify, "record_to_json", lambda rec: calls.append(rec.code) or real(rec))
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    argv = ["check-conjecture", "--n-min", "4", "--n-max", "7", "--out", str(sink), "--report", str(report)]
+    assert cli_main(argv) == 0
+    lines = sink.read_text().splitlines()
+    assert calls == [json.loads(line)["code"] for line in lines] and len(calls) == 22
+    first = report.read_bytes()
+    assert sorted(first.decode().splitlines()) == sorted(lines)
+
+    sink.write_text("".join(line.replace('"code":', ' "code":') + "\n" for line in lines[:10]))
+    calls.clear()
+    assert cli_main(argv) == 0
+    assert len(calls) == 22 and sorted(calls) == sorted(json.loads(line)["code"] for line in lines)
+    assert report.read_bytes() == first
+
+
+def test_main_builds_its_parser_once_and_keeps_no_parsed_state(monkeypatch):
+    from treelap import cli
+
+    built, configs = [], []
+    real_build, real_run = cli.build_parser, cli.run_exhaustive
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    monkeypatch.setattr(cli, "run_exhaustive", lambda config: configs.append(config) or real_run(config))
+    cli._parser.cache_clear()
+    argv = ["check-conjecture", "--n-min", "4", "--n-max", "6", "--checks", "lemma21",
+            "--tol", "1e-9", "--shards", "1/2"]
+    assert cli_main(argv) == 0
+    assert cli_main(["check-conjecture", "--n-max", "5"]) == 0
+    assert built == [1]
+    assert configs == [RunConfig(n_min=4, n_max=6, tol=1e-9, shard_index=1, shard_count=2,
+                                 checks=("conjecture", "lemma21")),
+                       RunConfig(n_min=4, n_max=5)]
+
+
+def test_a_large_sharded_run_counts_each_order_once(monkeypatch, capsys):
+    # the "large run" estimate and the shard split share one count per order
+    from treelap import cli, enumeration
+
+    monkeypatch.setattr(cli, "DESK_CEILING", 5)
+    counted = []
+    real = enumeration.count_free_trees
+    monkeypatch.setattr(enumeration, "count_free_trees", lambda n: counted.append(n) or real(n))
+    enumeration._order_count.cache_clear()
+    for shard in ("0/2", "1/2"):
+        assert cli_main(["check-conjecture", "--n-min", "4", "--n-max", "7", "--shards", shard]) == 0
+        assert "large run: ~22 trees up to n=7" in capsys.readouterr().err
+    assert sorted(counted) == [4, 5, 6, 7]
