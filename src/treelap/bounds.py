@@ -19,14 +19,15 @@ over non-pendant edges, or only when the tree qualifies).  Exhaustive runs
 and the `bounds` subcommand both iterate it.
 
 Within one exhaustive run the components of T - e are shared per
-isomorphism class: _split_counts hands out the first component seen in the
-run with the same canonical code, so its spectra, cached on that Tree, are
-computed once per class.  The codes are read off T, and a component Tree
-is built only for a class new to the run, and proved with the block's
-other new classes of its order (_file_components).  Isomorphic trees have
-the same Laplacian spectrum, so an enclosure certified on the shared tree
-is certified for every member of its class.  The table lives only for the
-length of the run.
+isomorphism class: one function, _shared_split, hands out the first
+component seen in the run with the same canonical code, so its spectra,
+cached on that Tree, are computed once per class.  The codes are read off
+T, and a component Tree is built only for a class new to the run.  A run
+shares a block's components before checking it and proves them in blocks
+per order (_file_components); thm32's own _split_counts then finds each
+class filed.  Isomorphic trees have the same Laplacian spectrum, so an
+enclosure certified on the shared tree is certified for every member of
+its class.  The table lives only for the length of the run.
 """
 
 from __future__ import annotations
@@ -367,27 +368,27 @@ def _shared_components() -> Iterator[None]:
 
 
 def _file_components(trees: Sequence[Tree], tol: float) -> None:
-    """File the T - e components new to the run of a block of trees, walked
-    in thm32's order and each as _split_counts would file it (so each class
-    keeps its Tree, spectrum and verdict), and prove them in blocks per order."""
-    new: dict[int, list[Tree]] = {}
+    """Share the T - e components of a block of trees, walked in thm32's
+    order (_shared_split), and prove the ones without a spectrum at tol in
+    blocks per order."""
+    by_order: dict[int, dict[int, Tree]] = {}  # each order's components by id, once each, in walk order
     for t in trees:
         for ((a, b),) in _FANOUTS["non-pendant edge"](t):
-            sides = _sides(t, a, b)
-            if any(code not in _components for _, code in sides):
-                for (order, code), part in zip(sides, delete_edge(t, (a, b))):
-                    if code not in _components:
-                        _components[code] = part
-                        new.setdefault(order, []).append(part)
-    for parts in new.values():
-        eigenvalues_many(parts, tol)
+            t1, t2, _ = _shared_split(t, a, b)
+            by_order.setdefault(t1.n, {})[id(t1)] = t1
+            by_order.setdefault(t2.n, {})[id(t2)] = t2
+    for parts in by_order.values():
+        eigenvalues_many(list(parts.values()), tol)
 
 
-def _sides(tree: Tree, a: int, b: int) -> list[tuple[int, bytes]]:
-    """component_code of both sides of T - ab, larger first and a's side first
-    on a tie (delete_edge's order), each looked up by the side's rooted code:
-    equal rooted codes mean isomorphic sides, so component_code runs once per
-    rooted class."""
+def _shared_split(tree: Tree, a: int, b: int) -> tuple[Tree | None, Tree | None, bool]:
+    """(T1, T2, pendant) for T - ab inside a run, in delete_edge's order
+    (larger first, a's side first on a tie), each T_i the run's Tree of its
+    class: a class new to the run is filed with delete_edge's own Tree,
+    unless the edge is pendant (then nothing is filed and a T_i may be None).
+    Each side's canonical code is looked up by its rooted code (side_codes):
+    equal rooted codes mean isomorphic sides, so component_code runs once
+    per rooted class."""
     codes, sides = side_codes(tree), []
     for u, v in ((a, b), (b, a)):
         rooted = codes[u, v]
@@ -395,32 +396,31 @@ def _sides(tree: Tree, a: int, b: int) -> list[tuple[int, bytes]]:
         if hit is None:
             hit = _side_classes[rooted] = component_code(tree, u, v)
         sides.append(hit)
-    return sides if sides[0][0] >= sides[1][0] else sides[::-1]
+    (n1, c1), (n2, c2) = sides if sides[0][0] >= sides[1][0] else sides[::-1]
+    t1, t2 = _components.get(c1), _components.get(c2)
+    if (t1 is None or t2 is None) and n2 > 1:
+        s1, s2, _ = delete_edge(tree, (a, b))
+        t1, t2 = _components.setdefault(c1, s1), _components.setdefault(c2, s2)
+    return t1, t2, n2 == 1
 
 
 def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tuple[Tree, Tree, int, int]:
     """(T1, T2, k1, k2) for T - e = T1 u T2 at a non-pendant edge, larger
     component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
 
-    Inside _shared_components each T_i is the run's first component with
-    the same canonical code, read off T by component_code once per rooted
-    class of sides (see _sides), so the spectra cached on that one Tree
-    serve the whole class and delete_edge runs only for a class new to the
-    run.  An exhaustive run has filed and proved the block's new classes
-    already (_file_components), so a class is filed here only when met here
-    first.  k_i is read off T_i's spectrum at tol (see _at_least), which the
-    bound reads anyway.  Isomorphic trees share their spectrum, so every
-    count and enclosure taken on it is certified for T_i too; outside a run
-    the components are delete_edge's own."""
+    Inside _shared_components each T_i is the run's Tree of its class
+    (_shared_split), so the spectra cached on that one Tree serve the whole
+    class; an exhaustive run has shared and proved a block's components
+    before checking it (_file_components).  k_i is read off T_i's spectrum
+    at tol (see _at_least), which the bound reads anyway.  Isomorphic trees
+    share their spectrum, so every count and enclosure taken on it is
+    certified for T_i too; outside a run the components are delete_edge's
+    own."""
     a, b = sorted(edge)
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
         *parts, pendant = delete_edge(tree, edge)
     else:
-        sides = _sides(tree, a, b)
-        pendant = sides[1][0] == 1
-        parts = [_components.get(code) for _, code in sides]
-        if None in parts and not pendant:
-            parts = [_components.setdefault(code, t) for (_, code), t in zip(sides, delete_edge(tree, edge))]
+        *parts, pendant = _shared_split(tree, a, b)
     if pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
     return *parts, *(_at_least(t, 2 * tree.n - 4, tree.n, tol) for t in parts)

@@ -10,12 +10,12 @@ Each tree is built straight from its level sequence, in one pass
 (_layout_to_tree): the parent array gives the sorted edges and ascending
 adjacency without the validation Tree(n, edges) gives user input, and the
 tree's cache starts with what the layout already fixes: the orientation at
-the layout root (reverse preorder is a post-order), the diameter, the
-degree summary, and vertex 0 as the root every count on the tree is taken
-from (Tree.count_root).  The layout root is a center, not a centroid;
-counts do not depend on the root, and the canonical code stays
-centroid-rooted.  Sharding slices the level sequences, so a skipped tree
-is never built.
+the layout root (reverse preorder is a post-order), the diameter, vertex 0
+as the root every count on the tree is taken from (Tree.count_root), and
+the degree summary, filed through tree.degree_summary.  The layout root
+is a center, not a centroid; counts do not depend on the root, and the
+canonical code stays centroid-rooted.  Sharding slices the level
+sequences, so a skipped tree is never built.
 
 Prüfer-based enumeration is exponential (n^(n-2) labeled trees) and lives in
 the test suite as a small-n oracle; this module is the production path up
@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import BadParam
-from .tree import DegreeSummary, Tree
+from .tree import Tree, degree_summary
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,11 @@ def _layout_to_tree(seq: list[int]) -> Tree:
     validation of Tree(n, edges): vertex i is the i-th in preorder and its
     parent the latest vertex one level up, so each adjacency comes out
     ascending.  Filed in its cache: the count root 0 (Tree.count_root) and
-    its orientation, with reverse preorder as the post-order; the degree
-    summary; and the diameter, the sum of the two highest branches at the
-    root, as the root is a center: the first branch is the highest (the
-    branches are in canonical order), so the second highest is the highest
-    after it."""
+    its orientation, with reverse preorder as the post-order; the diameter,
+    the sum of the two highest branches at the root, as the root is a
+    center: the first branch is the highest (the branches are in canonical
+    order), so the second highest is the highest after it; and, through
+    tree.degree_summary, the degree summary."""
     n = len(seq)
     parent = [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
@@ -165,21 +165,15 @@ def _layout_to_tree(seq: list[int]) -> Tree:
         kids[p].append(i)
     children = tuple(map(tuple, kids))
     adj = (children[0], *[(p, *k) for p, k in zip(parent[1:], children[1:])])
-    degrees = tuple(map(len, adj))
-    leaves = [v for v in range(n) if degrees[v] == 1]
     second = seq.index(1, 2) if seq.count(1) > 1 else n
     cache = {
         "root": 0,
         ("rooted", 0): (tuple(range(n - 1, -1, -1)), tuple(parent), children),
         "diameter": max(seq) + max(seq[second:], default=0),
-        "degree_summary": DegreeSummary(
-            degrees=tuple(sorted(degrees, reverse=True)),
-            pendant_count=len(leaves),
-            internal_count=n - len(leaves),
-            leaf_neighbor_count=len({adj[v][0] for v in leaves}),
-        ),
     }
-    return Tree._trusted(n, tuple(sorted(zip(parent[1:], range(1, n)))), adj, degrees, cache)
+    tree = Tree._trusted(n, tuple(sorted(zip(parent[1:], range(1, n)))), adj, tuple(map(len, adj)), cache)
+    degree_summary(tree)  # filed now, so no check's timing pays for it
+    return tree
 
 
 def free_trees(n: int) -> Iterator[Tree]:

@@ -10,7 +10,8 @@ Tree._trusted and files what the layout fixes in the tree's cache.
 Isomorphism testing goes through canonical_code(), an AHU-style level
 encoding rooted at the centroid(s); equal codes iff isomorphic trees.  The
 subtree codes are taken once, in the orientation at vertex 0, and each
-centroid's code is re-rooted from them along its path to vertex 0.
+centroid's code is re-rooted from them along its path to vertex 0; the code
+of one side of T - e (component_code) is taken by the same rule.
 Tree.classes(root) is the quotient by rooted isomorphism that the
 congruence pass of `spectral` runs on: one post-order pass numbers each
 class (a degree plus the multiset of its children's classes) and counts
@@ -71,8 +72,13 @@ class Tree:
             if canon[i] == canon[i - 1]:
                 raise DuplicateEdge(f"edge {canon[i]} given more than once")
 
-        # union-find: the first edge closing a cycle is reported
-        uf = list(range(n))
+        # union-find: the first edge closing a cycle is reported.  Fewer than
+        # n-1 edges cannot form a tree, and n may be far larger than the
+        # input, so then only vertex 0 and the edges' ends are held
+        if len(canon) < n - 1:
+            uf = {0: 0} | {v: v for e in canon for v in e}
+        else:
+            uf = list(range(n))
 
         def find(a):
             while uf[a] != a:
@@ -88,7 +94,7 @@ class Tree:
         if len(canon) != n - 1:
             # acyclic with < n-1 edges: some vertex is cut off from vertex 0
             r0 = find(0)
-            stray = next(v for v in range(n) if find(v) != r0)
+            stray = next(v for v in range(n) if v not in uf or find(v) != r0)
             raise Disconnected(f"vertex {stray} is not connected to vertex 0")
 
         self.n = n
@@ -341,10 +347,16 @@ def canonical_code(tree: Tree) -> bytes:
     """
     hit = tree._cache.get("code")
     if hit is None:
-        orientation = tree.rooted(0)
-        below = _subtree_codes(orientation)
-        hit = tree._cache["code"] = min(_rerooted(c, orientation, below) for c in tree.centroids())
+        hit = tree._cache["code"] = _centroid_code(tree.rooted(0), tree.centroids())
     return hit
+
+
+def _centroid_code(orientation, centroids: Sequence[int]) -> bytes:
+    """The least AHU code of an oriented component (as from _orient or
+    Tree.rooted) rooted at one of its centroids: the subtree codes are taken
+    once and re-rooted to each centroid (_rerooted)."""
+    below = _subtree_codes(orientation)
+    return min(_rerooted(c, orientation, below) for c in centroids)
 
 
 def _rerooted(c: int, orientation, below: list[bytes]) -> bytes:
@@ -365,8 +377,7 @@ def component_code(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
     """(order, canonical code) of the component of a in T - ab, read off T:
     the same bytes as canonical_code of that component, without building it."""
     side = _orient(tree.adj, a, b)
-    code = min(_ahu(side if c == a else _orient(tree.adj, c, b)) for c in _centroids(side))
-    return len(side[0]), code
+    return len(side[0]), _centroid_code(side, _centroids(side))
 
 
 def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
@@ -388,11 +399,6 @@ def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
             codes[c, v] = below[c]
             codes[v, c] = above[c]
     return codes
-
-
-def _ahu(orientation) -> bytes:
-    """AHU code of an oriented component (as from _orient), at its root."""
-    return _subtree_codes(orientation)[orientation[0][-1]]
 
 
 def _subtree_codes(orientation) -> list[bytes]:
@@ -419,22 +425,16 @@ class DegreeSummary:
 def degree_summary(tree: Tree) -> DegreeSummary:
     """The tree's DegreeSummary, computed once and cached on the tree."""
     hit = tree._cache.get("degree_summary")
-    if hit is not None:
-        return hit
-    n = tree.n
-    degs = tuple(sorted(tree.degrees, reverse=True))
-    p = sum(1 for d in tree.degrees if d == 1)
-    leafy = set()
-    for v in range(n):
-        if tree.degrees[v] == 1:
-            leafy.add(tree.adj[v][0])
-    summary = tree._cache["degree_summary"] = DegreeSummary(
-        degrees=degs,
-        pendant_count=p,
-        internal_count=n - p,
-        leaf_neighbor_count=len(leafy),
-    )
-    return summary
+    if hit is None:
+        degrees = tree.degrees
+        leaves = [v for v in range(tree.n) if degrees[v] == 1]
+        hit = tree._cache["degree_summary"] = DegreeSummary(
+            degrees=tuple(sorted(degrees, reverse=True)),
+            pendant_count=len(leaves),
+            internal_count=tree.n - len(leaves),
+            leaf_neighbor_count=len({tree.adj[v][0] for v in leaves}),
+        )
+    return hit
 
 
 class EdgeSplit(NamedTuple):

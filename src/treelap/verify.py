@@ -304,13 +304,14 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     uninterrupted one would.  A sink whose records carry another set of
     checks, or were made at another tolerance, is refused.  For the length
     of the enumeration the bound checks share T - e components per
-    isomorphism class (see bounds._split_counts).
+    isomorphism class (see bounds._shared_split).
 
     The trees of one order go through in blocks of up to BLOCK: the spectra
     of a block's trees not in the sink are computed together
-    (spectral.eigenvalues_many), and when a check splits T - e (thm32) so
-    are those of their components new to the run
-    (bounds._file_components); then each tree is checked and its record
+    (spectral.eigenvalues_many).  When a check splits T - e (thm32), the
+    block's components are then shared through the one filing thm32 reads
+    them by, and the ones without a spectrum proved together
+    (bounds._file_components).  Then each tree is checked and its record
     written in enumeration order; a sink line is the record's json_line,
     which a jsonl report reuses.  Each tree comes built from its level
     sequence (enumeration._layout_to_tree), with its diameter, degree

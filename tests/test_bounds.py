@@ -617,6 +617,28 @@ class TestSharedComponents:
         run_exhaustive(RunConfig(n_min=8, n_max=9, checks=("lemma22", "cor31")))
         assert filings == []
 
+    @pytest.mark.parametrize("n", [9, 10])  # at n = 10 some edges split into two sides of one order
+    def test_split_counts_finds_every_class_its_block_filed(self, monkeypatch, n):
+        # _file_components and _split_counts share one filing rule: after a
+        # block is filed, thm32's walk over it files nothing and builds no
+        # component, and a table filed edge by edge in that walk's order
+        # holds the same codes in the same order
+        trees = list(free_trees(n))
+        walk = [(t, e) for t in trees for (e,) in bounds._FANOUTS["non-pendant edge"](t)]
+        with bounds._shared_components():
+            bounds._file_components(trees, 1e-9)
+            filed = dict(bounds._components)
+            splits = self._spy_splits(monkeypatch)
+            for t, e in walk:
+                t1, t2, _, _ = bounds._split_counts(t, e, 1e-9)
+                assert filed[canonical_code(t1)] is t1 and filed[canonical_code(t2)] is t2
+            assert splits == [] and len(bounds._components) == len(filed)
+        assert len(filed) > 10
+        with bounds._shared_components():
+            for t, e in walk:
+                bounds._split_counts(t, e, 1e-9)
+            assert list(bounds._components) == list(filed)
+
     def test_off_after_a_refused_sink(self, tmp_path):
         sink = tmp_path / "records.jsonl"
         run_exhaustive(RunConfig(n_min=8, n_max=8, out=str(sink), checks=("lemma21",)))

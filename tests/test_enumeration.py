@@ -6,9 +6,14 @@ from treelap import enumeration
 from treelap.enumeration import MAX_ORDER, EnumRange, count_free_trees, free_trees, free_trees_sharded
 from treelap.errors import BadParam
 from treelap.spectral import laplacian_matrix
-from treelap.tree import Tree, _ahu, _orient, canonical_code, degree_summary, diameter
+from treelap.tree import Tree, _orient, _subtree_codes, canonical_code, degree_summary, diameter
 
 from conftest import otter_free_tree_counts, pruefer_census
+
+
+def _ahu(orientation) -> bytes:
+    """AHU code of an oriented component (as from _orient), at its root."""
+    return _subtree_codes(orientation)[orientation[0][-1]]
 
 
 def test_counts_match_pruefer_oracle():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,22 @@ class TestConstruction:
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             Tree(3, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([], Disconnected, "vertex 1 is not connected to vertex 0"),
+        ([(0, 1)], Disconnected, "vertex 2 is not connected to vertex 0"),
+        ([(1, 2)], Disconnected, "vertex 1 is not connected to vertex 0"),
+        ([(0, 1), (2, 1), (3, 4)], Disconnected, "vertex 3 is not connected to vertex 0"),
+        ([(0, 1), (1, 2), (2, 0)], CycleDetected, "edge (1, 2) closes a cycle"),
+        ([(0, 1), (1, 0)], DuplicateEdge, "edge (0, 1) given more than once"),
+        ([(0, 1), (5, 5)], CycleDetected, "self-loop at vertex 5"),
+        ([(0, 1), (1, 10**12)], BadLabel, "vertex 1000000000000 out of range"),
+    ])
+    def test_too_few_edges_for_a_huge_order_are_refused_without_allocating(self, edges, error, message):
+        # nothing of size n is built when fewer than n - 1 edges are given,
+        # so a huge n fails as bad input, not as MemoryError
+        with pytest.raises(error, match=re.escape(message)):
+            Tree(10**12, edges)
 
     def test_single_vertex(self):
         t = Tree(1, [])

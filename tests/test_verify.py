@@ -422,8 +422,9 @@ class TestCli:
         (("le", "--pruefer", "1,,2"), None),
         (("le", "--pruefer", "1,2,"), None),
         (("le", "--pruefer", ","), None),
+        (("spectrum",), "1000000000000\n0 1\n"),
     ], ids=["edge-token", "pruefer-label", "family-s", "tol-nan", "tol-inf", "run-tol-nan", "run-tol-inf",
-            "pruefer-empty-inner", "pruefer-empty-last", "pruefer-only-comma"])
+            "pruefer-empty-inner", "pruefer-empty-last", "pruefer-only-comma", "huge-order-one-edge"])
     def test_bad_input_is_an_error_not_a_traceback(self, argv, stdin_text, capsys):
         code, _ = self.run(*argv, stdin_text=stdin_text)
         assert code == 1
