@@ -19,15 +19,14 @@ over non-pendant edges, or only when the tree qualifies).  Exhaustive runs
 and the `bounds` subcommand both iterate it.
 
 Within one exhaustive run the components of T - e are shared per
-isomorphism class: one function, _shared_split, hands out the first
-component seen in the run with the same canonical code, so its spectra,
-cached on that Tree, are computed once per class.  The codes are read off
-T, and a component Tree is built only for a class new to the run.  A run
-shares a block's components before checking it and proves them in blocks
-per order (_file_components); thm32's own _split_counts then finds each
-class filed.  Isomorphic trees have the same Laplacian spectrum, so an
-enclosure certified on the shared tree is certified for every member of
-its class.  The table lives only for the length of the run.
+isomorphism class: _shared_split hands out the run's first component of
+each class, found by the rooted code side_codes(T) gives its side, so its
+spectra, cached on that Tree, are computed once per class.  A run whose
+checks split T - e files and proves a block's components before checking
+it (_file_components); thm32's own _split_counts then finds each filed.
+Isomorphic trees have the same Laplacian spectrum, so an enclosure
+certified on the shared tree is certified for every member of its class.
+The table lives only for the length of the run.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from .spectral import (
 )
 from .tree import (
     Tree,
+    _codes_around,
     canonical_code,
-    component_code,
     degree_summary,
     delete_edge,
     diameter,
@@ -348,60 +347,62 @@ def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
 
 
-# canonical code -> the first component of that class seen in the current
-# exhaustive run, and rooted code of an edge side -> (order, canonical code)
-# of that side; None outside a run (see _shared_components)
+# rooted AHU code -> the first component of that class seen in the current
+# exhaustive run, filed under its code rooted at each of its vertices; None
+# outside a run (see _shared_components)
 _components: dict[bytes, Tree] | None = None
-_side_classes: dict[bytes, tuple[int, bytes]] | None = None
 
 
 @contextmanager
 def _shared_components() -> Iterator[None]:
     """Share T - e components per isomorphism class for the length of the
-    run: the tables start empty and are switched off on any exit."""
-    global _components, _side_classes
-    _components, _side_classes = {}, {}
+    run: the table starts empty and is switched off on any exit."""
+    global _components
+    _components = {}
     try:
         yield
     finally:
-        _components = _side_classes = None
+        _components = None
 
 
-def _file_components(trees: Sequence[Tree], tol: float) -> None:
+def _file_components(trees: Sequence[Tree], config) -> None:
     """Share the T - e components of a block of trees, walked in thm32's
     order (_shared_split), and prove the ones without a spectrum at tol in
-    blocks per order."""
+    blocks per order; nothing is filed unless one of the run's checks splits
+    T - e (the "non-pendant edge" fan-out).  `config` is the run's
+    RunConfig: its checks and tol are read."""
+    splits = "non-pendant edge"
+    if not any(CHECKS[c].fanout == splits for c in config.checks):
+        return
     by_order: dict[int, dict[int, Tree]] = {}  # each order's components by id, once each, in walk order
     for t in trees:
-        for ((a, b),) in _FANOUTS["non-pendant edge"](t):
+        for ((a, b),) in _FANOUTS[splits](t):
             t1, t2, _ = _shared_split(t, a, b)
             by_order.setdefault(t1.n, {})[id(t1)] = t1
             by_order.setdefault(t2.n, {})[id(t2)] = t2
     for parts in by_order.values():
-        eigenvalues_many(list(parts.values()), tol)
+        eigenvalues_many(list(parts.values()), config.tol)
 
 
 def _shared_split(tree: Tree, a: int, b: int) -> tuple[Tree | None, Tree | None, bool]:
     """(T1, T2, pendant) for T - ab inside a run, in delete_edge's order
-    (larger first, a's side first on a tie), each T_i the run's Tree of its
-    class: a class new to the run is filed with delete_edge's own Tree,
-    unless the edge is pendant (then nothing is filed and a T_i may be None).
-    Each side's canonical code is looked up by its rooted code (side_codes):
-    equal rooted codes mean isomorphic sides, so component_code runs once
-    per rooted class."""
-    codes, sides = side_codes(tree), []
-    for u, v in ((a, b), (b, a)):
-        rooted = codes[u, v]
-        hit = _side_classes.get(rooted)
-        if hit is None:
-            hit = _side_classes[rooted] = component_code(tree, u, v)
-        sides.append(hit)
-    (n1, c1), (n2, c2) = sides if sides[0][0] >= sides[1][0] else sides[::-1]
+    (larger first, a's side first on a tie; a side's order is half its
+    rooted code's length), each T_i the run's Tree of its class.  A class
+    new to the run is filed with delete_edge's own Tree under its code
+    rooted at each of its vertices, unless the edge is pendant (then nothing
+    is filed and a T_i may be None)."""
+    codes = side_codes(tree)
+    c1, c2 = codes[a, b], codes[b, a]
+    if len(c1) < len(c2):
+        c1, c2 = c2, c1
     t1, t2 = _components.get(c1), _components.get(c2)
-    if (t1 is None or t2 is None) and n2 > 1:
-        s1, s2, _ = delete_edge(tree, (a, b))
-        t1, t2 = _components.setdefault(c1, s1), _components.setdefault(c2, s2)
-    return t1, t2, n2 == 1
+    pendant = c2 == b"()"
+    if (t1 is None or t2 is None) and not pendant:
+        for part, code in zip(delete_edge(tree, (a, b)), (c1, c2)):
+            if code not in _components:
+                _components.update(dict.fromkeys(_codes_around(part)[1], part))
+        t1, t2 = _components[c1], _components[c2]
+    return t1, t2, pendant
 
 
 def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tuple[Tree, Tree, int, int]:

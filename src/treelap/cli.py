@@ -5,7 +5,8 @@ check-conjecture, sweep.  Trees are read in the plain edge-list format
 (first line n, then n-1 lines "u v") from --in or stdin.
 
 Exit codes: 0 = clean, 2 = a certified violation was found, 3 = a comparison
-stayed undecided after refinement, 1 = usage, input or file error.
+stayed undecided after refinement, 1 = usage, input or file error, or an
+input too large for memory.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (TreelapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 1
 
 

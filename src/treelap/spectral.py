@@ -73,11 +73,6 @@ class EigCounts(NamedTuple):
     above: int
 
 
-def laplacian_matrix(tree: Tree) -> np.ndarray:
-    """Dense L = D - A as float64 (estimates and oracles only)."""
-    return _laplacians([tree])[0]
-
-
 def _laplacians(trees: Sequence[Tree]) -> np.ndarray:
     """The dense Laplacians of trees of one order, stacked (B, n, n), set by
     index arrays over every tree's edges at once."""

@@ -10,8 +10,9 @@ Tree._trusted and files what the layout fixes in the tree's cache.
 Isomorphism testing goes through canonical_code(), an AHU-style level
 encoding rooted at the centroid(s); equal codes iff isomorphic trees.  The
 subtree codes are taken once, in the orientation at vertex 0, and each
-centroid's code is re-rooted from them along its path to vertex 0; the code
-of one side of T - e (component_code) is taken by the same rule.
+centroid's code is re-rooted from them along its path to vertex 0.  One
+pass up and one down (_codes_around) gives the rooted code of each side of
+T - e (side_codes) and of T rooted at each vertex.
 Tree.classes(root) is the quotient by rooted isomorphism that the
 congruence pass of `spectral` runs on: one post-order pass numbers each
 class (a degree plus the multiset of its children's classes) and counts
@@ -72,13 +73,10 @@ class Tree:
             if canon[i] == canon[i - 1]:
                 raise DuplicateEdge(f"edge {canon[i]} given more than once")
 
-        # union-find: the first edge closing a cycle is reported.  Fewer than
-        # n-1 edges cannot form a tree, and n may be far larger than the
-        # input, so then only vertex 0 and the edges' ends are held
-        if len(canon) < n - 1:
-            uf = {0: 0} | {v: v for e in canon for v in e}
-        else:
-            uf = list(range(n))
+        # union-find: the first edge closing a cycle is reported.  Only
+        # vertex 0 and the edges' ends are held, as n may be far larger than
+        # the input when there are fewer than n-1 edges
+        uf = {0: 0} | {v: v for e in canon for v in e}
 
         def find(a):
             while uf[a] != a:
@@ -347,16 +345,10 @@ def canonical_code(tree: Tree) -> bytes:
     """
     hit = tree._cache.get("code")
     if hit is None:
-        hit = tree._cache["code"] = _centroid_code(tree.rooted(0), tree.centroids())
+        orientation = tree.rooted(0)
+        below = _subtree_codes(orientation)
+        hit = tree._cache["code"] = min(_rerooted(c, orientation, below) for c in tree.centroids())
     return hit
-
-
-def _centroid_code(orientation, centroids: Sequence[int]) -> bytes:
-    """The least AHU code of an oriented component (as from _orient or
-    Tree.rooted) rooted at one of its centroids: the subtree codes are taken
-    once and re-rooted to each centroid (_rerooted)."""
-    below = _subtree_codes(orientation)
-    return min(_rerooted(c, orientation, below) for c in centroids)
 
 
 def _rerooted(c: int, orientation, below: list[bytes]) -> bytes:
@@ -373,32 +365,34 @@ def _rerooted(c: int, orientation, below: list[bytes]) -> bytes:
     return b"(" + b"".join(sorted([below[x] for x in kids[c]] + up)) + b")"
 
 
-def component_code(tree: Tree, a: int, b: int) -> tuple[int, bytes]:
-    """(order, canonical code) of the component of a in T - ab, read off T:
-    the same bytes as canonical_code of that component, without building it."""
-    side = _orient(tree.adj, a, b)
-    return len(side[0]), _centroid_code(side, _centroids(side))
-
-
 def side_codes(tree: Tree) -> dict[tuple[int, int], bytes]:
     """(a, b) -> AHU code of the component of a in T - ab, rooted at a, for
-    both directions of every edge: one pass up the tree and one down it, so
-    rooted isomorphism classes of edge sides cost no walk per edge.  Cached."""
+    both directions of every edge, so rooted isomorphism classes of edge
+    sides cost no walk per edge.  Cached."""
     hit = tree._cache.get("side_codes")
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = tree._cache["side_codes"] = _codes_around(tree)[0]
+    return hit
+
+
+def _codes_around(tree: Tree) -> tuple[dict[tuple[int, int], bytes], list[bytes]]:
+    """(side codes as side_codes gives them, v -> AHU code of T rooted at v):
+    one pass up the tree and one down it.  T rooted at v is `(` + the sorted
+    side codes toward v + `)`.  Nothing is cached on the tree but its
+    orientation at vertex 0."""
     order, parent, kids = orientation = tree.rooted(0)
     below = _subtree_codes(orientation)  # v's side of the edge to its parent
     above: list[bytes] = [b""] * tree.n  # the parent's side of that edge
-    codes = tree._cache["side_codes"] = {}
+    sides, rooted = {}, [b""] * tree.n
     for v in reversed(order):  # parents first
         around = sorted([below[c] for c in kids[v]] + ([above[v]] if parent[v] >= 0 else []))
+        rooted[v] = b"(" + b"".join(around) + b")"
         for c in kids[v]:
             i = around.index(below[c])
             above[c] = b"(" + b"".join(around[:i]) + b"".join(around[i + 1:]) + b")"
-            codes[c, v] = below[c]
-            codes[v, c] = above[c]
-    return codes
+            sides[c, v] = below[c]
+            sides[v, c] = above[c]
+    return sides, rooted
 
 
 def _subtree_codes(orientation) -> list[bytes]:

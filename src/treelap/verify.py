@@ -308,23 +308,21 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
 
     The trees of one order go through in blocks of up to BLOCK: the spectra
     of a block's trees not in the sink are computed together
-    (spectral.eigenvalues_many).  When a check splits T - e (thm32), the
-    block's components are then shared through the one filing thm32 reads
-    them by, and the ones without a spectrum proved together
-    (bounds._file_components).  Then each tree is checked and its record
-    written in enumeration order; a sink line is the record's json_line,
-    which a jsonl report reuses.  Each tree comes built from its level
-    sequence (enumeration._layout_to_tree), with its diameter, degree
-    summary and orientation at the layout root already filed; its counts
-    are taken from that root (Tree.count_root), and its record key and the
-    report order are the centroid-rooted canonical code.
+    (spectral.eigenvalues_many).  Then bounds._file_components files the
+    block's T - e components and proves the ones without a spectrum
+    together, if a configured check reads them.  Then each tree is checked
+    and its record written in enumeration order; a sink line is the
+    record's json_line, which a jsonl report reuses.  Each tree comes built
+    from its level sequence (enumeration._layout_to_tree), with its
+    diameter, degree summary and orientation at the layout root already
+    filed; its counts are taken from that root (Tree.count_root), and its
+    record key and the report order are the centroid-rooted canonical code.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
         if c not in accepted:
             raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
     wanted = {"conjecture", *config.checks}
-    splits = any(bounds.CHECKS[c].fanout == "non-pendant edge" for c in config.checks)
     summary = RunSummary()
     existing = _load_sink(config.out) if config.out else {}
     for rec in existing.values():
@@ -347,8 +345,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                 fresh = [tree for code, tree in block if code not in existing]
                 if fresh:
                     eigenvalues_many(fresh, config.tol)
-                    if splits:
-                        bounds._file_components(fresh, config.tol)
+                    bounds._file_components(fresh, config)
                 for code, tree in block:
                     rec = existing.get(code)
                     if rec is not None:

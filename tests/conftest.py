@@ -33,9 +33,12 @@ package so that `src/` has one implementation of each thing:
   `squarefree_decomposition` with `root_count_with_multiplicity`,
 * `leading`, `is_zero`, `eval_poly` and `derivative`, the `Poly` helpers
   only that counter and the tests use,
-* `assert_component_codes`, the codes of both sides of T - e read off T
-  against those of the components delete_edge builds, and the rooted side
-  codes of `side_codes` against the recursive `rooted_side_code`,
+* `laplacian_matrix`, one tree's dense Laplacian from the package's one
+  builder, `spectral._laplacians`,
+* `assert_component_codes`, the components of T - e that a run shares
+  (`bounds._shared_split`) against those delete_edge builds, and the
+  rooted side codes of `side_codes` against the recursive
+  `rooted_side_code`,
 * `char_poly_forest`, `relabel`, and `pi_rational_bounds`, an independent
   Machin-series enclosure of pi,
 * `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
@@ -50,7 +53,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -59,11 +65,12 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from treelap import bounds
 from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
-from treelap.spectral import EigCounts, Spectrum, _clusters, average_degree, count_eigs, laplacian_matrix
-from treelap.tree import Tree, canonical_code, component_code, delete_edge, from_pruefer, side_codes
+from treelap.spectral import EigCounts, Spectrum, _clusters, _laplacians, average_degree, count_eigs
+from treelap.tree import Tree, canonical_code, delete_edge, from_pruefer, side_codes
 
 
 # ---------------------------------------------------------------- labeled census
@@ -188,6 +195,11 @@ def dense_charpoly(tree: Tree) -> list[int]:
 
 
 # ----------------------------------------------------------- eigen-count oracle
+
+
+def laplacian_matrix(tree: Tree) -> np.ndarray:
+    """Dense L = D - A as float64, from the package's one builder."""
+    return _laplacians([tree])[0]
 
 
 def laplacian_np(tree: Tree) -> np.ndarray:
@@ -725,14 +737,17 @@ def rooted_side_code(tree: Tree, v: int, away: int) -> bytes:
 
 
 def assert_component_codes(tree: Tree, a: int, b: int) -> None:
-    """component_code of both sides of the edge ab equals (order,
-    canonical_code) of delete_edge's components: the larger first, a's side
-    first when the orders tie.  side_codes holds each side's rooted code."""
+    """Inside a run (bounds._shared_components), the two Trees
+    bounds._shared_split hands out for the edge ab (a < b) have the orders
+    and canonical codes of delete_edge's components: the larger first, a's
+    side first when the orders tie.  A pendant edge files nothing, so there
+    a side may be None.  side_codes holds each side's rooted code."""
     split = delete_edge(tree, (a, b))
-    side_a, side_b = component_code(tree, a, b), component_code(tree, b, a)
-    first, second = (side_a, side_b) if side_a[0] >= side_b[0] else (side_b, side_a)
-    assert first == (split.first.n, canonical_code(split.first))
-    assert second == (split.second.n, canonical_code(split.second))
+    *shared, pendant = bounds._shared_split(tree, a, b)
+    assert pendant == split.pendant
+    for t, part in zip(shared, split):
+        if t is not None or not pendant:
+            assert (t.n, canonical_code(t)) == (part.n, canonical_code(part))
     rooted = side_codes(tree)
     assert (rooted[a, b], rooted[b, a]) == (rooted_side_code(tree, a, b), rooted_side_code(tree, b, a))
 
@@ -823,3 +838,18 @@ def random_tree(n: int, rng: random.Random) -> Tree:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# ------------------------------------------------------------------ the CLI
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*argv: str, preexec_fn=None) -> subprocess.CompletedProcess:
+    """`python -m treelap *argv` in a child process, its output captured as
+    text.  The child gets this checkout's src first on PYTHONPATH: the
+    `pythonpath` setting of pytest reaches only the pytest process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "treelap", *argv], capture_output=True, text=True, env=env,
+                          preexec_fn=preexec_fn)

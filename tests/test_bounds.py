@@ -42,10 +42,10 @@ from treelap.families import (
     t_prime,
 )
 from treelap.spectral import average_degree, laplacian_energy, sigma
-from treelap.tree import Tree, canonical_code, delete_edge, diameter
+from treelap.tree import Tree, canonical_code, delete_edge, diameter, side_codes
 from treelap.verify import RunConfig, run_exhaustive
 
-from conftest import random_tree
+from conftest import random_tree, rooted_side_code
 
 
 class TestPathEnergyBound:
@@ -499,19 +499,34 @@ class TestSharedComponents:
             kept = {Fraction(k[1], k[2]) for k in c._cache if type(k) is tuple and k[0] == "cnt"}
             assert kept and all(x.denominator == 1 or x == average_degree(c) for x in kept)
 
-    def test_component_code_runs_once_per_rooted_class_of_sides(self, monkeypatch):
-        sides = []
-        real = bounds.component_code
-        monkeypatch.setattr(bounds, "component_code", lambda tree, a, b: sides.append((a, b)) or real(tree, a, b))
+    def test_delete_edge_runs_once_per_free_class_new_to_the_run(self, monkeypatch):
+        splits = self._spy_splits(monkeypatch)
+        # P_6 with a P_3 hung from its vertex 2: the sides of (2, 6) are P_6
+        # rooted at a vertex no split of a path has it rooted at, and P_3
+        hung = Tree(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)])
         with bounds._shared_components():
-            bounds._split_counts(path(9), (2, 3))  # P_3 and P_6, each rooted at an end: new
-            assert sides == [(2, 3), (3, 2)]
-            bounds._split_counts(path(9), (5, 6))  # the same two rooted sides
-            bounds._split_counts(path(10), (3, 4))  # P_4 is new, P_6 rooted at an end is not
-            assert sides == [(2, 3), (3, 2), (3, 4)]
-            with pytest.raises(PendantEdge):  # S_4 rooted at its center and a lone vertex, both new
+            bounds._split_counts(path(9), (2, 3))  # P_3 and P_6: new
+            assert len(splits) == 1
+            bounds._split_counts(path(9), (5, 6))  # the same two classes
+            bounds._split_counts(hung, (2, 6))  # the same two classes, rooted elsewhere
+            assert len(splits) == 1
+            bounds._split_counts(path(10), (3, 4))  # P_4 is new, P_6 is not
+            assert len(splits) == 2
+            with pytest.raises(PendantEdge):  # S_4 is new, but a pendant edge files nothing
                 bounds._split_counts(star(5), (0, 1))
-            assert len(sides) == 5
+            assert len(splits) == 2
+
+    def test_every_rooting_of_a_filed_class_maps_to_its_tree(self):
+        with bounds._shared_components():
+            bounds._file_components(list(free_trees(10)), RunConfig(checks=("thm32",), tol=1e-9))
+            table = dict(bounds._components)
+        filed = {id(t): t for t in table.values()}.values()
+        assert len(filed) == 47  # every free tree of order 2..8 is a side of a tree of order 10
+        # one Tree per free class, and each is filed under every rooting of it and nothing else
+        assert len({canonical_code(t) for t in filed}) == len(filed)
+        for t in filed:
+            rootings = {rooted_side_code(t, v, -1) for v in range(t.n)}
+            assert {code for code, shared in table.items() if shared is t} == rootings
 
     @staticmethod
     def _table_sizes(monkeypatch) -> list:
@@ -546,9 +561,9 @@ class TestSharedComponents:
         calls = []
         real = bounds._file_components
 
-        def spy(trees, tol):
+        def spy(trees, config):
             size = len(bounds._components)
-            real(trees, tol)
+            real(trees, config)
             calls.append((list(trees), size, bounds._components))
 
         monkeypatch.setattr(bounds, "_file_components", spy)
@@ -565,10 +580,10 @@ class TestSharedComponents:
             proofs.append((list(trees), bool(filing)))
             return real_prove(trees, tol)
 
-        def file_block(trees, tol):
+        def file_block(trees, config):
             filing.append(1)
             try:
-                real_file(trees, tol)
+                real_file(trees, config)
             finally:
                 filing.pop()
 
@@ -595,7 +610,7 @@ class TestSharedComponents:
             assert [canonical_code(t).decode() for t in fresh] == [r.code for r in records]
             parts = {canonical_code(part) for t in fresh for (e,) in bounds._FANOUTS["non-pendant edge"](t)
                      for part in delete_edge(t, e)[:2]}
-            assert set(filings[-1][2]) == parts
+            assert {canonical_code(t) for t in filings[-1][2].values()} == parts
             filings.clear()
 
         merged = []
@@ -615,7 +630,7 @@ class TestSharedComponents:
     def test_a_conjecture_only_run_files_nothing(self, monkeypatch):
         filings = self._spy_filing(monkeypatch)
         run_exhaustive(RunConfig(n_min=8, n_max=9, checks=("lemma22", "cor31")))
-        assert filings == []
+        assert filings and all(size == 0 and table == {} for _, size, table in filings)
 
     @pytest.mark.parametrize("n", [9, 10])  # at n = 10 some edges split into two sides of one order
     def test_split_counts_finds_every_class_its_block_filed(self, monkeypatch, n):
@@ -626,12 +641,13 @@ class TestSharedComponents:
         trees = list(free_trees(n))
         walk = [(t, e) for t in trees for (e,) in bounds._FANOUTS["non-pendant edge"](t)]
         with bounds._shared_components():
-            bounds._file_components(trees, 1e-9)
+            bounds._file_components(trees, RunConfig(checks=("thm32",), tol=1e-9))
             filed = dict(bounds._components)
             splits = self._spy_splits(monkeypatch)
-            for t, e in walk:
-                t1, t2, _, _ = bounds._split_counts(t, e, 1e-9)
-                assert filed[canonical_code(t1)] is t1 and filed[canonical_code(t2)] is t2
+            for t, (a, b) in walk:
+                t1, t2, _, _ = bounds._split_counts(t, (a, b), 1e-9)
+                codes = side_codes(t)
+                assert {id(t1), id(t2)} == {id(filed[codes[a, b]]), id(filed[codes[b, a]])}
             assert splits == [] and len(bounds._components) == len(filed)
         assert len(filed) > 10
         with bounds._shared_components():

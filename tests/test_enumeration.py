@@ -5,10 +5,9 @@ import pytest
 from treelap import enumeration
 from treelap.enumeration import MAX_ORDER, EnumRange, count_free_trees, free_trees, free_trees_sharded
 from treelap.errors import BadParam
-from treelap.spectral import laplacian_matrix
 from treelap.tree import Tree, _orient, _subtree_codes, canonical_code, degree_summary, diameter
 
-from conftest import otter_free_tree_counts, pruefer_census
+from conftest import laplacian_matrix, otter_free_tree_counts, pruefer_census
 
 
 def _ahu(orientation) -> bytes:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from treelap import bounds
 from treelap.errors import (
     BadLabel,
     BadParam,
@@ -321,18 +322,20 @@ class TestDeleteEdge:
 
 
 class TestComponentCode:
-    def test_equals_the_code_of_the_built_component_on_every_free_tree(self):
-        from treelap.enumeration import free_trees
+    """The components of T - e a run shares, found by rooted side code."""
 
-        for n in range(2, 12):
-            for t in free_trees(n):
-                for a, b in t.edges:
-                    assert_component_codes(t, a, b)
+    def test_equals_the_code_of_the_built_component_on_every_free_tree(self):
+        with bounds._shared_components():
+            for n in range(2, 12):
+                for t in free_trees(n):
+                    for a, b in t.edges:
+                        assert_component_codes(t, a, b)
 
     def test_bicentroidal_sides_and_centroids_away_from_the_cut(self):
-        for t in (sns_tree(2, 3, [1, 2, 3]), double_broom3(3, 4), path(9)):
-            for a, b in t.edges:
-                assert_component_codes(t, a, b)
+        with bounds._shared_components():
+            for t in (sns_tree(2, 3, [1, 2, 3]), double_broom3(3, 4), path(9)):
+                for a, b in t.edges:
+                    assert_component_codes(t, a, b)
 
 
 class TestJoinAndText:

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import os
-import subprocess
+import resource
 import sys
 from contextlib import redirect_stdout
 
@@ -26,6 +26,8 @@ from treelap.verify import (
 )
 from treelap.cli import main as cli_main
 from treelap.tree import canonical_code
+
+from conftest import run_cli
 
 
 def test_run_exhaustive_counts_and_zero_violations(tmp_path):
@@ -357,12 +359,19 @@ class TestCli:
         assert code == 0
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "treelap", "family", "--family", "path", "--n", "3"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli("family", "--family", "path", "--n", "3")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "3"
+
+    def test_out_of_memory_is_one_error_line(self):
+        def cap():  # runs in the child only: 512 MB of address space
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = run_cli("family", "--family", "path", "--n", "1000000000000", preexec_fn=cap)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--in", "{missing}/tree.txt"),
@@ -375,10 +384,7 @@ class TestCli:
         non_ascii = tmp_path / "tree.txt"
         non_ascii.write_bytes(b"2\n0 1\xc3\n")
         paths = {"missing": tmp_path / "missing", "non_ascii": non_ascii}
-        proc = subprocess.run(
-            [sys.executable, "-m", "treelap", *(a.format(**paths) for a in argv)],
-            capture_output=True, text=True,
-        )
+        proc = run_cli(*(a.format(**paths) for a in argv))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
@@ -393,10 +399,7 @@ class TestCli:
     def test_refused_before_the_run(self, tmp_path, argv):
         # no summary on stdout: the command stopped before evaluating a tree
         paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "treelap", *(a.format(**paths) for a in argv)],
-            capture_output=True, text=True,
-        )
+        proc = run_cli(*(a.format(**paths) for a in argv))
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
