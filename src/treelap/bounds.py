@@ -5,6 +5,10 @@ False are *certified* (the rational interval endpoints clear each other, or
 both sides are exact), None means undecided within the current error bounds.
 Checks that compute spectra take a tolerance; one wrapper, _refining, halves
 it up to REFINE times while the verdict is undecided and can still change.
+The checks that fan out over an index, k or an edge (lemma22, lemma31, cor31,
+thm32) write their inequality once, in a sides function giving every call's
+integer sides ("rows") at once: per-call reports, for `bounds` and the API,
+and Check.verdict, one verdict per tree for exhaustive runs, both read it.
 
 Each side is an Enclosure with integer endpoints over one denominator (the
 spectrum's, n, or a product of them), so a verdict is an integer
@@ -14,9 +18,8 @@ threshold decisions such as the internal-vertex condition n(pi-2)/pi >= s+2
 are exact-rational comparisons.
 
 CHECKS, at the end, is the one registry of per-tree checks: each id names
-its check function and its fan-out over a tree (once, over k, over edges,
-over non-pendant edges, or only when the tree qualifies).  Exhaustive runs
-and the `bounds` subcommand both iterate it.
+its check function, its fan-out over a tree (once, over k, over edges, over
+non-pendant edges, or only when the tree qualifies) and its sides function.
 
 Within one exhaustive run the components of T - e are shared per
 isomorphism class: _shared_split hands out the run's first component of
@@ -37,11 +40,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .errors import BadParam, PendantEdge
-from .intervals import PI, Enclosure
+from .intervals import PI, Enclosure, ge
 from .spectral import (
     average_degree,
     count_eigs,
@@ -63,6 +67,7 @@ from .tree import (
 )
 
 REFINE = 3  # tolerance halvings before a check reports undecided
+THM32_MIN_N = 8  # thm32's reports on smaller trees are out of hypothesis
 NO_CLAIM = "hypotheses not satisfied; no claim made"
 THM31_N_LIMIT = 10_000  # thm31_minimal_n searches below this n
 
@@ -102,12 +107,10 @@ class BoundReport:
         }
 
 
-def _all3(*vals) -> bool | None:
-    if any(v is False for v in vals):
+def _all3(*vals: bool | None) -> bool | None:
+    if False in vals:
         return False
-    if any(v is None for v in vals):
-        return None
-    return True
+    return None if None in vals else True
 
 
 def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
@@ -118,6 +121,16 @@ def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
 def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **extra) -> BoundReport:
     """The certified claim lhs >= rhs, with its slack."""
     return BoundReport(bound_id, inputs, lhs, rhs, lhs.ge(rhs), _ge_slack(lhs, rhs), **extra)
+
+
+def _enclosures(row: tuple) -> tuple[Enclosure, Enclosure]:
+    """(lhs, rhs) of a row (lhs lo_n, hi_n, den, rhs lo_n, hi_n, den, *what its report shows)."""
+    return Enclosure(*row[:3]), Enclosure(*row[3:6])
+
+
+def _rows_hold(rows: list[tuple]) -> bool | None:
+    """_all3 of lhs >= rhs over rows, decided as Enclosure.ge decides it."""
+    return ge(*rows[0][:6]) if len(rows) == 1 else _all3(*[ge(*row[:6]) for row in rows])
 
 
 def _refining(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
@@ -197,39 +210,50 @@ def path_energy_bound_check(n: int, lhs: Enclosure | None = None) -> BoundReport
 # ---- per-tree lemma checks ---------------------------------------------------
 
 
+def brouwer_haemers_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """lemma22's rows for its one (empty) call: mu_i >= d_i - i + 2 for each
+    live index i.  Complete graphs are the bound's classical exception at
+    i = n (mu_n = 0 against d_n - n + 2 = 1); among trees that is exactly
+    K_2, whose last index is not live.  For every tree on n >= 3 vertices
+    the i = n instance is vacuous (d_n - n + 2 <= 0), so all are live."""
+    live = tree.n if tree.n >= 3 else tree.n - 1
+    spec = eigenvalues(tree, tol)
+    rows = [(lo, hi, spec.den, d - i + 2, d - i + 2, 1)
+            for i, ((lo, hi), d) in enumerate(zip(spec._per_index[:live], degree_summary(tree).degrees), 1)]
+    return [rows for _ in calls]
+
+
 @_refining
 def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
-    """mu_i >= d_i - i + 2 for every i (degree-indexed eigenvalue lower bound).
+    """mu_i >= d_i - i + 2 for every live index i (degree-indexed eigenvalue
+    lower bound; see brouwer_haemers_sides), with the worst index's slack."""
+    (rows,) = brouwer_haemers_sides(tree, [()], tol)
+    note = "" if len(rows) == tree.n else "index i = n skipped: complete-graph exception"
+    slacks = [_ge_slack(*_enclosures(row)) for row in rows]
+    worst = min(slacks, default=None)
+    inputs = {"n": tree.n, "worst_index": slacks.index(worst) + 1 if slacks else 0}
+    return BoundReport("lemma22", inputs, None, None, holds=_rows_hold(rows), slack=worst, note=note)
 
-    Complete graphs are the bound's classical exception at i = n (mu_n = 0
-    against d_n - n + 2 = 1); among trees that is exactly K_2, whose last
-    index is skipped with a note.  For every tree on n >= 3 vertices the
-    i = n instance is vacuous (d_n - n + 2 <= 0), so all indices are live.
-    """
-    degs = degree_summary(tree).degrees
-    last = tree.n + 1 if tree.n >= 3 else tree.n
-    note = "" if last == tree.n + 1 else "index i = n skipped: complete-graph exception"
+
+def _top_degrees(tree: Tree, calls: Sequence[tuple]) -> list[tuple[int, int]]:
+    """(k, sum of the k largest degrees) for each call (k,), 1 <= k <= n-1."""
+    if bad := [k for (k,) in calls if not 1 <= k <= tree.n - 1]:
+        raise BadParam(f"k={bad[0]} out of range 1..{tree.n - 1}")
+    sums = list(accumulate(degree_summary(tree).degrees, initial=0))
+    return [(k, sums[k]) for (k,) in calls]
+
+
+def majorization_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """lemma31's row for each call (k,): S_k >= 1 + sum of the k largest degrees."""
+    top = _top_degrees(tree, calls)
     spec = eigenvalues(tree, tol)
-    verdicts, worst, worst_i = [], None, 0
-    for i in range(1, last):
-        rhs = Enclosure.exact(degs[i - 1] - i + 2)
-        enc = spec.enclosure(i)
-        verdicts.append(enc.ge(rhs))
-        s = _ge_slack(enc, rhs)
-        if worst is None or s < worst:
-            worst, worst_i = s, i
-    return BoundReport("lemma22", {"n": tree.n, "worst_index": worst_i}, None, None,
-                       holds=_all3(*verdicts), slack=worst, note=note)
+    return [[(*spec._top_sum(k), spec.den, 1 + d, 1 + d, 1)] for k, d in top]
 
 
 @_refining
 def majorization_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
     """S_k >= 1 + sum of the k largest degrees, 1 <= k <= n-1."""
-    if not (1 <= k <= tree.n - 1):
-        raise BadParam(f"k={k} out of range 1..{tree.n - 1}")
-    degs = degree_summary(tree).degrees
-    rhs = Enclosure.exact(1 + sum(degs[:k]))
-    return _ge_report("lemma31", {"n": tree.n, "k": k}, eigenvalues(tree, tol).s_k(k), rhs)
+    return _ge_report("lemma31", {"n": tree.n, "k": k}, *_enclosures(majorization_sides(tree, [(k,)], tol)[0][0]))
 
 
 def lemma21_check(tree: Tree) -> BoundReport:
@@ -326,22 +350,24 @@ def thm31_lower_bound(tree: Tree, tol: float = 1e-12) -> BoundReport:
 
 def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
     """The exact degree-based lower bound 2 (1 + sum_{i<=k} d_i - k*d_bar)."""
-    return _cor31_bound(tree, k).lo
+    return Fraction(_cor31_bounds(tree, [(k,)])[0], tree.n)
 
 
-def _cor31_bound(tree: Tree, k: int) -> Enclosure:
-    """cor31_lower_bound as an exact enclosure over n: k d_bar = 2k (n - 1) / n."""
+def _cor31_bounds(tree: Tree, calls: Sequence[tuple]) -> list[int]:
+    """cor31_lower_bound over n for each call (k,): k d_bar = 2k (n - 1) / n."""
     n = tree.n
-    if not (1 <= k <= n - 1):
-        raise BadParam(f"k={k} out of range 1..{n - 1}")
-    bound = 2 * (n * (1 + sum(degree_summary(tree).degrees[:k])) - 2 * k * (n - 1))
-    return Enclosure(bound, bound, n)
+    return [2 * (n * (1 + d) - 2 * k * (n - 1)) for k, d in _top_degrees(tree, calls)]
+
+
+def cor31_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """cor31's row for each call (k,): LE(T) >= cor31_lower_bound(T, k)."""
+    rhs, le = _cor31_bounds(tree, calls), eigenvalues(tree, tol)._energy
+    return [[(le.lo_n, le.hi_n, le.den, b, b, tree.n)] for b in rhs]
 
 
 @_refining
 def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
-    bound = _cor31_bound(tree, k)
-    return _ge_report("cor31", {"n": tree.n, "k": k}, eigenvalues(tree, tol).laplacian_energy(), bound)
+    return _ge_report("cor31", {"n": tree.n, "k": k}, *_enclosures(cor31_sides(tree, [(k,)], tol)[0][0]))
 
 
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
@@ -462,22 +488,30 @@ def _claim_if(
     return BoundReport(bound_id, inputs, None, rhs, None, None, hypotheses, out_of_hypothesis, note)
 
 
+def thm32_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """thm32's row for each call (edge,), followed by (n1, n2, k1, k2):
+    LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
+    k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
+    n, rhs = tree.n, []
+    for (edge,) in calls:
+        t1, t2, k1, k2 = _split_counts(tree, edge, tol)
+        s1, s2 = eigenvalues(t1, tol), eigenvalues(t2, tol)
+        (lo1, hi1), (lo2, hi2), d1, d2 = s1._top_sum(k1), s2._top_sum(k2), s1.den, s2.den
+        # over d1 d2 n: 2 (S_k1 + S_k2) and the shift 4 sigma/n - 4 sigma = 4 sigma (1 - n) / n
+        shift = 4 * (k1 + k2) * (1 - n) * d1 * d2
+        rhs.append((2 * n * (lo1 * d2 + lo2 * d1) + shift, 2 * n * (hi1 * d2 + hi2 * d1) + shift, d1 * d2 * n,
+                    t1.n, t2.n, k1, k2))
+    le = eigenvalues(tree, tol)._energy
+    return [[(le.lo_n, le.hi_n, le.den, *r)] for r in rhs]
+
+
 @_refining
 def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
-    """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
-    k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
-    n = tree.n
-    t1, t2, k1, k2 = _split_counts(tree, edge, tol)
-    sig = k1 + k2
-    s1, s2 = eigenvalues(t1, tol).s_k(k1), eigenvalues(t2, tol).s_k(k2)
-    # over den1 den2 n: 2 (S_k1 + S_k2) and the shift 4 sigma/n - 4 sigma = 4 sigma (1 - n) / n
-    d1, d2 = s1.den, s2.den
-    shift = 4 * sig * (1 - n) * d1 * d2
-    rhs = Enclosure(2 * n * (s1.lo_n * d2 + s2.lo_n * d1) + shift,
-                    2 * n * (s1.hi_n * d2 + s2.hi_n * d1) + shift, d1 * d2 * n)
-    inputs = {"n": n, "edge": list(edge), "n1": t1.n, "n2": t2.n, "k1": k1, "k2": k2, "sigma": sig}
-    return _ge_report("thm32", inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
-                      out_of_hypothesis=n < 8)
+    """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n (see thm32_sides)."""
+    ((row,),) = thm32_sides(tree, [(edge,)], tol)
+    n1, n2, k1, k2 = row[6:]
+    inputs = {"n": tree.n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2, "sigma": k1 + k2}
+    return _ge_report("thm32", inputs, *_enclosures(row), out_of_hypothesis=tree.n < THM32_MIN_N)
 
 
 @_refining
@@ -638,14 +672,20 @@ _FANOUTS: dict[str, Callable[[Tree], list[tuple]]] = {
 
 class Check(NamedTuple):
     """One registry entry: the name of a check function in this module, its
-    fan-out (a key of _FANOUTS; one report per argument tuple), whether it
-    takes a tolerance, and whether exhaustive runs may record it (coru,
-    diam4 and lemma25 can report no verdict on a tree by design)."""
+    fan-out (a key of _FANOUTS; one call and report per argument tuple),
+    whether it takes a tolerance, whether exhaustive runs may record it
+    (coru, diam4 and lemma25 can report no verdict on a tree by design), its
+    sides function if any, and the order below which it is out of hypothesis.
+
+    reports() serves `bounds` and the API, verdict() an exhaustive run's
+    record; with a sides function, both come from its integer rows."""
 
     fn: str
     fanout: str
     takes_tol: bool = True
     exhaustive: bool = True
+    sides: str | None = None
+    min_n: int = 0
 
     def reports(self, tree: Tree, tol: float) -> Iterator[BoundReport]:
         # looked up at call time, so a replaced module attribute sees every call
@@ -653,15 +693,34 @@ class Check(NamedTuple):
         for args in _FANOUTS[self.fanout](tree):
             yield fn(tree, *args, tol) if self.takes_tol else fn(tree, *args)
 
+    def verdict(self, tree: Tree, tol: float) -> bool | None:
+        """_all3 of the holds of reports(tree, tol).  With a sides function,
+        every call's rows come at once, and a call left undecided is decided
+        again from its rows at tol/2, tol/4, ... as _refining refines its
+        report, unless the tree has fewer than min_n vertices."""
+        if self.sides is None:
+            return _all3(*(rep.holds for rep in self.reports(tree, tol)))
+        sides, calls = globals()[self.sides], _FANOUTS[self.fanout](tree)
+        verdicts = [_rows_hold(rows) for rows in sides(tree, calls, tol)]
+        if None in verdicts and tree.n >= self.min_n:
+            for j, call in enumerate(calls):
+                t = tol
+                for _ in range(REFINE):
+                    if verdicts[j] is not None:
+                        break
+                    t /= 2
+                    verdicts[j] = _rows_hold(sides(tree, [call], t)[0])
+        return _all3(*verdicts)
+
 
 CHECKS: dict[str, Check] = {
     "lemma21": Check("lemma21_check", "tree", takes_tol=False),
-    "lemma22": Check("brouwer_haemers_check", "tree"),
+    "lemma22": Check("brouwer_haemers_check", "tree", sides="brouwer_haemers_sides"),
     "lemma26": Check("lemma26_check", "n >= 2", takes_tol=False),
-    "lemma31": Check("majorization_check", "k"),
-    "cor31": Check("cor31_check", "k"),
+    "lemma31": Check("majorization_check", "k", sides="majorization_sides"),
+    "cor31": Check("cor31_check", "k", sides="cor31_sides"),
     "thm31": Check("thm31_lower_bound", "n >= 3"),
-    "thm32": Check("thm32_lower_bound", "non-pendant edge"),
+    "thm32": Check("thm32_lower_bound", "non-pendant edge", sides="thm32_sides", min_n=THM32_MIN_N),
     "conjecture": Check("conjecture_check", "tree"),
     "coru": Check("coru_sufficient", "non-pendant edge", exhaustive=False),
     "diam4": Check("diam4_energy_check", "diameter 4", exhaustive=False),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -147,6 +148,14 @@ def _exit_code(summary) -> int:
     return 2 if summary.violations else 3 if summary.undecided else 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same real path, or, when both
+    exist, the same file by os.path.samefile (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _cmd_check_conjecture(args) -> int:
     i, k = _parse_shards(args.shards)
     config = RunConfig(
@@ -161,6 +170,8 @@ def _cmd_check_conjecture(args) -> int:
     )
     if args.report:
         check_writable(args.report)
+        if args.out and _same_file(args.report, args.out):
+            raise TreelapError(f"--report {args.report} names the --out sink; write the report to another file")
     if config.n_max > DESK_CEILING:
         est = sum(_order_count(n) for n in range(config.n_min, config.n_max + 1))
         print(f"large run: ~{est} trees up to n={config.n_max}", file=sys.stderr)

@@ -67,12 +67,7 @@ class Enclosure:
         is decided by the enclosures; None means undecided.  Exact-vs-exact
         decides ties (this is what lets equality cases like mu_1(S_n) = n
         pass as "holds")."""
-        lo, other_hi = self.lo_n * other.den, other.hi_n * self.den
-        if lo > other_hi or (lo == other_hi and self.lo_n == self.hi_n and other.lo_n == other.hi_n):
-            return True
-        if self.hi_n * other.den < other.lo_n * self.den:
-            return False
-        return None
+        return ge(self.lo_n, self.hi_n, self.den, other.lo_n, other.hi_n, other.den)
 
     def __eq__(self, other):
         if not isinstance(other, Enclosure):
@@ -81,6 +76,17 @@ class Enclosure:
 
     def __repr__(self):
         return f"Enclosure({self.value:.17g} +- {self.err:.3g})"
+
+
+def ge(lo_n: int, hi_n: int, den: int, other_lo_n: int, other_hi_n: int, other_den: int) -> bool | None:
+    """Enclosure.ge on the endpoints of [lo_n, hi_n] / den and
+    [other_lo_n, other_hi_n] / other_den, for callers that hold integers."""
+    lo, other_hi = lo_n * other_den, other_hi_n * den
+    if lo > other_hi or (lo == other_hi and lo_n == hi_n and other_lo_n == other_hi_n):
+        return True
+    if hi_n * other_den < other_lo_n * den:
+        return False
+    return None
 
 
 # pi truncated/rounded-up at 30 decimal places; the true value continues

@@ -205,6 +205,11 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
 _SINK_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
 
 
+def _refuse_constant(name: str):
+    """json.loads reads NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_sink(path: str) -> dict[str, VerifyRecord]:
     """The records already in a run's sink, by code.
 
@@ -221,7 +226,7 @@ def _load_sink(path: str) -> dict[str, VerifyRecord]:
     for lineno, line in enumerate(data[:end].splitlines(), 1):
         if line.strip():
             try:
-                rec = VerifyRecord(**json.loads(line))
+                rec = VerifyRecord(**json.loads(line, parse_constant=_refuse_constant))
                 for f in fields(VerifyRecord):
                     if type(getattr(rec, f.name)) not in _SINK_TYPES[f.type]:
                         raise TypeError(f"{f.name} is not of type {f.type}")
@@ -277,8 +282,7 @@ def _evaluate(tree: Tree, code: str, config: RunConfig) -> VerifyRecord:
     checks = {"conjecture": rep.holds}
     for cid in config.checks:
         if cid not in checks:
-            reports = bounds.CHECKS[cid].reports(tree, config.tol)
-            checks[cid] = bounds._all3(*(r.holds for r in reports))
+            checks[cid] = bounds.CHECKS[cid].verdict(tree, config.tol)
     return VerifyRecord(
         code=code,
         n=tree.n,

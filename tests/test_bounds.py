@@ -433,6 +433,21 @@ class TestRegistry:
         assert exhaustive == ["lemma21", "lemma22", "lemma26", "lemma31", "cor31", "thm31", "thm32",
                               "conjecture"]
 
+    @pytest.mark.parametrize("tol", [1e-12, 0.3, 1.0])
+    def test_verdicts_equal_the_reduced_reports(self, tol):
+        # at tol 0.3 and 1.0 many calls are refined, and thm32's below n = 8 stay undecided
+        exhaustive = [cid for cid, check in CHECKS.items() if check.exhaustive]
+        undecided = 0
+        for n in range(1, 11):
+            # two fresh copies of each tree, so neither side reads a spectrum the other computed
+            for by_verdict, by_reports in zip(free_trees(n), free_trees(n)):
+                for cid in exhaustive:
+                    verdict = CHECKS[cid].verdict(by_verdict, tol)
+                    assert verdict == bounds._all3(*(r.holds for r in CHECKS[cid].reports(by_reports, tol))), \
+                        (cid, canonical_code(by_verdict))
+                    undecided += verdict is None
+        assert (undecided > 0) == (tol > 0.1)
+
     def test_check_function_is_looked_up_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bounds, "lemma26_check", lambda tree: "replaced")
         assert list(CHECKS["lemma26"].reports(star(5), 1e-12)) == ["replaced"]
@@ -664,13 +679,13 @@ class TestSharedComponents:
 
     def test_off_after_a_check_raises_inside_the_run(self, monkeypatch):
         sizes = self._table_sizes(monkeypatch)
-        real = bounds.thm32_lower_bound
+        real = bounds.thm32_sides  # what an exhaustive run's thm32 verdict calls
 
-        def failing(tree, edge, tol):
-            real(tree, edge, tol)
+        def failing(tree, calls, tol):
+            real(tree, calls, tol)
             raise RuntimeError("check failed")
 
-        monkeypatch.setattr(bounds, "thm32_lower_bound", failing)
+        monkeypatch.setattr(bounds, "thm32_sides", failing)
         with pytest.raises(RuntimeError):
             run_exhaustive(RunConfig(n_min=8, n_max=8, checks=("thm32",)))
         assert sizes and bounds._components is None

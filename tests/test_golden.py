@@ -35,6 +35,11 @@ N10_REPORT_DIGEST = "59dad241c25d7e1d6b88c882bdb5b25adde97c5603307981361b209f5dd
 # n = 11 alone: the 235 trees of the benchmark's largest bound-checks order
 N11_REPORT_DIGEST = "503b1aafd80180f3ee50561ccd67b27b299c52fe39316c79d88bd3012d412ed3"
 
+# n <= 10 at tol 1.0: 46 of the records stay undecided (exit 3), so this pins
+# which checks halve the tolerance and how often; the digests above run at
+# tol 1e-12, where no check refines
+COARSE_TOL_REPORT_DIGEST = "33a96d4331e0b3a725ec766448d2a51c43dbf5b3f856df1f614a003d2e0f32e8"
+
 # family arguments -> (exit code, digest of the `bounds --check all` stdout)
 BOUNDS_DIGESTS = {
     ("path", "--n", "6"): (0, "9840865cfdc4882171ea1ff8b89e0a4f36d6b713e88a7dd60f274ee3fb97fc9c"),
@@ -90,6 +95,14 @@ def test_check_conjecture_n10_report_bytes(tmp_path):
 
 def test_check_conjecture_n11_report_bytes(tmp_path):
     assert _single_order_report_digest(tmp_path, 11) == N11_REPORT_DIGEST
+
+
+def test_check_conjecture_coarse_tol_report_bytes(tmp_path):
+    report = tmp_path / "report.jsonl"
+    code, _ = _run("check-conjecture", "--n-max", "10", "--checks", PAPER_CHECKS, "--tol", "1.0",
+                   "--report", str(report))
+    assert code == 3
+    assert _sha(report.read_bytes()) == COARSE_TOL_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(BOUNDS_DIGESTS))

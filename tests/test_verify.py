@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import sys
@@ -405,6 +406,26 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("alias", ["fresh", "same", "dot", "symlink", "hardlink"])
+    def test_a_report_naming_the_sink_is_refused(self, tmp_path, alias):
+        # a report written over the resumable sink would leave a CSV where the next run resumes
+        sink = tmp_path / "x.jsonl"
+        if alias != "fresh":
+            assert run_cli("check-conjecture", "--n-max", "5", "--out", str(sink)).returncode == 0
+        report = {"dot": tmp_path / "." / "x.jsonl", "symlink": tmp_path / "link.jsonl",
+                  "hardlink": tmp_path / "hard.jsonl"}.get(alias, sink)
+        if alias == "symlink":
+            report.symlink_to(sink)
+        elif alias == "hardlink":
+            os.link(sink, report)
+        before = sink.read_bytes() if sink.exists() else None
+        proc = run_cli("check-conjecture", "--n-max", "5", "--out", str(sink), "--report", str(report),
+                       "--format", "csv")
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --report ")
+        assert (sink.read_bytes() if sink.exists() else None) == before
+
     def test_ceiling_error_names_the_option(self, capsys):
         code, _ = self.run("check-conjecture", "--n-max", "17")
         assert code == 1
@@ -525,6 +546,24 @@ def test_resume_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field, value
         run_exhaustive(RunConfig(n_min=4, n_max=4, out=str(sink)))
     assert cli_main(["check-conjecture", "--n-max", "4", "--out", str(sink)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {sink}:1: not a verification record")
+    assert sink.read_text() == text
+
+
+@pytest.mark.parametrize("field, value", [("slack", math.nan), ("le", math.inf), ("le_err", -math.inf)])
+def test_resume_rejects_a_non_json_constant(tmp_path, capsys, field, value):
+    # json.dumps writes these as NaN, Infinity and -Infinity, which json.loads reads by default
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=5, out=str(sink)))
+    rows = [json.loads(line) for line in sink.read_text().splitlines()]
+    rows[2][field] = value
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    sink.write_text(text)
+    with pytest.raises(BadParam):
+        run_exhaustive(RunConfig(n_min=4, n_max=5, out=str(sink)))
+    assert cli_main(["check-conjecture", "--n-max", "5", "--out", str(sink), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {sink}:3: not a verification record")
+    assert captured.out == "" and not report.exists()
     assert sink.read_text() == text
 
 
