@@ -615,28 +615,42 @@ def _reference(cache: dict[int, Tree], build: Callable[[int], Tree], n: int) -> 
     return ref
 
 
+def _conjecture_sides(n: int, tol: float) -> tuple:
+    """conjecture_check's sides for every tree of order n at tol: the path's
+    and star's codes (none for the star below n = 2), LE(P_n), LE(S_n) and
+    their floats, filed on the cached n-path per tolerance, so they live as
+    long as _path_code_cache and a refinement reads its own tolerance's."""
+    path_n = _reference(_path_code_cache, families.path, n)
+    hit = path_n._cache.get(("conjecture sides", tol))
+    if hit is None:
+        le_p, le_s = eigenvalues(path_n, tol).laplacian_energy(), _star_energy(n)
+        star_code = canonical_code(_reference(_star_code_cache, families.star, n)) if n >= 2 else None
+        hit = path_n._cache["conjecture sides", tol] = (
+            canonical_code(path_n), star_code, le_p, le_s, le_p.value, le_s.value)
+    return hit
+
+
 @_refining
 def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(P_n) <= LE(T) <= LE(S_n), both sides certified.
 
     The star side is the exact closed form; the path side is the certified
-    bisection value on the cached n-path, refined along with T's.  When T
-    itself is the path or the star the tight side is decided by
-    canonical-code identity and contributes slack 0.
+    bisection value on the cached n-path, refined along with T's; both are
+    made once per order and tolerance (_conjecture_sides).  When T itself
+    is the path or the star the tight side is decided by canonical-code
+    identity and contributes slack 0.
     """
     n = tree.n
-    star_le = _star_energy(n)
-    path_n = _reference(_path_code_cache, families.path, n)
+    path_code, star_code, le_p, star_le, le_path, le_star = _conjecture_sides(n, tol)
     code = canonical_code(tree)
-    is_p = code == canonical_code(path_n)
-    is_s = n < 2 or code == canonical_code(_reference(_star_code_cache, families.star, n))
+    is_p = code == path_code
+    is_s = n < 2 or code == star_code
     le = eigenvalues(tree, tol).laplacian_energy()
-    le_p = eigenvalues(path_n, tol).laplacian_energy()
     left = True if is_p else le.ge(le_p)
     right = True if is_s else star_le.ge(le)
     left_slack = 0.0 if is_p else _ge_slack(le, le_p)
     right_slack = 0.0 if is_s else _ge_slack(star_le, le)
-    inputs = {"n": n, "is_path": is_p, "is_star": is_s, "le_path": le_p.value, "le_star": star_le.value}
+    inputs = {"n": n, "is_path": is_p, "is_star": is_s, "le_path": le_path, "le_star": le_star}
     return BoundReport("conjecture", inputs, le, None, holds=_all3(left, right),
                        slack=min(left_slack, right_slack), hypotheses={"left": left, "right": right})
 

@@ -55,12 +55,9 @@ class Enclosure:
     def err(self) -> float:
         """Float upper bound on the distance from .value to the truth."""
         width, twice = self.hi_n - self.lo_n, 2 * self.den
-        e = width / twice
+        e = width / twice  # correctly rounded, so one step up reaches the truth
         p, q = e.as_integer_ratio()
-        while p * twice < width * q:  # outward-round the float conversion
-            e = math.nextafter(e, math.inf)
-            p, q = e.as_integer_ratio()
-        return e
+        return math.nextafter(e, math.inf) if p * twice < width * q else e
 
     def ge(self, other: "Enclosure") -> bool | None:
         """True or False only when the relation between the two *true* values

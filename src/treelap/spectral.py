@@ -477,8 +477,19 @@ class Spectrum:
 
     @functools.cached_property
     def _energy(self) -> Enclosure:
-        lo, hi = self._top_sum(self.sigma)
-        shift = self.sigma * 2 * (self.n - 1) * (self.den // self.n)
+        # den * S_sigma bounded as _top_sum(sigma) bounds it, from four sums in
+        # one pass: the top sigma eigenvalues are the enclosures with lo >= d_bar
+        d_bar = 2 * (self.n - 1) * (self.den // self.n)
+        top_lo = top_hi = all_lo = all_hi = 0
+        for lo, hi, m in self.distinct:
+            all_lo += m * lo
+            all_hi += m * hi
+            if lo >= d_bar:
+                top_lo += m * lo
+                top_hi += m * hi
+        trace, shift = 2 * (self.n - 1) * self.den, self.sigma * d_bar
+        lo = max(top_lo, trace - all_hi + top_hi)
+        hi = min(top_hi, trace - all_lo + top_lo)
         return Enclosure(2 * (lo - shift), 2 * (hi - shift), self.den)
 
 

@@ -56,14 +56,15 @@ class _Record:
     """A record's JSON line, made once per record object: run_exhaustive
     writes it to the sink and a jsonl report reuses it.  A record read back
     from a sink is a new object, serialized anew, as the sink's bytes need
-    not be canonical."""
+    not be canonical.  Records are immutable by convention, as Enclosure is
+    (a frozen dataclass pays object.__setattr__ per field on every tree)."""
 
     @functools.cached_property
     def json_line(self) -> str:
         return record_to_json(self)
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerifyRecord(_Record):
     code: str
     n: int
@@ -79,7 +80,7 @@ class VerifyRecord(_Record):
     checks: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepRecord(_Record):
     family: str
     params: str
@@ -102,16 +103,19 @@ def _g15(x: float) -> str:
     15-digit rounding would read back as infinity, are written in full.
     """
     x = float(x) + 0.0
-    s = format(x, ".15g")
-    return s if abs(x) < 1e308 or math.isfinite(float(s)) else repr(x)
+    s = "%.15g" % x
+    return s if -1e308 < x < 1e308 or math.isfinite(float(s)) else repr(x)
+
+
+_json_str = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
 
 
 def _json_bool(v: bool | None) -> str:
-    return "null" if v is None else str(bool(v)).lower()
+    return "null" if v is None else "true" if v else "false"
 
 
 def _json_checks(checks: dict) -> str:
-    return "{" + ",".join(f"{json.dumps(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())) + "}"
+    return "{" + ",".join(f"{_json_str(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())) + "}"
 
 
 def _csv_text(s: str) -> str:
@@ -123,7 +127,7 @@ def _csv_text(s: str) -> str:
 
 # Field annotation -> (JSON text, CSV text or None for a JSON-only field).
 _FORMATS = {
-    "str": (json.dumps, _csv_text),
+    "str": (_json_str, _csv_text),
     "int": (str, str),
     "float": (_g15, _g15),
     "bool": (_json_bool, _json_bool),
@@ -135,6 +139,10 @@ _FORMATS = {
 _FIELDS = {
     cls: tuple((f.name, *_FORMATS[f.type]) for f in fields(cls)) for cls in (VerifyRecord, SweepRecord)
 }
+
+
+# One JSON line per record type, its fields' values put in by a single % format.
+_JSON_LINES = {cls: "{" + ",".join(f'"{name}":%s' for name, _, _ in table) + "}" for cls, table in _FIELDS.items()}
 
 
 def _fields_of(rec) -> tuple:
@@ -153,7 +161,8 @@ REPORT_FORMATS = ("jsonl", "csv")
 
 
 def record_to_json(rec) -> str:
-    return "{" + ",".join(f'"{name}":{to_json(getattr(rec, name))}' for name, to_json, _ in _fields_of(rec)) + "}"
+    table = _fields_of(rec)
+    return _JSON_LINES[type(rec)] % tuple([to_json(getattr(rec, name)) for name, to_json, _ in table])
 
 
 def record_to_csv(rec) -> str:
@@ -210,12 +219,15 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_sink(path: str) -> dict[str, VerifyRecord]:
+def _load_sink(path: str, wanted: set[str], tol: float) -> dict[str, VerifyRecord]:
     """The records already in a run's sink, by code.
 
-    A last line without its newline is what a killed run leaves behind; it
-    is cut off the file, so its tree is evaluated again and appending starts
-    on a fresh line.  Any complete line that is not a record is an error.
+    Any complete line that is not a record is an error, and so is a record
+    made with other checks than `wanted` or at another tolerance than tol:
+    the run is refused.  A last line without its newline is what a killed
+    run leaves behind; once the run is accepted, it is cut off the file, so
+    its tree is evaluated again and appending starts on a fresh line.  A
+    refused run leaves the file as it was.
     """
     if not os.path.exists(path):
         return {}
@@ -235,6 +247,17 @@ def _load_sink(path: str) -> dict[str, VerifyRecord]:
                 records[rec.code] = rec
             except (TypeError, ValueError) as exc:
                 raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
+    for rec in records.values():
+        if set(rec.checks) != wanted:
+            raise BadParam(
+                f"{path} holds records with checks {','.join(sorted(rec.checks))}, "
+                f"this run asks for {','.join(sorted(wanted))}; write to another --out"
+            )
+        if _g15(rec.tol) != _g15(tol):
+            raise BadParam(
+                f"{path} holds records made at tol {_g15(rec.tol)}, "
+                f"this run asks for tol {_g15(tol)}; write to another --out"
+            )
     if end < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(end)
@@ -267,9 +290,9 @@ class RunSummary:
         """Count one record: a False verdict is a violation, a None one undecided."""
         self.records.append(rec)
         self.counts_by_n[rec.n] = self.counts_by_n.get(rec.n, 0) + 1
-        if any(v is False for v in verdicts):
+        if False in verdicts:  # verdicts are True, False or None
             self.violations += 1
-        if any(v is None for v in verdicts):
+        if None in verdicts:
             self.undecided += 1
         if self.min_slack is None or rec.slack < self.min_slack:
             self.min_slack = rec.slack
@@ -306,9 +329,9 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     Trees already recorded in the sink are not evaluated again, but their
     records join the summary, so a resumed run reports and exits as an
     uninterrupted one would.  A sink whose records carry another set of
-    checks, or were made at another tolerance, is refused.  For the length
-    of the enumeration the bound checks share T - e components per
-    isomorphism class (see bounds._shared_split).
+    checks, or were made at another tolerance, is refused, and left as it
+    was (_load_sink).  For the length of the enumeration the bound checks
+    share T - e components per isomorphism class (see bounds._shared_split).
 
     The trees of one order go through in blocks of up to BLOCK: the spectra
     of a block's trees not in the sink are computed together
@@ -316,11 +339,15 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     block's T - e components and proves the ones without a spectrum
     together, if a configured check reads them.  Then each tree is checked
     and its record written in enumeration order; a sink line is the
-    record's json_line, which a jsonl report reuses.  Each tree comes built
-    from its level sequence (enumeration._layout_to_tree), with its
-    diameter, degree summary and orientation at the layout root already
-    filed; its counts are taken from that root (Tree.count_root), and its
-    record key and the report order are the centroid-rooted canonical code.
+    record's json_line, which a jsonl report reuses.  That per-tree step
+    (_evaluate, one record_to_json call, the sink write and _tally) reads
+    the conjecture's sides made once per order and tolerance, the tree's
+    LE summed in one pass over its enclosures, and one format string per
+    record type.  Each tree comes built from its level sequence
+    (enumeration._layout_to_tree), with its diameter, degree summary and
+    orientation at the layout root already filed; its counts are taken
+    from that root (Tree.count_root), and its record key and the report
+    order are the centroid-rooted canonical code.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
@@ -328,18 +355,7 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
             raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
     wanted = {"conjecture", *config.checks}
     summary = RunSummary()
-    existing = _load_sink(config.out) if config.out else {}
-    for rec in existing.values():
-        if set(rec.checks) != wanted:
-            raise BadParam(
-                f"{config.out} holds records with checks {','.join(sorted(rec.checks))}, "
-                f"this run asks for {','.join(sorted(wanted))}; write to another --out"
-            )
-        if _g15(rec.tol) != _g15(config.tol):
-            raise BadParam(
-                f"{config.out} holds records made at tol {_g15(rec.tol)}, "
-                f"this run asks for tol {_g15(config.tol)}; write to another --out"
-            )
+    existing = _load_sink(config.out, wanted, config.tol) if config.out else {}
     sink_file = open(config.out, "a", encoding="ascii", newline="\n") if config.out else nullcontext()
     with sink_file as sink, bounds._shared_components():
         for n in range(config.n_min, config.n_max + 1):

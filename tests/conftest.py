@@ -41,6 +41,10 @@ package so that `src/` has one implementation of each thing:
   `rooted_side_code`,
 * `char_poly_forest`, `relabel`, and `pi_rational_bounds`, an independent
   Machin-series enclosure of pi,
+* `le_by_top_sum`, the energy enclosure read off running sums over every
+  index (the package sums the distinct enclosures in one pass),
+* `record_json_by_join`, a record's JSON line joined field by field (the
+  package fills one format string per record type),
 * `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
   comparison, midpoint, error and slack of an enclosure computed on
   Fraction endpoints (the package decides them by integer
@@ -71,6 +75,7 @@ from treelap.errors import BadParam
 from treelap.intervals import Enclosure
 from treelap.spectral import EigCounts, Spectrum, _clusters, _laplacians, average_degree, count_eigs
 from treelap.tree import Tree, canonical_code, delete_edge, from_pruefer, side_codes
+from treelap.verify import _FIELDS
 
 
 # ---------------------------------------------------------------- labeled census
@@ -549,6 +554,15 @@ def le_two_forms(spec: Spectrum) -> Enclosure:
     return enclosure_of(max(main_lo, dev_lo), min(main_hi, dev_hi))
 
 
+def le_by_top_sum(spec: Spectrum) -> tuple[int, int, int]:
+    """(lo_n, hi_n, den) of LE read off the running sums of every index,
+    S_sigma bounded by `Spectrum._top_sum(sigma)`: the integers that the
+    one-pass `Spectrum._energy` must give."""
+    lo, hi = spec._top_sum(spec.sigma)
+    shift = spec.sigma * 2 * (spec.n - 1) * (spec.den // spec.n)
+    return 2 * (lo - shift), 2 * (hi - shift), spec.den
+
+
 # ------------------------------------------------------------ polynomial oracles
 
 
@@ -823,6 +837,16 @@ def fraction_err(lo: Fraction, hi: Fraction) -> float:
 
 def fraction_slack(lo: Fraction, other_hi: Fraction) -> float:
     return float(lo - other_hi)
+
+
+# ------------------------------------------------------------ record serializer
+
+
+def record_json_by_join(rec) -> str:
+    """A record's JSON line joined field by field from its field table,
+    `verify._FIELDS`: the text record_to_json's one format string per
+    record type must give."""
+    return "{" + ",".join(f'"{name}":{to_json(getattr(rec, name))}' for name, to_json, _ in _FIELDS[type(rec)]) + "}"
 
 
 # ------------------------------------------------------------------- randomness

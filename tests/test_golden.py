@@ -17,6 +17,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from treelap import bounds
 from treelap.cli import main as cli_main
 from treelap.verify import SweepConfig, run_family_sweep
 
@@ -103,6 +104,20 @@ def test_check_conjecture_coarse_tol_report_bytes(tmp_path):
                    "--report", str(report))
     assert code == 3
     assert _sha(report.read_bytes()) == COARSE_TOL_REPORT_DIGEST
+
+
+def test_conjecture_sides_are_kept_per_tolerance(tmp_path, monkeypatch):
+    # one process, from cold reference caches: the sides filed on each cached
+    # n-path at one tolerance must not be read by a run at another
+    monkeypatch.setattr(bounds, "_path_code_cache", {})
+    monkeypatch.setattr(bounds, "_star_code_cache", {})
+    runs = [("1.0", "10", 3, COARSE_TOL_REPORT_DIGEST), ("1e-12", "9", 0, REPORT_DIGESTS["jsonl"]),
+            ("1.0", "10", 3, COARSE_TOL_REPORT_DIGEST)]
+    for tol, n_max, exit_code, digest in runs:
+        report = tmp_path / f"report-{tol}-{n_max}.jsonl"
+        code, _ = _run("check-conjecture", "--n-max", n_max, "--checks", PAPER_CHECKS, "--tol", tol,
+                       "--report", str(report))
+        assert (code, _sha(report.read_bytes())) == (exit_code, digest)
 
 
 @pytest.mark.parametrize("family", sorted(BOUNDS_DIGESTS))

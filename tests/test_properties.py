@@ -1,8 +1,10 @@
-"""Property tests: record round trips, resuming a killed run, the float
-stage of the congruence pass against its exact stage, the pass run once
-per rooted isomorphism class against the pass run once per vertex, exact
-counts and certified enclosures against a dense eigensolver, the side of
-d_bar each enclosure lies on, the integer prober against the Fraction one,
+"""Property tests: record round trips, each record type's format string
+against the field-by-field join, the one-pass energy against the
+running-sum form, resuming a killed run, the float stage of the
+congruence pass against its exact stage, the pass run once per rooted
+isomorphism class against the pass run once per vertex, exact counts and
+certified enclosures against a dense eigensolver, the side of d_bar each
+enclosure lies on, the integer prober against the Fraction one,
 the block route (one float walk over many trees and probes) against the
 exact pass and against the single-tree route, the codes of T - e
 components read off T, and thm32 with T - e components shared per
@@ -18,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treelap import bounds
@@ -33,7 +35,7 @@ from treelap.spectral import (
     eigenvalues,
     eigenvalues_many,
 )
-from treelap.tree import Tree, delete_edge
+from treelap.tree import Tree, delete_edge, from_pruefer
 from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
 from conftest import (
@@ -41,8 +43,10 @@ from conftest import (
     fraction_enclosures,
     fraction_s_k,
     laplacian_matrix,
+    le_by_top_sum,
     le_two_forms,
     oracle_counts,
+    record_json_by_join,
     vertex_inertia_exact,
 )
 
@@ -67,6 +71,33 @@ def test_record_json_round_trip_is_byte_stable(rec):
     line = record_to_json(rec)
     again = type(rec)(**json.loads(line))
     assert record_to_json(again) == line
+
+
+# -0.0 is written unsigned; the largest doubles take _g15's repr branch
+edge_floats = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]), finite)
+# quotes, backslashes, control characters and non-ASCII text (\u escapes, surrogate pairs)
+escaped_text = st.one_of(st.just('q"b\\s\n\t\x00\u00e9\u20ac\U0001f600'), st.text())
+edge_verify_records = st.builds(
+    VerifyRecord,
+    code=escaped_text, n=st.integers(), diam=st.integers(), s=st.integers(), sigma=st.integers(),
+    le=edge_floats, le_err=edge_floats, le_path=edge_floats, le_star=edge_floats, slack=edge_floats,
+    tol=edge_floats, checks=st.dictionaries(escaped_text, verdict, max_size=4),
+)
+edge_sweep_records = st.builds(
+    SweepRecord,
+    family=escaped_text, params=escaped_text, n=st.integers(), sigma=st.integers(), le=edge_floats,
+    le_err=edge_floats, bound=edge_floats, holds=verdict, slack=edge_floats, thm31_cond=st.booleans(),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(edge_verify_records, edge_sweep_records))
+@example(VerifyRecord("\u00e9\"", 1, 0, 0, 1, -0.0, 5e-324, 1.7976931348623157e308, 0.0, -0.0, 1.0, {}))
+@example(VerifyRecord("(()", 4, 2, 1, 1, 1.5, 0.0, 1.0, 2.0, 0.5, 1e-12,
+                      {"conjecture": True, "lemma21": None, "thm32": False, "\u20ac\n": True}))
+@example(SweepRecord("sns", "#0:p=1,r=2,\"s\"", 19, 3, 1.7976931348623157e308, 0.0, 2.0, None, -0.0, False))
+def test_the_format_string_of_a_record_type_equals_the_field_join(rec):
+    assert record_to_json(rec) == record_json_by_join(rec)
 
 
 RUN = ["check-conjecture", "--n-min", "4", "--n-max", "7", "--checks", "lemma21,lemma26"]
@@ -185,6 +216,21 @@ def test_enclosures_are_narrow_and_hold_the_dense_eigenvalues(tree, tol):
     for (lo, hi), mu in zip(spec.enclosures, est):
         assert hi - lo <= Fraction(tol)
         assert float(lo) - 1e-9 <= mu <= float(hi) + 1e-9
+
+
+@st.composite
+def pruefer_trees(draw, n_max: int = 40):
+    n = draw(st.integers(2, n_max), label="n")
+    return from_pruefer(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2), label="pruefer"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruefer_trees(), st.sampled_from([1e-12, 0.3, 1.0]))
+def test_the_one_pass_energy_equals_the_running_sum_form(tree, tol):
+    # at tol 1.0 the enclosures are wide and the trace side decides the bound
+    spec = eigenvalues(tree, tol)
+    le = spec.laplacian_energy()
+    assert (le.lo_n, le.hi_n, le.den) == le_by_top_sum(spec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Verification harness: records, determinism, resume, sharding, CLI."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -425,6 +426,20 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --report ")
         assert (sink.read_bytes() if sink.exists() else None) == before
+
+    def test_a_refused_resume_leaves_a_partial_last_line_in_place(self, tmp_path, capsys):
+        # the line a killed run left unfinished is cut only once the resume is accepted
+        sink = tmp_path / "s.jsonl"
+        assert self.run("check-conjecture", "--n-max", "5", "--out", str(sink))[0] == 0
+        with open(sink, "ab") as fh:
+            fh.write(b'{"code":"((')
+        digest = hashlib.sha256(sink.read_bytes()).hexdigest()
+        for other in (("--checks", "lemma21"), ("--tol", "1e-9")):
+            code, out = self.run("check-conjecture", "--n-max", "5", "--out", str(sink), *other)
+            err = capsys.readouterr().err
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.rstrip().endswith("write to another --out")
+            assert hashlib.sha256(sink.read_bytes()).hexdigest() == digest
 
     def test_ceiling_error_names_the_option(self, capsys):
         code, _ = self.run("check-conjecture", "--n-max", "17")
