@@ -7,48 +7,42 @@ yields a diagonal matrix with the same inertia, so the sign tally counts the
 eigenvalues below / equal to / above any exact rational threshold.  A pivot
 depends only on its vertex's rooted subtree, so the pass (`_inertia`) runs
 once per rooted isomorphism class (`Tree.classes`, at the tree's
-`count_root`: vertex 0 for a tree built from a level sequence, else its
-first centroid; Sylvester's law of inertia makes the counts the same from
-any root): k children of one class enter as k / a(c), and a class's sign
-counts once per vertex in it.  The families T4, T' and T'' have 3 to 5
-classes at any order, a path on n vertices about n/2.  The tally is taken
-in float intervals widened one ulp outward (`_inertia_float`) or, when a
-pivot interval contains 0, by the same pass in integers, so ties at
+`count_root`; by Sylvester's law of inertia any root gives the same
+counts): k children of one class enter as k / a(c).  T4, T' and T'' have 3
+to 5 classes at any order, a path on n vertices about n/2.  The tally is
+taken in float intervals widened one ulp outward (`_inertia_float`) or,
+when a pivot interval contains 0, by the same pass in integers, so ties at
 thresholds like the average degree 2 - 2/n are decided exactly.
 
 Eigenvalues are certified enclosures: float estimates (eigvalsh) only
 propose probes, exact counts at the endpoints prove what each interval
 holds, and bisection narrows it to width <= tol.  Rational eigenvalues of a
-tree Laplacian are integers, so probing nearby integers pins them exactly.
-The average degree d_bar = 2(n-1)/n is a probe too, so no enclosure
-straddles it.  Every probe is an integer over one denominator per tree; the
-prober, S_k and LE = 2 (S_sigma - sigma * d_bar) are integer sums over it,
-and each eigenvalue, S_k and LE is an Enclosure over that denominator, so
-the only Fractions built are a lone tree's first probes, handed to
-count_eigs, and the values a caller reads.  Every count goes through _count,
-which files it in the tree's cache only at an integer or at d_bar (_keeps):
-those are the counts the library reads again.
+tree Laplacian are integers, so probing nearby integers pins them exactly;
+the average degree d_bar = 2(n-1)/n is a probe too, so no enclosure
+straddles it.  Every probe is an integer over one denominator per tree, and
+each eigenvalue, S_k and LE = 2 (S_sigma - sigma * d_bar) is an Enclosure
+over it: the only Fractions built are a lone tree's first probes, handed to
+count_eigs, and the values a caller reads.  Every count goes through
+_count, which files it in the tree's cache only at an integer or at d_bar
+(_kept), the thresholds read again.
 
 One prover (_prove) takes a block of trees of one order: one eigvalsh over
-their Laplacians, set by index arrays in one stacked array (_laplacians),
-the probe proposals (_propose) of each tree, the first counts, then each
-tree's bisection (_bisect).  A lone tree (eigenvalues) is a block of one,
-and its first counts are count_eigs calls, probe by probe.  A block of
-several (eigenvalues_many, for exhaustive runs) takes them from one float
-walk (_below_many) whose lanes are (tree, probe) pairs.  Lone trees stay on
-count_eigs: the walk is faster on large ones too, but that switch waits for
-a benchmark that reads memory apart from throughput.  The walk is still
-per vertex: every tree's vertices are numbered by their post-order place
-from its count root, so step i of the walk takes vertex i of every tree (a
-tree built from a level sequence brings that orientation with it, in
-reverse preorder); every +, - and 1/x on the pivot intervals is widened
-one ulp outward, each vertex's reciprocal is scattered into its parent's
-pivot, and the signs are tallied once every pivot is final.  A lane that
-decides has the exact pass's tally, by the argument of _inertia_float; a
-lane that declines, as it must at an eigenvalue, goes straight to the exact
-pass.  Either way the first counts, and the ones filed, are the same, so
-each tree's enclosures, cached counts and every byte derived from them do
-not depend on the block it was proved in, nor on the root.
+their Laplacians, stacked (_laplacians), every tree's probe proposals at
+once (_propose), the first counts, then each tree's bisection (_bisect).
+A lone tree (eigenvalues) is a block of one, and its first counts are
+count_eigs calls, probe by probe.  A block of several (eigenvalues_many,
+for exhaustive runs) takes them from one float walk (_below_many) whose
+lanes are (tree, probe) pairs, each at the correctly rounded float of its
+probe: a side probe's is tol/2 - clo, one float subtraction, not a
+big-integer division.  Lone trees stay on count_eigs: the walk is faster
+on large ones too, but that switch waits for a benchmark that reads memory
+apart from throughput.  A lane that decides has the exact pass's tally, by
+the argument of _inertia_float; a lane that declines, as it must at an
+eigenvalue, goes straight to the exact pass.  Only those lanes, and the
+decided ones at an integer or d_bar, whose counts _kept files with no gcd,
+are looked at again one by one.  Either way the first counts and the ones
+filed are the same, so each tree's enclosures, cached counts and every
+byte derived from them depend neither on its block nor on the root.
 """
 
 from __future__ import annotations
@@ -91,13 +85,9 @@ def _laplacians(trees: Sequence[Tree]) -> np.ndarray:
 
 def _inertia(tree: Tree, p: int, q: int, root: int, exact: bool = False) -> tuple[int, int, int]:
     """(negative, zero, positive) entry counts of the diagonal congruent to
-    L(T) + (p/q) I, rooted at `root`.  q > 0 required.
-
-    The float-interval stage decides the tally whenever no pivot interval
-    contains 0; otherwise the exact integer pass runs.  Both give the same
-    tally (see `_inertia_float`).  `exact` skips the float stage, for a
-    threshold a float pass has already declined.
-    """
+    L(T) + (p/q) I, rooted at `root`, q > 0: by the float stage where no
+    pivot interval contains 0, else by the exact pass, with the same tally
+    (`_inertia_float`).  `exact` skips a float stage already declined."""
     tally = None if exact else _inertia_float(tree, p, q, root)
     return tally if tally is not None else _inertia_exact(tree, p, q, root)
 
@@ -107,18 +97,14 @@ def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
 
     Each pivot a(v) = d(v) + alpha - sum 1/a(c) is carried as [lo, hi], and
     every +, -, * and 1/x result is moved one ulp outward with
-    math.nextafter.  A round-to-nearest result is the float nearest the true
-    value, so the true value lies between it and its next float on that
-    side, and each interval encloses the exact pivot.  For a child whose
-    interval excludes 0, 1/a(c) lies in [1/hi, 1/lo].  Gives up (None) as
-    soon as a pivot interval contains 0 or is not finite.  When it does not
-    give up, every exact pivot is nonzero, so the exact pass makes no
-    zero-child substitution, its pivots are the values enclosed here, and
-    its tally is (#hi < 0, 0, the rest): the same as this one.
-
-    A pivot depends only on the rooted subtree, so the pass runs once per
-    rooted isomorphism class (`Tree.classes`): k children of one class
-    enter as k [1/hi, 1/lo], and a negative class adds its vertex count.
+    math.nextafter: a round-to-nearest result lies within one ulp of the
+    true value, so each interval encloses the exact pivot, and 1/a(c) lies
+    in [1/hi, 1/lo] once 0 is excluded.  Gives up (None) as soon as a pivot
+    interval contains 0 or is not finite.  Otherwise every exact pivot is
+    nonzero, the exact pass makes no zero-child substitution, and its tally
+    is (#hi < 0, 0, the rest), as here.  The pass runs once per rooted
+    isomorphism class (`Tree.classes`): k children of one class enter as
+    k [1/hi, 1/lo], and a negative class adds its vertex count.
     """
     try:
         alpha = p / q  # int true division is correctly rounded
@@ -155,15 +141,12 @@ def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
 
 
 def _inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int]:
-    """The tally of `_inertia` by the exact integer pass, zero pivots included.
-
-    Runs once per rooted isomorphism class, as `_inertia_float` does.
-    Values are carried as integer pairs num/den with den > 0; no gcd
-    reduction (bit growth is O(classes below * bits(q))).  A class with a
-    zero child class becomes -1/2 and is severed from its parent; in each
-    of its instances one zero child becomes 2, so the zero tally drops and
-    the positive one rises by the parent class's vertex count.
-    """
+    """The tally of `_inertia` by the exact integer pass, zero pivots included,
+    once per rooted isomorphism class.  Values are integer pairs num/den,
+    den > 0, never reduced (bit growth O(classes below * bits(q))).  A class
+    with a zero child class becomes -1/2, severed from its parent; in each
+    instance one zero child becomes 2, so the zero tally drops and the
+    positive one rises by the parent class's vertex count."""
     kinds, counts = tree.classes(root)
     num: list[int] = []
     den: list[int] = []
@@ -200,22 +183,28 @@ def _inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
     return neg, zero, tree.n - neg - zero
 
 
-def _keeps(n: int, x: int, den: int) -> bool:
-    """The cache rule: a count at x / den on a tree of order n is filed only
-    at an integer or at d_bar, the thresholds read again (a proof's integer
+def _kept(n: int, x: int, den: int) -> tuple[str, int, int] | None:
+    """The cache rule: the key of a count at x / den (den > 0) on a tree of
+    order n if it is filed, else None, by a test with no gcd.  Only counts at
+    an integer or at d_bar are, the thresholds read again (a proof's integer
     probes, multiplicity_of_one, sigma and lemma26)."""
-    return x % den == 0 or x * n == 2 * (n - 1) * den
+    if x % den == 0:
+        return "cnt", x // den, 1
+    if x * n == 2 * (n - 1) * den:
+        g = math.gcd(2 * (n - 1), n)
+        return "cnt", 2 * (n - 1) // g, n // g
+    return None
 
 
 def _count(tree: Tree, x: int, den: int, exact: bool = False) -> EigCounts:
-    """Exact counts at x / den (den > 0), from the tree's cache or by
-    `_inertia` (`exact` as there), and filed when `_keeps` says so."""
-    g = math.gcd(x, den)
-    key = ("cnt", x // g, den // g)
-    hit = tree._cache.get(key)
+    """Exact counts at x / den (den > 0), from the tree's cache or by `_inertia`
+    (`exact` as there) at the reduced fraction, filed where `_kept` says."""
+    key = _kept(tree.n, x, den)
+    hit = tree._cache.get(key) if key else None
     if hit is None:
-        hit = EigCounts(*_inertia(tree, -key[1], key[2], tree.count_root(), exact))
-        if _keeps(tree.n, x, den):
+        g = math.gcd(x, den)
+        hit = EigCounts(*_inertia(tree, -(x // g), den // g, tree.count_root(), exact))
+        if key:
             tree._cache[key] = hit
     return hit
 
@@ -225,7 +214,7 @@ def count_eigs(tree: Tree, x) -> EigCounts:
 
     Equivalent to diagonalizing (T, -x): negative diagonal entries are the
     eigenvalues below x, zeros the multiplicity of x, positives the rest.
-    Cached per tree at the integers and at d_bar only (`_keeps`).
+    Cached per tree at the integers and at d_bar only (`_kept`).
     """
     if type(x) is not Fraction:
         x = Fraction(x)
@@ -249,20 +238,6 @@ def sigma(tree: Tree) -> int:
 # ---- certified enclosures ----------------------------------------------------
 
 
-def _clusters(vals: np.ndarray, eps: float) -> list[tuple[float, float]]:
-    vals = vals.tolist()
-    out = []
-    lo = hi = vals[0]
-    for v in vals[1:]:
-        if v - hi <= eps:
-            hi = v
-        else:
-            out.append((lo, hi))
-            lo = hi = v
-    out.append((lo, hi))
-    return out
-
-
 def _to_grid(num: int, d: int, den: int, found: list, work: list) -> tuple[int, int]:
     """(N, den) with num/d == N/den.  A float midpoint can be finer than den:
     then den and every endpoint in `found` and `work` are multiplied, in
@@ -275,55 +250,84 @@ def _to_grid(num: int, d: int, den: int, found: list, work: list) -> tuple[int, 
     return num * den // d, den
 
 
-def _propose(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int]]:
-    """(den, points): the first probes of a tree of order n, ascending, each
-    an integer N standing for N / den, proposed from its float estimates
-    `est` (ascending): 0, n, d_bar, the integers next to a cluster of
-    estimates and the points tol/2 outside each cluster.  Correctness never
-    depends on the estimates."""
-    tn, td = tol.numerator, tol.denominator
-    clusters = _clusters(est, float(tol))
-    ratios = [(clo.as_integer_ratio(), chi.as_integer_ratio()) for clo, chi in clusters]
-    den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
-    pad = tn * (den // (2 * td))
-    top = n * den
-    points = {0, top, 2 * (n - 1) * (den // n)}  # 0, n, d_bar
-    for (clo, chi), ((lo_n, lo_d), (hi_n, hi_d)) in zip(clusters, ratios):
-        center = (clo + chi) / 2
-        k = round(center)
-        if abs(center - k) < 0.45 and 0 <= k <= n:
-            points.add(k * den)
-        lo_p = lo_n * (den // lo_d) - pad
-        hi_p = hi_n * (den // hi_d) + pad
-        if lo_p > 0:
-            points.add(lo_p)
-        if 0 < hi_p < top:  # eigvalsh can put the zero eigenvalue below 0
-            points.add(hi_p)
-    return den, sorted(points)
+def _propose(n: int, est: np.ndarray, tol: float) -> tuple[list[tuple[int, list[int]]], np.ndarray]:
+    """([(den, points)], alpha): for each row of `est`, the ascending float
+    estimates of one tree of order n, its first probes, each an integer N
+    standing for N / den, ascending: 0, n, d_bar, the integers next to a
+    cluster of estimates and the points tol/2 outside each cluster; and for
+    the walk, the correctly rounded -N / den of every point (NaN past a
+    row's end).  Correctness never depends on the estimates.
+
+    The clusters of every row are found at once.  Cluster ends are floats,
+    so den, the lcm of n, 2 den(tol) and their powers of two, is lcm(n,
+    2 den(tol)) raised to the largest power.  A side probe's alpha is tol/2
+    - clo (or -tol/2 - chi), one correctly rounded subtraction, if tol/2 is
+    a float, else NaN.  A point proposed twice is kept once."""
+    (tn, td), eps = tol.as_integer_ratio(), float(tol)
+    half = eps / 2 if eps / 2 * 2 == eps == tol else math.nan
+    cut = np.ones((len(est), n + 1), dtype=bool)  # cut[b, i]: in row b a cluster starts at i, one ends at i - 1
+    cut[:, 1:-1] = est[:, 1:] - est[:, :-1] > eps
+    ends = np.stack([est[cut[:, :-1]], est[cut[:, 1:]]])  # every cluster's first and last estimate, row after row
+    frac, exp = np.frexp(ends)
+    mant = (frac * 2.0 ** 53).astype(np.int64)  # end == mant * 2**(exp - 53) exactly
+    zeros = np.frexp(mant & -mant)[1] - 1  # its trailing zero bits, -1 at 0
+    exp = np.where(mant == 0, 0, exp - 53 + zeros)
+    mant >>= np.maximum(zeros, 0)  # end == mant * 2**exp, mant odd or 0
+    center = (ends[0] + ends[1]) / 2
+    k = np.rint(center)
+    near = (abs(center - k) < 0.45).tolist()
+    (clo, chi), (lo_m, hi_m), (lo_e, hi_e), k = ends.tolist(), mant.tolist(), exp.tolist(), k.tolist()
+    base = math.lcm(n, 2 * td)
+    two = (base & -base).bit_length() - 1  # base = odd * 2**two
+    odd = base >> two
+    probes, rows, start = [], [], 0
+    for end in np.cumsum(cut[:, :-1].sum(axis=1)).tolist():
+        p = max(two, -min(lo_e[start:end]), -min(hi_e[start:end]))
+        den = odd << p
+        pad, top = tn * (den // (2 * td)), n * den
+        at = {}  # point -> its alpha
+        for j in range(start, end):
+            lo = ((lo_m[j] * odd) << (p + lo_e[j])) - pad
+            if lo > 0:
+                at[lo] = half - clo[j]
+            hi = ((hi_m[j] * odd) << (p + hi_e[j])) + pad
+            if 0 < hi < top:  # eigvalsh can put the zero eigenvalue below 0
+                at[hi] = -half - chi[j]
+        at.update({int(k[j]) * den: -k[j] for j in range(start, end) if near[j] and 0 <= k[j] <= n})
+        at[0], at[top], at[2 * (n - 1) * (den // n)] = 0.0, -float(n), -(2 * (n - 1) / n)
+        start = end
+        points = sorted(at)
+        probes.append((den, points))
+        rows.append([at[x] for x in points])
+    width = max(map(len, rows))
+    return probes, np.array([row + [math.nan] * (width - len(row)) for row in rows])
 
 
 def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
             below: list[int], equal: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
     """(den, [(lo, hi, count)] descending) from the exact counts at the first
     probes `points` (over den): `below[i]` eigenvalues lie below points[i]
-    and `equal[i]` on it.  Each interval is bisected until it is at most tol
-    wide.  Each entry is proved by exact counts to hold exactly `count`
-    eigenvalues; one with lo == hi is an exact hit, and no entry has d_bar
-    strictly inside."""
-    n = tree.n
-    tn, td = tol.numerator, tol.denominator
+    and `equal[i]` on it.  Each interval is bisected until at most tol wide;
+    each entry is proved by exact counts to hold exactly `count` eigenvalues,
+    one with lo == hi is an exact hit, and none has d_bar strictly inside."""
+    n, (tn, td) = tree.n, tol.as_integer_ratio()
     if below[0] != 0 or equal[0] != 1:
         raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
     if below[-1] + equal[-1] != n:
         raise AssertionError("eigenvalues must lie in [0, n]")
 
-    # work items (lo, hi, m, #mu <= lo): hi - lo too wide, m eigenvalues strictly inside
+    # work items (lo, hi, m, #mu <= lo): too wide, m eigenvalues strictly inside; a first one
+    # at most tol wide, as around a lone estimate, is settled at once
     found = [(x, x, e) for x, e in zip(points, equal) if e]
     work: list[tuple[int, int, int, int]] = []
+    wide = tn * den
     for a, b, below_a, equal_a, below_b in zip(points, points[1:], below, equal, below[1:]):
         m = below_b - below_a - equal_a
         if m > 0:
-            work.append((a, b, m, below_a + equal_a))
+            if (b - a) * td <= wide:
+                found.append((a, b, m))
+            else:
+                work.append((a, b, m, below_a + equal_a))
 
     while work:
         lo, hi, m, at_lo = work[-1]
@@ -356,56 +360,53 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
 # at once; at n <= 12, 64 and 128 were no faster and held more memory
 BLOCK = 32
 
+_SLOPE, _TINY = np.array([[-2.0 ** -52], [2.0 ** -52]]), np.array([[-5e-324], [5e-324]])  # lo down, hi up
 
-def _below_many(trees: Sequence[Tree], probes: Sequence[tuple[int, list[int]]]) -> list[list[int | None]]:
-    """For trees of one order, probes[b] = (den, [N, ...]) thresholds N / den
-    of trees[b]: the number of eigenvalues of trees[b] below each threshold,
-    or None where the float stage declines.
 
-    This is `_inertia_float` run on every (tree, probe) lane at once, but
-    per vertex, not per rooted isomorphism class: the trees of a block have
-    different class tables, while their vertices line up.  Each tree's
-    vertices are numbered by their place in its post-order from its count
-    root (the root comes last), so step i of the walk takes vertex i of
-    every tree; the block's degree and parent arrays are gathered through
-    that permutation and its inverse.  Pivot intervals are a (B, n, 2, P)
-    array, lo and hi on the third axis; every +, - and 1/x is widened one
-    ulp outward with np.nextafter, and each vertex's reciprocal is scattered
-    into its parent's pivot.  A pivot is final once its step has read it,
-    so the signs are tallied over all of them at the end.  A lane declines
-    when one of its pivot intervals contains 0 or is not finite; the lanes
-    that pad a short probe list are NaN and decline too.  A lane that does
-    not decline has the tally of the exact pass, by the argument in
-    `_inertia_float`.
+def _outward(x: np.ndarray) -> np.ndarray:
+    """x, its lo rows (index 0 of axis -2) moved down and its hi rows up in
+    place by |x| 2**-52 and 2**-1074: at least the one ulp math.nextafter
+    takes (an ulp is at most |x| 2**-52, or 2**-1074 below the normal range),
+    in four numpy passes that cost less than one np.nextafter pass.  An inf
+    moved toward the other side turns NaN, which declines."""
+    x += np.abs(x) * _SLOPE
+    x += _TINY
+    return x
+
+
+def _below_many(trees: Sequence[Tree], alpha: np.ndarray) -> np.ndarray:
+    """For trees of one order and alpha[b] the correctly rounded floats of
+    exact thresholds -alpha of trees[b] (NaN lanes are padding): the number
+    of eigenvalues of trees[b] below each threshold, or -1 where the float
+    stage declines.
+
+    This is `_inertia_float` on every lane at once, per vertex rather than
+    per class, as the trees' class tables differ while their vertices line
+    up: numbered by their post-order place from the count root, step i
+    takes vertex i of every tree.  Pivot intervals are a (B, n, 2, P)
+    array, lo and hi on the third axis; alpha and every +, - and 1/x result
+    are moved outward (_outward), and each vertex's reciprocal is scattered
+    into its parent's pivot.  A lane whose pivot intervals all exclude 0
+    and are finite has the exact pass's tally, as in _inertia_float.
     """
     n, rows = trees[0].n, np.arange(len(trees))
-    width = max(len(points) for _, points in probes)
-    alpha = np.full((len(trees), width), np.nan)
-    for b, (den, points) in enumerate(probes):
-        alpha[b, :len(points)] = [-x / den for x in points]  # int / int is correctly rounded
     oriented = [t.rooted(t.count_root()) for t in trees]
     order = np.array([o for o, _, _ in oriented], dtype=np.intp)  # order[b, i]: vertex i of the walk
     place = np.argsort(order, axis=1)  # the inverse permutation
     deg = np.take_along_axis(np.array([t.degrees for t in trees], dtype=float), order, 1)
     parent = np.array([p for _, p, _ in oriented], dtype=np.intp)  # -1 at the root, never read
     parent = np.take_along_axis(place, np.take_along_axis(parent, order, 1), 1)
-    out = np.array([[-np.inf], [np.inf]])  # lo rounds down, hi up
-    step = np.nextafter
     with np.errstate(all="ignore"):
-        a = np.stack([step(alpha, -np.inf), step(alpha, np.inf)], axis=1)
-        piv = deg[:, :, None, None] + a[:, None]  # (B, n, 2, P)
-        step(piv, out, out=piv)
+        piv = _outward(deg[:, :, None, None] + _outward(np.stack([alpha, alpha], axis=1))[:, None])  # (B, n, 2, P)
         for i in range(n - 1):  # a parent's place is after its children's
-            inv = step(1.0 / piv[:, i, ::-1], out)  # [1/hi, 1/lo], widened
+            inv = _outward(1.0 / piv[:, i, ::-1])  # [1/hi, 1/lo]
             up = parent[:, i]
-            piv[rows, up] = step(piv[rows, up] - inv[:, ::-1], out)
+            piv[rows, up] = _outward(piv[rows, up] - inv[:, ::-1])
         # vertex i's pivot is final once step i has read it, so all are tallied at the end
         lo, hi = piv[:, :, 0], piv[:, :, 1]
         neg = (hi < 0.0) & (-np.inf < lo)
         decided = (neg | ((0.0 < lo) & (lo <= hi) & (hi < np.inf))).all(axis=1)
-        below = neg.sum(axis=1)
-    return [[k if ok else None for k, ok in zip(ks[:len(points)], oks)]
-            for ks, oks, (_, points) in zip(below.tolist(), decided.tolist(), probes)]
+    return np.where(decided, neg.sum(axis=1), -1)
 
 
 @dataclass(frozen=True)
@@ -500,32 +501,28 @@ def check_tol(tol: float) -> None:
 
 
 def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
-    """The Spectrums of trees of one order at tol, each cached on its tree.
-
-    One stacked eigvalsh proposes every tree's first probes; a lone tree
-    counts them through count_eigs one by one, a block of several in one
-    float walk (_below_many), with the exact pass only where a lane declines
-    and a decided lane filed only where `_keeps` says.  Each tree is then
-    bisected.
-    """
+    """The Spectrums of trees of one order at tol, each cached on its tree:
+    one stacked eigvalsh and _propose give the first probes; a lone tree
+    counts them through count_eigs, a block in one walk (_below_many) whose
+    declined lanes go to the exact pass and whose decided lanes at an
+    integer or d_bar are filed where `_kept` says; then each is bisected."""
     n, frac_tol = trees[0].n, Fraction(tol)
-    est = np.linalg.eigvalsh(_laplacians(trees))
-    probes = [_propose(n, row, frac_tol) for row in est]
-    walked = _below_many(trees, probes) if len(trees) > 1 else [None]
+    probes, alpha = _propose(n, np.linalg.eigvalsh(_laplacians(trees)), tol)
+    if len(trees) > 1:
+        walked = _below_many(trees, alpha)
+        again = (walked < 0) | (alpha == np.rint(alpha)) | (alpha == -(2 * (n - 1) / n))
     specs = []
-    for tree, (den, points), below in zip(trees, probes, walked):
-        if below is None:
+    for b, (tree, (den, points)) in enumerate(zip(trees, probes)):
+        if len(trees) == 1:
             counts = [count_eigs(tree, Fraction(x, den)) for x in points]
             below, equal = [c.below for c in counts], [c.equal for c in counts]
         else:
-            equal = [0] * len(points)
-            for i, x in enumerate(points):
-                if below[i] is None:  # the walk declines at every eigenvalue, and so would _inertia_float
-                    exact = _count(tree, x, den, True)
-                    below[i], equal[i] = exact.below, exact.equal
-                elif _keeps(n, x, den):
-                    g = math.gcd(x, den)
-                    tree._cache["cnt", x // g, den // g] = EigCounts(below[i], 0, n - below[i])
+            below, equal = walked[b, :len(points)].tolist(), [0] * len(points)
+            for i in np.flatnonzero(again[b, :len(points)]).tolist():
+                if below[i] < 0:  # the walk declines at every eigenvalue, and so would _inertia_float
+                    below[i], equal[i], _ = _count(tree, points[i], den, True)
+                elif key := _kept(n, points[i], den):
+                    tree._cache[key] = EigCounts(below[i], 0, n - below[i])
         den, distinct = _bisect(tree, frac_tol, den, points, below, equal)
         specs.append(Spectrum(n, tuple(distinct), den))
         tree._cache[("spectrum", tol)] = specs[-1]

@@ -134,30 +134,32 @@ class Tree:
 
         A vertex's class is its degree plus the multiset of its children's
         classes, numbered in order of first appearance in the post-order, so
-        every child class comes before its parents.  Cached per root; the
-        counts take it at count_root().
+        every child class comes before its parents; each vertex counts once
+        in its class as the pass meets it.  Cached per root; the counts take
+        it at count_root().
         """
         key = ("classes", root)
         hit = self._cache.get(key)
         if hit is None:
             order, _, kids = self.rooted(root)
             ids: dict[tuple[int, ...], int] = {}
-            kinds = []
+            kinds, counts = [], []
             of = [0] * self.n
             for v in order[:-1]:
                 ks = kids[v]
-                sig = tuple(sorted([of[c] for c in ks]))
-                c = of[v] = ids.setdefault(sig, len(ids))
-                if c == len(kinds):
+                sig = tuple(sorted([of[c] for c in ks])) if ks else ()
+                c = ids.get(sig)
+                if c is None:
+                    c = ids[sig] = len(kinds)
                     kinds.append((len(ks) + 1, _runs(sig)))
+                    counts.append(1)
+                else:
+                    counts[c] += 1
+                of[v] = c
             # the root is the one vertex whose degree is its number of children
             ks = kids[order[-1]]
             kinds.append((len(ks), _runs(sorted([of[c] for c in ks]))))
-            counts = [0] * len(kinds)
-            counts[-1] = 1
-            for c in range(len(kinds) - 1, 0, -1):  # parents before children
-                for child, k in kinds[c][1]:
-                    counts[child] += k * counts[c]
+            counts.append(1)
             hit = self._cache[key] = RootedClasses(tuple(kinds), tuple(counts))
         return hit
 

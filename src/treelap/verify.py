@@ -212,6 +212,7 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
 
 # VerifyRecord field annotation -> the JSON value types a sink line may hold.
 _SINK_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
+_DOUBLE_MAX = 1.7976931348623157e308  # the largest double: an int past it has no float, 1e400 reads as inf
 
 
 def _refuse_constant(name: str):
@@ -240,8 +241,11 @@ def _load_sink(path: str, wanted: set[str], tol: float) -> dict[str, VerifyRecor
             try:
                 rec = VerifyRecord(**json.loads(line, parse_constant=_refuse_constant))
                 for f in fields(VerifyRecord):
-                    if type(getattr(rec, f.name)) not in _SINK_TYPES[f.type]:
+                    value = getattr(rec, f.name)
+                    if type(value) not in _SINK_TYPES[f.type]:
                         raise TypeError(f"{f.name} is not of type {f.type}")
+                    if f.type == "float" and not -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+                        raise ValueError(f"{f.name} is beyond the double range")
                 if not all(v is None or type(v) is bool for v in rec.checks.values()):
                     raise TypeError("a check verdict is not true, false or null")
                 records[rec.code] = rec

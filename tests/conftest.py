@@ -73,7 +73,7 @@ from treelap import bounds
 from treelap.charpoly import ONE, Poly, char_poly
 from treelap.errors import BadParam
 from treelap.intervals import Enclosure
-from treelap.spectral import EigCounts, Spectrum, _clusters, _laplacians, average_degree, count_eigs
+from treelap.spectral import EigCounts, Spectrum, _laplacians, average_degree, count_eigs
 from treelap.tree import Tree, canonical_code, delete_edge, from_pruefer, side_codes
 from treelap.verify import _FIELDS
 
@@ -440,6 +440,57 @@ def vertex_inertia_exact(tree: Tree, p: int, q: int, root: int) -> tuple[int, in
 # ----------------------------------------------------------- Fraction prober
 
 
+def clusters(vals: np.ndarray, eps: float) -> list[tuple[float, float]]:
+    """The runs of ascending `vals` whose neighbours lie at most eps apart,
+    as (first, last) pairs: the clusters `spectral._propose` brackets."""
+    vals = vals.tolist()
+    out = []
+    lo = hi = vals[0]
+    for v in vals[1:]:
+        if v - hi <= eps:
+            hi = v
+        else:
+            out.append((lo, hi))
+            lo = hi = v
+    out.append((lo, hi))
+    return out
+
+
+def propose_oracle(n: int, est: np.ndarray, tol: Fraction) -> tuple[int, list[int]]:
+    """(den, points): the first probes `spectral._propose` must give a tree of
+    order n with ascending float estimates `est`, one estimate row at a time
+    and with every denominator from float.as_integer_ratio and math.lcm."""
+    tn, td = tol.numerator, tol.denominator
+    found = clusters(est, float(tol))
+    ratios = [(clo.as_integer_ratio(), chi.as_integer_ratio()) for clo, chi in found]
+    den = math.lcm(n, 2 * td, *(d for pair in ratios for _, d in pair))
+    pad = tn * (den // (2 * td))
+    top = n * den
+    points = {0, top, 2 * (n - 1) * (den // n)}  # 0, n, d_bar
+    for (clo, chi), ((lo_n, lo_d), (hi_n, hi_d)) in zip(found, ratios):
+        center = (clo + chi) / 2
+        k = round(center)
+        if abs(center - k) < 0.45 and 0 <= k <= n:
+            points.add(k * den)
+        lo_p = lo_n * (den // lo_d) - pad
+        hi_p = hi_n * (den // hi_d) + pad
+        if lo_p > 0:
+            points.add(lo_p)
+        if 0 < hi_p < top:
+            points.add(hi_p)
+    return den, sorted(points)
+
+
+def walk_alphas(probes: Sequence[tuple[int, list[int]]]) -> np.ndarray:
+    """The alpha rows `spectral._below_many` takes for probes[b] = (den,
+    [N, ...]): -N / den, correctly rounded by int true division, NaN past
+    the end of a short row."""
+    alpha = np.full((len(probes), max(len(points) for _, points in probes)), np.nan)
+    for b, (den, points) in enumerate(probes):
+        alpha[b, :len(points)] = [-x / den for x in points]
+    return alpha
+
+
 def fraction_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fraction, int]]:
     """Ascending [(lo, hi, count)] covering the whole spectrum, the prober
     of `spectral._prove` with every probe an exact Fraction.
@@ -452,7 +503,7 @@ def fraction_enclosures(tree: Tree, tol: Fraction) -> list[tuple[Fraction, Fract
     est = np.linalg.eigvalsh(laplacian_matrix(tree))
     pad = tol / 2
     probes = [Fraction(0), top, average_degree(tree)]
-    for clo, chi in _clusters(est, float(tol)):
+    for clo, chi in clusters(est, float(tol)):
         center = (clo + chi) / 2
         k = round(center)
         if abs(center - k) < 0.45 and 0 <= k <= n:

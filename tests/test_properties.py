@@ -30,6 +30,8 @@ from treelap.spectral import (
     _inertia,
     _inertia_exact,
     _inertia_float,
+    _outward,
+    _propose,
     average_degree,
     count_eigs,
     eigenvalues,
@@ -46,8 +48,10 @@ from conftest import (
     le_by_top_sum,
     le_two_forms,
     oracle_counts,
+    propose_oracle,
     record_json_by_join,
     vertex_inertia_exact,
+    walk_alphas,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -277,12 +281,48 @@ def test_every_decided_lane_of_a_block_walk_has_the_exact_tally(data):
         xs = data.draw(st.lists(thresholds(tree), max_size=12), label="thresholds")
         den = math.lcm(*(x.denominator for x in xs))
         probes.append((den, [int(x * den) for x in xs]))
-    for tree, (den, points), below in zip(block, probes, _below_many(block, probes)):
-        assert len(below) == len(points)
+    walked = _below_many(block, walk_alphas(probes)).tolist()
+    for tree, (den, points), below in zip(block, probes, walked):
+        assert all(k == -1 for k in below[len(points):])  # NaN padding declines
         root = tree.centroids()[0]
         for x, k in zip(points, below):
-            if k is not None:
+            if k >= 0:
                 assert (k, 0, tree.n - k) == _inertia_exact(tree, -x, den, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=8))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1e300, 1.7976931348623157e308])
+def test_outward_moves_every_bound_past_its_neighbouring_float(xs):
+    # the walk's widening covers at least the one ulp math.nextafter takes, subnormals and 0 included
+    with np.errstate(over="ignore"):  # the walk ignores it too: the largest double moves out to inf
+        lo, hi = _outward(np.array([xs, xs])).tolist()
+    for v, down, up in zip(xs, lo, hi):
+        assert down <= math.nextafter(v, -math.inf) and up >= math.nextafter(v, math.inf)
+
+
+@st.composite
+def estimate_rows(draw):
+    """(n, est): 1 to 4 ascending rows of n float estimates in about [0, n],
+    integers, half-integers and runs of equal values drawn often."""
+    n = draw(st.integers(1, 12), label="n")
+    value = st.one_of(st.integers(0, n).map(float), st.integers(0, 2 * n).map(lambda k: k / 2),
+                      st.floats(-1e-15, n + 1e-15), st.sampled_from([0.0, -0.0, 5e-324, -3e-16]))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4), label="rows")
+    return n, np.sort(np.array(rows), axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(estimate_rows(), st.sampled_from([1e-12, 1e-6, 0.3, 0.5, 1.0, 2.0, 5e-324, 3 * 5e-324]))
+def test_propose_gives_the_one_row_oracle_and_correctly_rounded_alphas(rows, tol):
+    # half-integer estimates at tol 1.0 and integers at 2.0 put side probes
+    # on integers, so a point is proposed twice
+    n, est = rows
+    probes, alpha = _propose(n, est, tol)
+    assert probes == [propose_oracle(n, row, Fraction(tol)) for row in est]
+    want = walk_alphas(probes)
+    same = (alpha == want) | (np.isnan(alpha) & np.isnan(want))
+    assert same.all() if tol / 2 * 2 == tol else (same | np.isnan(alpha)).all()
 
 
 def _counts(tree: Tree) -> dict:
@@ -302,6 +342,7 @@ def test_a_block_leaves_each_cache_as_eigenvalues_does(block, tol):
         kept = {Fraction(num, den) for _, num, den in _counts(tree)}
         assert {0, tree.n, average_degree(tree)} <= kept
         assert all(x.denominator == 1 or x == average_degree(tree) for x in kept)
+        assert all(math.gcd(num, den) == 1 for _, num, den in _counts(tree))  # keyed by lowest terms
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ from treelap.spectral import (
     s_k,
     sigma,
 )
-from treelap.tree import Tree, degree_summary, delete_edge
+from treelap.tree import Tree, degree_summary, delete_edge, from_pruefer
 
 from conftest import (
     diagonalize,
@@ -38,9 +38,11 @@ from conftest import (
     le_max_form,
     le_two_forms,
     oracle_counts,
+    propose_oracle,
     random_tree,
     vertex_inertia_exact,
     vertex_inertia_float,
+    walk_alphas,
 )
 
 
@@ -506,6 +508,48 @@ class TestIntegerProber:
         assert count_eigs(t, 1.0) == EigCounts(1, 4, 1)
 
 
+class TestPropose:
+    """_propose finds the clusters of a whole block at once and gives each
+    tree the (den, points) of the one-row oracle, with every alpha the
+    correctly rounded -N / den the walk reads."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.3])
+    def test_every_free_tree_up_to_11_in_one_block_and_alone(self, tol):
+        for n in range(1, 12):
+            trees = list(free_trees(n))
+            est = np.linalg.eigvalsh(spectral._laplacians(trees))
+            want = [propose_oracle(n, row, Fraction(tol)) for row in est]
+            probes, alpha = spectral._propose(n, est, tol)
+            assert probes == want
+            assert np.array_equal(alpha, walk_alphas(want), equal_nan=True)
+            for row, one in zip(est, want):
+                assert spectral._propose(n, row[None], tol)[0] == [one]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.3])
+    def test_large_lone_trees(self, tol):
+        rng = random.Random(160)
+        prufer = from_pruefer([rng.randrange(160) for _ in range(158)])
+        for t in (path(64), path(256), prufer, t4_spider(40, 39)):
+            est = np.linalg.eigvalsh(spectral._laplacians([t]))
+            probes, alpha = spectral._propose(t.n, est, tol)
+            assert probes == [propose_oracle(t.n, est[0], Fraction(tol))]
+            assert np.array_equal(alpha, walk_alphas(probes))
+
+    def test_a_subnormal_tol_with_an_odd_last_bit_leaves_its_side_lanes_to_the_exact_pass(self):
+        # tol/2 is not a float, so no side probe's alpha is one subtraction
+        trees = list(free_trees(6))
+        est = np.linalg.eigvalsh(spectral._laplacians(trees))
+        for tol in (5e-324, 3 * 5e-324):
+            probes, alpha = spectral._propose(6, est, tol)
+            assert probes == [propose_oracle(6, row, Fraction(tol)) for row in est]
+            for (den, points), got, want in zip(probes, alpha.tolist(), walk_alphas(probes).tolist()):
+                for x, a, w in zip(points, got, want):
+                    if x % den == 0 or x * 6 == 10 * den:  # an integer or d_bar = 5/3
+                        assert a == w
+                    else:
+                        assert math.isnan(a)
+
+
 class TestBlockRoute:
     """eigenvalues_many: one stacked estimate and one float walk per block of
     trees of one order, then each tree's bisection; a lone tree is a block
@@ -515,9 +559,9 @@ class TestBlockRoute:
         # no eigenvalue and no pivot of a tree Laplacian is a half-integer
         trees = list(free_trees(8))
         points = [0, *(2 * k + 1 for k in range(8))]  # over 2: 0, 1/2, 3/2, ..., 15/2
-        below = spectral._below_many(trees, [(2, points)] * len(trees))
-        for t, ks in zip(trees, below):
-            assert ks[0] is None
+        below = spectral._below_many(trees, walk_alphas([(2, points)] * len(trees)))
+        for t, ks in zip(trees, below.tolist()):
+            assert ks[0] == -1
             root = t.centroids()[0]
             assert [(k, 0, t.n - k) for k in ks[1:]] == [_inertia_exact(t, -x, 2, root) for x in points[1:]]
 
@@ -541,19 +585,25 @@ class TestBlockRoute:
             assert t._cache == f._cache
 
     def test_a_declined_lane_goes_straight_to_the_exact_pass(self, monkeypatch):
-        declined, floated = set(), set()
-        real_walk, real_float = spectral._below_many, spectral._inertia_float
+        declined, floated, proposed = set(), set(), []
+        real_walk, real_float, real_propose = spectral._below_many, spectral._inertia_float, spectral._propose
 
-        def walk(block, probes):
-            out = real_walk(block, probes)
-            for t, (den, points), ks in zip(block, probes, out):
-                declined.update((id(t), Fraction(x, den)) for x, k in zip(points, ks) if k is None)
+        def propose(n, est, tol):
+            probes, alpha = real_propose(n, est, tol)
+            proposed.append(probes)
+            return probes, alpha
+
+        def walk(block, alpha):
+            out = real_walk(block, alpha)
+            for t, (den, points), ks in zip(block, proposed[-1], out.tolist()):
+                declined.update((id(t), Fraction(x, den)) for x, k in zip(points, ks) if k < 0)
             return out
 
         def float_stage(t, p, q, root):
             floated.add((id(t), Fraction(-p, q)))
             return real_float(t, p, q, root)
 
+        monkeypatch.setattr(spectral, "_propose", propose)
         monkeypatch.setattr(spectral, "_below_many", walk)
         monkeypatch.setattr(spectral, "_inertia_float", float_stage)
         trees = list(free_trees(9))
@@ -582,7 +632,7 @@ class TestBlockRoute:
             probes.clear()
             t = random_tree(14, random.Random(3))
             assert prove(t) == eigenvalues(Tree(t.n, t.edges))
-            (den, points), = proposed[:1]
+            (den, points), = proposed[0][0]
             first = probes[:len(points)]
             assert first == [Fraction(x, den) for x in points] and first == sorted(set(first))
 

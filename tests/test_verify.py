@@ -469,6 +469,22 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field", ["tol", "le", "slack"])
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"])
+    def test_a_sink_number_beyond_the_double_range_is_not_a_record(self, tmp_path, capsys, field, number):
+        # JSON reads 1 followed by 400 zeros as an int, which no float holds, and 1e400 as inf
+        sink = tmp_path / "records.jsonl"
+        assert self.run("check-conjecture", "--n-max", "5", "--out", str(sink))[0] == 0
+        lines = sink.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        rec[field] = "NUMBER"
+        lines[1] = json.dumps(rec).replace('"NUMBER"', number) + "\n"
+        sink.write_text("".join(lines))
+        capsys.readouterr()
+        assert self.run("check-conjecture", "--n-max", "5", "--out", str(sink)) == (1, "")
+        assert capsys.readouterr().err == f"error: {sink}:2: not a verification record ({field} is beyond the double range)\n"
+        assert sink.read_text() == "".join(lines)
+
     @pytest.mark.parametrize("check", ["coru", "diam4", "lemma25", "bogus"])
     def test_check_conjecture_accepts_only_exhaustive_checks(self, check, capsys):
         code, _ = self.run("check-conjecture", "--n-max", "5", "--checks", check)
