@@ -5,10 +5,13 @@ False are *certified* (the rational interval endpoints clear each other, or
 both sides are exact), None means undecided within the current error bounds.
 Checks that compute spectra take a tolerance; one wrapper, _refining, halves
 it up to REFINE times while the verdict is undecided and can still change.
-The checks that fan out over an index, k or an edge (lemma22, lemma31, cor31,
-thm32) write their inequality once, in a sides function giving every call's
-integer sides ("rows") at once: per-call reports, for `bounds` and the API,
-and Check.verdict, one verdict per tree for exhaustive runs, both read it.
+Every check an exhaustive run may record (conjecture, lemma21, lemma22,
+lemma26, lemma31, cor31, thm31, thm32) writes its inequality once, in a
+sides function giving the integer sides ("rows") of all its calls on a tree
+at once.  Its report function builds the per-call reports, for `bounds` and
+the API, from those rows; Check.rows and Check.verdict decide an exhaustive
+run's verdicts, and the conjecture's record values, from the same rows with
+no report built.
 
 Each side is an Enclosure with integer endpoints over one denominator (the
 spectrum's, n, or a product of them), so a verdict is an integer
@@ -27,9 +30,12 @@ each class, found by the rooted code side_codes(T) gives its side, so its
 spectra, cached on that Tree, are computed once per class.  A run whose
 checks split T - e files and proves a block's components before checking
 it (_file_components); thm32's own _split_counts then finds each filed.
-Isomorphic trees have the same Laplacian spectrum, so an enclosure
-certified on the shared tree is certified for every member of its class.
-The table lives only for the length of the run.
+A component's thm32 side (its count at 2 - 4/n and the S_k endpoints that
+count selects) is filed on that Tree per parent order and tolerance
+(_thm32_side), so it too is made once per class.  Isomorphic trees have the
+same Laplacian spectrum, so an enclosure certified on the shared tree is
+certified for every member of its class.  The table lives only for the
+length of the run.
 """
 
 from __future__ import annotations
@@ -113,9 +119,15 @@ def _all3(*vals: bool | None) -> bool | None:
     return None if None in vals else True
 
 
+def _row_slack(lo_n: int, hi_n: int, den: int, other_lo_n: int, other_hi_n: int, other_den: int) -> float:
+    """lo_n / den - other_hi_n / other_den, correctly rounded to a float:
+    the slack of a row's lhs >= rhs."""
+    return (lo_n * other_den - other_hi_n * den) / (den * other_den)
+
+
 def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
     """lhs.lo - rhs.hi, correctly rounded to a float."""
-    return (lhs.lo_n * rhs.den - rhs.hi_n * lhs.den) / (lhs.den * rhs.den)
+    return _row_slack(lhs.lo_n, lhs.hi_n, lhs.den, rhs.lo_n, rhs.hi_n, rhs.den)
 
 
 def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **extra) -> BoundReport:
@@ -128,9 +140,24 @@ def _enclosures(row: tuple) -> tuple[Enclosure, Enclosure]:
     return Enclosure(*row[:3]), Enclosure(*row[3:6])
 
 
+def _calls_hold(per_call: list[list[tuple]]) -> list[bool | None]:
+    """Each call's _all3 of lhs >= rhs over its rows, decided as Enclosure.ge decides it."""
+    verdicts = []
+    for rows in per_call:
+        verdict = True
+        for row in rows:
+            holds = ge(*row[:6])
+            if holds is not True:
+                verdict = holds
+                if holds is False:
+                    break
+        verdicts.append(verdict)
+    return verdicts
+
+
 def _rows_hold(rows: list[tuple]) -> bool | None:
-    """_all3 of lhs >= rhs over rows, decided as Enclosure.ge decides it."""
-    return ge(*rows[0][:6]) if len(rows) == 1 else _all3(*[ge(*row[:6]) for row in rows])
+    """_all3 of lhs >= rhs over one call's rows."""
+    return _calls_hold([rows])[0]
 
 
 def _refining(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
@@ -220,7 +247,7 @@ def brouwer_haemers_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12
     spec = eigenvalues(tree, tol)
     rows = [(lo, hi, spec.den, d - i + 2, d - i + 2, 1)
             for i, ((lo, hi), d) in enumerate(zip(spec._per_index[:live], degree_summary(tree).degrees), 1)]
-    return [rows for _ in calls]
+    return [rows] * len(calls)
 
 
 @_refining
@@ -229,7 +256,7 @@ def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     lower bound; see brouwer_haemers_sides), with the worst index's slack."""
     (rows,) = brouwer_haemers_sides(tree, [()], tol)
     note = "" if len(rows) == tree.n else "index i = n skipped: complete-graph exception"
-    slacks = [_ge_slack(*_enclosures(row)) for row in rows]
+    slacks = [_row_slack(*row[:6]) for row in rows]
     worst = min(slacks, default=None)
     inputs = {"n": tree.n, "worst_index": slacks.index(worst) + 1 if slacks else 0}
     return BoundReport("lemma22", inputs, None, None, holds=_rows_hold(rows), slack=worst, note=note)
@@ -256,13 +283,27 @@ def majorization_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
     return _ge_report("lemma31", {"n": tree.n, "k": k}, *_enclosures(majorization_sides(tree, [(k,)], tol)[0][0]))
 
 
+def lemma21_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """lemma21's row for its one call, exact integers (tol is not read):
+    mult(1) >= #leaves - #leaf-neighbours, followed by (p, q)."""
+    ds = degree_summary(tree)
+    mult, p, q = multiplicity_of_one(tree), ds.pendant_count, ds.leaf_neighbor_count
+    return [[(mult, mult, 1, p - q, p - q, 1, p, q)]] * len(calls)
+
+
 def lemma21_check(tree: Tree) -> BoundReport:
     """Multiplicity of eigenvalue 1 is at least #leaves - #leaf-neighbors."""
-    ds = degree_summary(tree)
-    mult = multiplicity_of_one(tree)
-    bound = ds.pendant_count - ds.leaf_neighbor_count
-    inputs = {"n": tree.n, "p": ds.pendant_count, "q": ds.leaf_neighbor_count}
-    return _ge_report("lemma21", inputs, Enclosure.exact(mult), Enclosure.exact(bound))
+    ((row,),) = lemma21_sides(tree, [()])
+    return _ge_report("lemma21", {"n": tree.n, "p": row[6], "q": row[7]}, *_enclosures(row))
+
+
+def lemma26_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """lemma26's row for its one call, exact integers (tol is not read):
+    #{mu < d_bar} >= ceil(n/2)."""
+    if not calls:  # the fan-out makes none below n = 2
+        return []
+    below, need = count_eigs(tree, average_degree(tree)).below, (tree.n + 1) // 2
+    return [[(below, below, 1, need, need, 1)]] * len(calls)
 
 
 def lemma26_check(tree: Tree) -> BoundReport:
@@ -272,9 +313,8 @@ def lemma26_check(tree: Tree) -> BoundReport:
     degree."""
     if tree.n < 2:
         raise BadParam(f"need n >= 2, got n={tree.n}")
-    below = count_eigs(tree, average_degree(tree)).below
-    need = (tree.n + 1) // 2
-    return _ge_report("lemma26", {"n": tree.n}, Enclosure.exact(below), Enclosure.exact(need))
+    ((row,),) = lemma26_sides(tree, [()])
+    return _ge_report("lemma26", {"n": tree.n}, *_enclosures(row))
 
 
 def interlacing_check(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
@@ -327,25 +367,42 @@ def thm31_minimal_n(s: int) -> int:
     raise BadParam(f"no n < {THM31_N_LIMIT} satisfies the condition for s={s}")
 
 
+@functools.lru_cache(maxsize=1024)  # (n, s) pairs; a run to n = 20 meets under 200
+def _thm31_terms(n: int, s: int) -> tuple[int, tuple | None]:
+    """thm31's chain value 2n + 2s - 2 - 2s d_bar over n and, when the
+    internal-vertex condition holds, the row chain >= 2 + 4n/pi: both depend
+    on (n, s) only, so they are made once per pair."""
+    chain = n * (2 * n + 2 * s - 2) - 4 * s * (n - 1)  # over n: 2s d_bar = 4s (n - 1) / n
+    upper = path_energy_upper(n)
+    return chain, (chain, chain, n, upper.lo_n, upper.hi_n, upper.den) if thm31_condition(n, s) else None
+
+
+def thm31_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """thm31's rows for its one call: LE(T) >= the chain value, followed by
+    s, then, when the internal-vertex condition holds, the chain >= 2 + 4n/pi."""
+    if not calls:  # the fan-out makes none below n = 3
+        return []
+    n, s = tree.n, degree_summary(tree).internal_count
+    chain, clears = _thm31_terms(n, s)
+    le = eigenvalues(tree, tol).laplacian_energy()
+    rows = [(le.lo_n, le.hi_n, le.den, chain, chain, n, s)]
+    if clears:
+        rows.append(clears)
+    return [rows] * len(calls)
+
+
 @_refining
 def thm31_lower_bound(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 2n + 2s - 2 - 2s*d_bar, and when the internal-vertex
     condition holds, that chain value also clears 2 + 4n/pi, proving
-    LE(T) >= LE(P_n)."""
-    n = tree.n
-    s = degree_summary(tree).internal_count
-    if n < 3:
-        raise BadParam(f"need n >= 3 (s >= 1 internal vertex), got n={n}")
-    chain = n * (2 * n + 2 * s - 2) - 4 * s * (n - 1)  # over n: 2s d_bar = 4s (n - 1) / n
-    condition = thm31_condition(n, s)
-    chain_enc = Enclosure(chain, chain, n)
-    rhs_path = path_energy_upper(n)
-    chain_clears = chain_enc.ge(rhs_path) if condition else None
-    le = eigenvalues(tree, tol).laplacian_energy()
-    part1 = le.ge(chain_enc)
-    holds = _all3(part1, chain_clears) if condition else part1
-    return BoundReport("thm31", {"n": n, "s": s}, le, chain_enc, holds, _ge_slack(le, chain_enc),
-                       {"condition": condition, "chain_clears_path_bound": chain_clears})
+    LE(T) >= LE(P_n) (see thm31_sides)."""
+    if tree.n < 3:
+        raise BadParam(f"need n >= 3 (s >= 1 internal vertex), got n={tree.n}")
+    ((first, *clears),) = thm31_sides(tree, [()], tol)
+    le, chain = _enclosures(first)
+    hypotheses = {"condition": bool(clears), "chain_clears_path_bound": ge(*clears[0][:6]) if clears else None}
+    return BoundReport("thm31", {"n": tree.n, "s": first[6]}, le, chain, _rows_hold([first, *clears]),
+                       _ge_slack(le, chain), hypotheses)
 
 
 def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
@@ -436,21 +493,38 @@ def _split_counts(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> tupl
     component first, k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n.
 
     Inside _shared_components each T_i is the run's Tree of its class
-    (_shared_split), so the spectra cached on that one Tree serve the whole
-    class; an exhaustive run has shared and proved a block's components
-    before checking it (_file_components).  k_i is read off T_i's spectrum
-    at tol (see _at_least), which the bound reads anyway.  Isomorphic trees
-    share their spectrum, so every count and enclosure taken on it is
-    certified for T_i too; outside a run the components are delete_edge's
-    own."""
+    (_shared_split), so the spectra and thm32 sides cached on that one Tree
+    serve the whole class; an exhaustive run has shared and proved a block's
+    components before checking it (_file_components).  k_i comes from T_i's
+    thm32 side (_thm32_side), filed on T_i.  Isomorphic trees share their
+    spectrum, so every count and enclosure taken on it is certified for T_i
+    too; outside a run the components are delete_edge's own."""
     a, b = sorted(edge)
     if _components is None or b not in tree.adj[a]:  # delete_edge refuses an absent edge
-        *parts, pendant = delete_edge(tree, edge)
+        t1, t2, pendant = delete_edge(tree, edge)
     else:
-        *parts, pendant = _shared_split(tree, a, b)
+        t1, t2, pendant = _shared_split(tree, a, b)
     if pendant:
         raise PendantEdge(f"edge {tuple(edge)} is pendant; a non-pendant edge is required")
-    return *parts, *(_at_least(t, 2 * tree.n - 4, tree.n, tol) for t in parts)
+    return t1, t2, _thm32_side(t1, tree.n, tol)[0], _thm32_side(t2, tree.n, tol)[0]
+
+
+_SIDE = "thm32 side"  # a component's cache key prefix, followed by (n, tol)
+
+
+def _thm32_side(part: Tree, n: int, tol: float) -> tuple[int, int, int, int]:
+    """(k, lo, hi, den) of a component of T - e for a tree T of order n: k the
+    count of its eigenvalues >= 2 - 4/n (_at_least) and den * S_k bounded by
+    lo and hi at tol.  It depends on the component's class, n and tol only,
+    so it is filed on the component's Tree under (n, tol): a run's shared
+    Tree reads it once per class, and it ends with the Tree."""
+    key = (_SIDE, n, tol)
+    side = part._cache.get(key)
+    if side is None:
+        spec = eigenvalues(part, tol)
+        k = _at_least(part, 2 * n - 4, n, tol)
+        side = part._cache[key] = (k, *spec._top_sum(k), spec.den)
+    return side
 
 
 def _at_least(tree: Tree, num: int, den: int, tol: float) -> int:
@@ -491,18 +565,18 @@ def _claim_if(
 def thm32_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
     """thm32's row for each call (edge,), followed by (n1, n2, k1, k2):
     LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
-    k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2."""
-    n, rhs = tree.n, []
+    k_i the count of eigenvalues of T_i >= d_bar(T-e) = 2 - 4/n, sigma = k1 + k2.
+    Each T_i's k_i and S_k_i endpoints are its thm32 side (_thm32_side)."""
+    n, rows = tree.n, []
+    key, le = (_SIDE, n, tol), eigenvalues(tree, tol)._energy
     for (edge,) in calls:
-        t1, t2, k1, k2 = _split_counts(tree, edge, tol)
-        s1, s2 = eigenvalues(t1, tol), eigenvalues(t2, tol)
-        (lo1, hi1), (lo2, hi2), d1, d2 = s1._top_sum(k1), s2._top_sum(k2), s1.den, s2.den
+        t1, t2, k1, k2 = _split_counts(tree, edge, tol)  # files each T_i's thm32 side under key
+        (_, lo1, hi1, d1), (_, lo2, hi2, d2) = t1._cache[key], t2._cache[key]
         # over d1 d2 n: 2 (S_k1 + S_k2) and the shift 4 sigma/n - 4 sigma = 4 sigma (1 - n) / n
         shift = 4 * (k1 + k2) * (1 - n) * d1 * d2
-        rhs.append((2 * n * (lo1 * d2 + lo2 * d1) + shift, 2 * n * (hi1 * d2 + hi2 * d1) + shift, d1 * d2 * n,
-                    t1.n, t2.n, k1, k2))
-    le = eigenvalues(tree, tol)._energy
-    return [[(le.lo_n, le.hi_n, le.den, *r)] for r in rhs]
+        rows.append([(le.lo_n, le.hi_n, le.den, 2 * n * (lo1 * d2 + lo2 * d1) + shift,
+                      2 * n * (hi1 * d2 + hi2 * d1) + shift, d1 * d2 * n, t1.n, t2.n, k1, k2)])
+    return rows
 
 
 @_refining
@@ -616,7 +690,7 @@ def _reference(cache: dict[int, Tree], build: Callable[[int], Tree], n: int) -> 
 
 
 def _conjecture_sides(n: int, tol: float) -> tuple:
-    """conjecture_check's sides for every tree of order n at tol: the path's
+    """conjecture_sides's sides for every tree of order n at tol: the path's
     and star's codes (none for the star below n = 2), LE(P_n), LE(S_n) and
     their floats, filed on the cached n-path per tolerance, so they live as
     long as _path_code_cache and a refinement reads its own tolerance's."""
@@ -630,29 +704,49 @@ def _conjecture_sides(n: int, tol: float) -> tuple:
     return hit
 
 
+_TIE = (0, 0, 1, 0, 0, 1)  # the exact row 0 >= 0: holds, with slack 0
+
+
+def conjecture_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """The conjecture's rows for its one call: LE(T) >= LE(P_n), followed by
+    LE(T) as its Enclosure, le_path, le_star, is_path and is_star; then
+    LE(S_n) >= LE(T).  The sides compared against are made once per order
+    and tolerance (_conjecture_sides).  When T itself is the path or the
+    star, its tight side is decided by canonical-code identity, as the
+    exact row 0 >= 0."""
+    n = tree.n
+    path_code, star_code, le_p, le_s, le_path, le_star = _conjecture_sides(n, tol)
+    code = canonical_code(tree)
+    is_p, is_s = code == path_code, n < 2 or code == star_code
+    le = eigenvalues(tree, tol).laplacian_energy()
+    lo, hi, den = le.lo_n, le.hi_n, le.den
+    left = (*_TIE, le, le_path, le_star, True, is_s) if is_p else (
+        lo, hi, den, le_p.lo_n, le_p.hi_n, le_p.den, le, le_path, le_star, False, is_s)
+    right = _TIE if is_s else (le_s.lo_n, le_s.hi_n, le_s.den, lo, hi, den)
+    return [[left, right]] * len(calls)
+
+
+def _conjecture_terms(rows: list[tuple]) -> tuple:
+    """(LE(T), slack, le_path, le_star, is_path, is_star) of the
+    conjecture's rows: what its report and an exhaustive run's record show."""
+    left, right = rows
+    return left[6], min(_row_slack(*left[:6]), _row_slack(*right[:6])), *left[7:]
+
+
 @_refining
 def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(P_n) <= LE(T) <= LE(S_n), both sides certified.
 
     The star side is the exact closed form; the path side is the certified
-    bisection value on the cached n-path, refined along with T's; both are
-    made once per order and tolerance (_conjecture_sides).  When T itself
-    is the path or the star the tight side is decided by canonical-code
-    identity and contributes slack 0.
+    bisection value on the cached n-path, refined along with T's (see
+    conjecture_sides).  A side decided by identity has slack 0.
     """
-    n = tree.n
-    path_code, star_code, le_p, star_le, le_path, le_star = _conjecture_sides(n, tol)
-    code = canonical_code(tree)
-    is_p = code == path_code
-    is_s = n < 2 or code == star_code
-    le = eigenvalues(tree, tol).laplacian_energy()
-    left = True if is_p else le.ge(le_p)
-    right = True if is_s else star_le.ge(le)
-    left_slack = 0.0 if is_p else _ge_slack(le, le_p)
-    right_slack = 0.0 if is_s else _ge_slack(star_le, le)
-    inputs = {"n": n, "is_path": is_p, "is_star": is_s, "le_path": le_path, "le_star": le_star}
-    return BoundReport("conjecture", inputs, le, None, holds=_all3(left, right),
-                       slack=min(left_slack, right_slack), hypotheses={"left": left, "right": right})
+    ((left, right),) = conjecture_sides(tree, [()], tol)
+    le, slack, le_path, le_star, is_p, is_s = _conjecture_terms([left, right])
+    inputs = {"n": tree.n, "is_path": is_p, "is_star": is_s, "le_path": le_path, "le_star": le_star}
+    hypotheses = {"left": ge(*left[:6]), "right": ge(*right[:6])}
+    return BoundReport("conjecture", inputs, le, None, holds=_all3(*hypotheses.values()), slack=slack,
+                       hypotheses=hypotheses)
 
 
 @_refining
@@ -689,10 +783,12 @@ class Check(NamedTuple):
     fan-out (a key of _FANOUTS; one call and report per argument tuple),
     whether it takes a tolerance, whether exhaustive runs may record it
     (coru, diam4 and lemma25 can report no verdict on a tree by design), its
-    sides function if any, and the order below which it is out of hypothesis.
+    sides function, and the order below which it is out of hypothesis.
 
     reports() serves `bounds` and the API, verdict() an exhaustive run's
-    record; with a sides function, both come from its integer rows."""
+    record.  Every check an exhaustive run may record has a sides function,
+    and its report function builds its reports from the same rows, so both
+    read one set of integer rows; verdict() builds no report."""
 
     fn: str
     fanout: str
@@ -707,15 +803,15 @@ class Check(NamedTuple):
         for args in _FANOUTS[self.fanout](tree):
             yield fn(tree, *args, tol) if self.takes_tol else fn(tree, *args)
 
-    def verdict(self, tree: Tree, tol: float) -> bool | None:
-        """_all3 of the holds of reports(tree, tol).  With a sides function,
-        every call's rows come at once, and a call left undecided is decided
-        again from its rows at tol/2, tol/4, ... as _refining refines its
-        report, unless the tree has fewer than min_n vertices."""
-        if self.sides is None:
-            return _all3(*(rep.holds for rep in self.reports(tree, tol)))
+    def rows(self, tree: Tree, tol: float) -> tuple[list[list[tuple]], list[bool | None]]:
+        """Every call's rows and its verdict, the _all3 of lhs >= rhs over its
+        rows.  The rows come at once from the sides function, looked up at
+        call time; a call left undecided is read again at tol/2, tol/4, ...
+        as _refining refines its report, unless the tree has fewer than
+        min_n vertices."""
         sides, calls = globals()[self.sides], _FANOUTS[self.fanout](tree)
-        verdicts = [_rows_hold(rows) for rows in sides(tree, calls, tol)]
+        per_call = sides(tree, calls, tol)
+        verdicts = _calls_hold(per_call)
         if None in verdicts and tree.n >= self.min_n:
             for j, call in enumerate(calls):
                 t = tol
@@ -723,19 +819,24 @@ class Check(NamedTuple):
                     if verdicts[j] is not None:
                         break
                     t /= 2
-                    verdicts[j] = _rows_hold(sides(tree, [call], t)[0])
-        return _all3(*verdicts)
+                    per_call[j] = sides(tree, [call], t)[0]
+                    verdicts[j] = _rows_hold(per_call[j])
+        return per_call, verdicts
+
+    def verdict(self, tree: Tree, tol: float) -> bool | None:
+        """The _all3 of the holds of reports(tree, tol), decided from rows()."""
+        return _all3(*self.rows(tree, tol)[1])
 
 
 CHECKS: dict[str, Check] = {
-    "lemma21": Check("lemma21_check", "tree", takes_tol=False),
+    "lemma21": Check("lemma21_check", "tree", takes_tol=False, sides="lemma21_sides"),
     "lemma22": Check("brouwer_haemers_check", "tree", sides="brouwer_haemers_sides"),
-    "lemma26": Check("lemma26_check", "n >= 2", takes_tol=False),
+    "lemma26": Check("lemma26_check", "n >= 2", takes_tol=False, sides="lemma26_sides"),
     "lemma31": Check("majorization_check", "k", sides="majorization_sides"),
     "cor31": Check("cor31_check", "k", sides="cor31_sides"),
-    "thm31": Check("thm31_lower_bound", "n >= 3"),
+    "thm31": Check("thm31_lower_bound", "n >= 3", sides="thm31_sides"),
     "thm32": Check("thm32_lower_bound", "non-pendant edge", sides="thm32_sides", min_n=THM32_MIN_N),
-    "conjecture": Check("conjecture_check", "tree"),
+    "conjecture": Check("conjecture_check", "tree", sides="conjecture_sides"),
     "coru": Check("coru_sufficient", "non-pendant edge", exhaustive=False),
     "diam4": Check("diam4_energy_check", "diameter 4", exhaustive=False),
     "lemma25": Check("interlacing_check", "edge", exhaustive=False),

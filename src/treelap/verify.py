@@ -304,9 +304,13 @@ class RunSummary:
 
 
 def _evaluate(tree: Tree, code: str, config: RunConfig) -> VerifyRecord:
-    """The record of one tree: the conjecture and every configured check."""
-    rep = bounds.conjecture_check(tree, config.tol)
-    checks = {"conjecture": rep.holds}
+    """The record of one tree: the conjecture and every configured check,
+    each decided from its rows (bounds.Check.rows), with no report built;
+    the conjecture's rows, refined as its report would be, also give the
+    record's LE, slack and reference energies."""
+    (rows,), (holds,) = bounds.CHECKS["conjecture"].rows(tree, config.tol)
+    le, slack, le_path, le_star, _, _ = bounds._conjecture_terms(rows)
+    checks = {"conjecture": holds}
     for cid in config.checks:
         if cid not in checks:
             checks[cid] = bounds.CHECKS[cid].verdict(tree, config.tol)
@@ -316,11 +320,11 @@ def _evaluate(tree: Tree, code: str, config: RunConfig) -> VerifyRecord:
         diam=diameter(tree),
         s=degree_summary(tree).internal_count,
         sigma=eigenvalues(tree, config.tol).sigma,
-        le=rep.lhs.value,
-        le_err=rep.lhs.err,
-        le_path=rep.inputs["le_path"],
-        le_star=rep.inputs["le_star"],
-        slack=rep.slack,
+        le=le.value,
+        le_err=le.err,
+        le_path=le_path,
+        le_star=le_star,
+        slack=slack,
         tol=config.tol,
         checks=checks,
     )

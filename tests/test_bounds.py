@@ -531,6 +531,34 @@ class TestSharedComponents:
                 bounds._split_counts(star(5), (0, 1))
             assert len(splits) == 2
 
+    def test_thm32_rows_in_one_run_table_are_the_rows_outside_it(self):
+        # every tree of orders 8..10 walked twice in one table, at 1e-12 and
+        # then at 0.3: a component class meets several parent orders and both
+        # tolerances, so a side filed without its order or tolerance shows.
+        # Each row is compared with one made outside the run from fresh copies
+        # of the same components (delete_edge's own trees of an edge are
+        # labelled otherwise, and so get other enclosures), and its n_i and
+        # k_i, which no labelling changes, with delete_edge's own.
+        fan = bounds._FANOUTS["non-pendant edge"]
+        walk = [(tol, t) for tol in (1e-12, 0.3) for n in range(8, 11) for t in free_trees(n)]
+        with bounds._shared_components():
+            inside = [(bounds.thm32_sides(t, fan(t), tol), [bounds._split_counts(t, e, tol)[:2] for (e,) in fan(t)])
+                      for tol, t in walk]
+        for (tol, t), (rows, parts) in zip(walk, inside):
+            fresh = Tree(t.n, t.edges)
+            outside = bounds.thm32_sides(fresh, fan(fresh), tol)
+            assert [r[0][6:] for r in rows] == [r[0][6:] for r in outside]
+            for ((row,), (e,), (t1, t2)) in zip(rows, fan(t), parts):
+                n, (c1, c2) = t.n, (Tree(t1.n, t1.edges), Tree(t2.n, t2.edges))
+                k1, k2 = (c.n - spectral.count_eigs(c, Fraction(2 * n - 4, n)).below for c in (c1, c2))
+                s1, s2 = spectral.eigenvalues(c1, tol).s_k(k1), spectral.eigenvalues(c2, tol).s_k(k2)
+                shift = 4 * (k1 + k2) * Fraction(1 - n, n)
+                le = laplacian_energy(fresh, tol)
+                assert row[6:] == (c1.n, c2.n, k1, k2)
+                assert (Fraction(row[0], row[2]), Fraction(row[1], row[2])) == (le.lo, le.hi)
+                assert Fraction(row[3], row[5]) == 2 * (s1.lo + s2.lo) + shift, (canonical_code(t), e, tol)
+                assert Fraction(row[4], row[5]) == 2 * (s1.hi + s2.hi) + shift, (canonical_code(t), e, tol)
+
     def test_every_rooting_of_a_filed_class_maps_to_its_tree(self):
         with bounds._shared_components():
             bounds._file_components(list(free_trees(10)), RunConfig(checks=("thm32",), tol=1e-9))

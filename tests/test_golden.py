@@ -48,6 +48,13 @@ BOUNDS_DIGESTS = {
     ("sns", "--p", "2", "--r", "3", "--s", "2,1,1"): (0, "2929ae4d6a23ec224b209df04c0e4721943720d147fecc5ceac2846a8d7fa452"),
 }
 
+# the same at --tol 0.3, where the reports of many checks are refined
+BOUNDS_COARSE_TOL_DIGESTS = {
+    ("path", "--n", "6"): (0, "c6a928aa13893f67d9488d9e3a5666cdc21f16a415f2b38ea3152167f7f3a877"),
+    ("star", "--n", "6"): (0, "ee7eccd3dfeba70137da1cd6d8e3817ef5d6392c1253f1009d071a11986aea9d"),
+    ("sns", "--p", "2", "--r", "3", "--s", "2,1,1"): (0, "5bf522b3788fc86a01771036d832fcff65e3870fdfd8e52de2988db763d4752e"),
+}
+
 SWEEP_DIGESTS = {
     "jsonl": "a2a42f262f57909e1cfc59fc7a6556abbe780fb287847a81e873ab41fb71b45f",
     # params such as "r=2,s1=2" are quoted, so every row has the header's width
@@ -128,6 +135,16 @@ def test_bounds_all_stdout_bytes(tmp_path, family):
     tree_file.write_bytes(text)
     code, out = _run("bounds", "--check", "all", "--in", str(tree_file))
     assert (code, _sha(out)) == BOUNDS_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(BOUNDS_COARSE_TOL_DIGESTS))
+def test_bounds_all_coarse_tol_stdout_bytes(tmp_path, family):
+    code, text = _run("family", "--family", *family)
+    assert code == 0
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_bytes(text)
+    code, out = _run("bounds", "--check", "all", "--in", str(tree_file), "--tol", "0.3")
+    assert (code, _sha(out)) == BOUNDS_COARSE_TOL_DIGESTS[family]
 
 
 @pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))

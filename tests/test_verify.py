@@ -139,16 +139,16 @@ def test_blocks_hold_only_trees_missing_from_the_sink(tmp_path, monkeypatch):
 def test_interrupted_block_loses_work_but_never_a_record(tmp_path, monkeypatch):
     # the 47 trees of order 9 make one block; the check fails on the 20th
     sink = tmp_path / "records.jsonl"
-    real = verify.bounds.conjecture_check
-    calls = []
+    real = verify.bounds.conjecture_sides  # what each tree's conjecture verdict reads
+    seen = []
 
-    def failing(tree, tol):
-        calls.append(1)
-        if len(calls) == 20:
+    def failing(tree, calls, tol):
+        seen.append(1)
+        if len(seen) == 20:
             raise KeyboardInterrupt
-        return real(tree, tol)
+        return real(tree, calls, tol)
 
-    monkeypatch.setattr(verify.bounds, "conjecture_check", failing)
+    monkeypatch.setattr(verify.bounds, "conjecture_sides", failing)
     with pytest.raises(KeyboardInterrupt):
         run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
     monkeypatch.undo()
@@ -158,6 +158,33 @@ def test_interrupted_block_loses_work_but_never_a_record(tmp_path, monkeypatch):
     resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
     assert (resumed.skipped, resumed.trees) == (19, full.trees - 19)
     assert _lines(resumed) == _lines(full)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.3])  # at 0.3 many verdicts are refined
+def test_exhaustive_checks_are_decided_from_rows_with_no_report(tol, monkeypatch):
+    paper = ("lemma21", "lemma22", "lemma26", "lemma31", "cor31", "thm31", "thm32")
+    config = RunConfig(n_min=4, n_max=9, tol=tol, checks=paper)
+    before = run_exhaustive(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exhaustive run built a report")
+
+    read_at = set()
+
+    def spy(sides):
+        def read(tree, calls, tol):
+            read_at.add(tol)
+            return sides(tree, calls, tol)
+        return read
+
+    monkeypatch.setattr(verify.bounds, "BoundReport", refuse)
+    for check in verify.bounds.CHECKS.values():
+        if check.exhaustive:  # conjecture_check, lemma21_check, lemma26_check, thm31_lower_bound, ...
+            monkeypatch.setattr(verify.bounds, check.fn, refuse)
+            monkeypatch.setattr(verify.bounds, check.sides, spy(getattr(verify.bounds, check.sides)))
+    rows_only = run_exhaustive(config)
+    assert _lines(rows_only) == _lines(before)
+    assert (min(read_at) < tol) == (tol > 0.1)  # refinements read rows too
 
 
 def test_sharding_merges_to_full_run():
