@@ -10,8 +10,10 @@ once per rooted isomorphism class (`Tree.classes`, at the tree's
 `count_root`; by Sylvester's law of inertia any root gives the same
 counts): k children of one class enter as k / a(c).  T4, T' and T'' have 3
 to 5 classes at any order, a path on n vertices about n/2.  The tally is
-taken in float intervals widened one ulp outward (`_inertia_float`) or,
-when a pivot interval contains 0, by the same pass in integers, so ties at
+taken in float intervals widened one ulp outward (`_inertia_float`, which
+per count rounds [d + alpha] once per degree, from a table, and keeps each
+class's reciprocal interval, rounded once, for its parents) or, when a
+pivot interval contains 0, by the same pass in integers, so ties at
 thresholds like the average degree 2 - 2/n are decided exactly.
 
 Eigenvalues are certified enclosures: float estimates (eigvalsh) only
@@ -104,39 +106,43 @@ def _inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int
     nonzero, the exact pass makes no zero-child substitution, and its tally
     is (#hi < 0, 0, the rest), as here.  The pass runs once per rooted
     isomorphism class (`Tree.classes`): k children of one class enter as
-    k [1/hi, 1/lo], and a negative class adds its vertex count.
+    k [1/hi, 1/lo], and a negative class adds its vertex count.  Within one
+    count, [d + alpha] is rounded once per degree and read from a table by
+    degree, and each class keeps [1/hi, 1/lo], rounded once when the class
+    is made, in place of [lo, hi], which only a parent reads; k [1/hi, 1/lo]
+    is rounded only for k > 1.
     """
     try:
         alpha = p / q  # int true division is correctly rounded
     except OverflowError:
         return None
-    inf = math.inf
-    step = math.nextafter
-    a_lo = step(alpha, -inf)
-    a_hi = step(alpha, inf)
+    inf, ninf, step = math.inf, -math.inf, math.nextafter
+    a_lo, a_hi = step(alpha, ninf), step(alpha, inf)
     kinds, counts = tree.classes(root)
-    lo: list[float] = []
-    hi: list[float] = []
+    base: list[tuple[float, float] | None] = [None] * tree.n  # [d + alpha] rounded outward, by d
+    down: list[float] = []  # [down[c], up[c]]: [1/hi, 1/lo] of class c
+    up: list[float] = []
     neg = 0
     for (d, kids), m in zip(kinds, counts):
-        v_lo = step(d + a_lo, -inf)
-        v_hi = step(d + a_hi, inf)
+        b = base[d]
+        if b is None:
+            b = base[d] = step(d + a_lo, ninf), step(d + a_hi, inf)
+        v_lo, v_hi = b
         for c, k in kids:
-            up = step(1.0 / lo[c], inf)
-            down = step(1.0 / hi[c], -inf)
-            if k > 1:
-                up = step(k * up, inf)
-                down = step(k * down, -inf)
-            v_lo = step(v_lo - up, -inf)
-            v_hi = step(v_hi - down, inf)
+            if k == 1:
+                v_lo = step(v_lo - up[c], ninf)
+                v_hi = step(v_hi - down[c], inf)
+            else:
+                v_lo = step(v_lo - step(k * up[c], inf), ninf)
+                v_hi = step(v_hi - step(k * down[c], ninf), inf)
         if v_hi < 0.0:
-            if not -inf < v_lo:
+            if not ninf < v_lo:
                 return None
             neg += m
         elif not 0.0 < v_lo <= v_hi < inf:
             return None
-        lo.append(v_lo)
-        hi.append(v_hi)
+        down.append(step(1.0 / v_hi, ninf))
+        up.append(step(1.0 / v_lo, inf))
     return neg, 0, tree.n - neg
 
 

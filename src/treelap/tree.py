@@ -61,9 +61,9 @@ class Tree:
             raise BadParam(f"vertex count must be >= 1, got {n}")
         canon = []
         for u, v in edges:
-            if not isinstance(u, int) or not (0 <= u < n):
+            if not isinstance(u, int) or isinstance(u, bool) or not (0 <= u < n):
                 raise BadLabel(f"vertex {u} out of range 0..{n - 1} in edge ({u}, {v})")
-            if not isinstance(v, int) or not (0 <= v < n):
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise BadLabel(f"vertex {v} out of range 0..{n - 1} in edge ({u}, {v})")
             if u == v:
                 raise CycleDetected(f"self-loop at vertex {u}")
@@ -250,7 +250,7 @@ def from_pruefer(seq: Sequence[int]) -> Tree:
         return Tree(2, [(0, 1)])
     deg = [1] * n
     for v in seq:
-        if not isinstance(v, int) or not (0 <= v < n):
+        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
             raise BadLabel(f"label {v} out of range 0..{n - 1} in Pruefer sequence")
         deg[v] += 1
     leaves = [v for v in range(n) if deg[v] == 1]

@@ -20,6 +20,11 @@ package so that `src/` has one implementation of each thing:
 * `vertex_inertia_float` and `vertex_inertia_exact`, those two stages run
   once per vertex (the package runs them once per rooted isomorphism
   class),
+* `class_inertia_float`, the float stage once per class with every parent
+  entry rounding its child's reciprocal again and every class its own
+  [d + alpha]: the same float operations in the same order as
+  `spectral._inertia_float`, which rounds each once per count, so the two
+  must agree bit for bit, None included,
 * `fraction_enclosures`, the certified-enclosure prober with every probe an
   exact Fraction (the package carries the same probes as integers over one
   denominator per tree), and `fraction_s_k`, S_k summed over its output,
@@ -383,6 +388,45 @@ def vertex_inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, in
             return None
         lo[v] = v_lo
         hi[v] = v_hi
+    return neg, 0, tree.n - neg
+
+
+def class_inertia_float(tree: Tree, p: int, q: int, root: int) -> tuple[int, int, int] | None:
+    """`spectral._inertia_float` with no per-count tables: each class rounds
+    its own [d + alpha] and keeps [lo, hi], and each parent entry rounds
+    the child's [1/hi, 1/lo] again.  Same operations, same order, so the
+    same intervals and the same return, None included."""
+    try:
+        alpha = p / q  # int true division is correctly rounded
+    except OverflowError:
+        return None
+    inf = math.inf
+    step = math.nextafter
+    a_lo = step(alpha, -inf)
+    a_hi = step(alpha, inf)
+    kinds, counts = tree.classes(root)
+    lo: list[float] = []
+    hi: list[float] = []
+    neg = 0
+    for (d, kids), m in zip(kinds, counts):
+        v_lo = step(d + a_lo, -inf)
+        v_hi = step(d + a_hi, inf)
+        for c, k in kids:
+            up = step(1.0 / lo[c], inf)
+            down = step(1.0 / hi[c], -inf)
+            if k > 1:
+                up = step(k * up, inf)
+                down = step(k * down, -inf)
+            v_lo = step(v_lo - up, -inf)
+            v_hi = step(v_hi - down, inf)
+        if v_hi < 0.0:
+            if not -inf < v_lo:
+                return None
+            neg += m
+        elif not 0.0 < v_lo <= v_hi < inf:
+            return None
+        lo.append(v_lo)
+        hi.append(v_hi)
     return neg, 0, tree.n - neg
 
 

@@ -2,7 +2,8 @@
 against the field-by-field join, the one-pass energy against the
 running-sum form, resuming a killed run, the float stage of the
 congruence pass against its exact stage, the pass run once per rooted
-isomorphism class against the pass run once per vertex, exact counts and
+isomorphism class against the pass run once per vertex and the float
+stage against its reference without per-count tables, exact counts and
 certified enclosures against a dense eigensolver, the side of d_bar each
 enclosure lies on, the integer prober against the Fraction one,
 the block route (one float walk over many trees and probes) against the
@@ -42,6 +43,7 @@ from treelap.verify import SweepRecord, VerifyRecord, record_to_json
 
 from conftest import (
     assert_component_codes,
+    class_inertia_float,
     fraction_enclosures,
     fraction_s_k,
     laplacian_matrix,
@@ -199,6 +201,7 @@ def test_the_class_pass_equals_the_vertex_pass(data):
     assert _inertia(tree, p, q, root) == tally
     assert _inertia_exact(tree, p, q, root) == tally
     assert _inertia_float(tree, p, q, root) in (None, tally)
+    assert _inertia_float(tree, p, q, root) == class_inertia_float(tree, p, q, root)
 
 
 @settings(max_examples=100, deadline=None)

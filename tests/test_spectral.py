@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from treelap.spectral import (
 from treelap.tree import Tree, degree_summary, delete_edge, from_pruefer
 
 from conftest import (
+    class_inertia_float,
     diagonalize,
     fraction_enclosures,
     laplacian_matrix,
@@ -164,6 +166,71 @@ class TestFloatStage:
             x = Fraction(2 * t.n + 1, 2)  # above the spectrum, which ends at n
             for root in (0, t.n - 1):
                 assert _inertia_float(t, -x.numerator, x.denominator, root) == (t.n, 0, 0)
+
+    def test_equals_the_reference_kernel_on_every_small_tree(self):
+        for n in range(1, 11):
+            for t in free_trees(n):
+                d_bar = average_degree(t)
+                probes = [(-x, 1) for x in range(n + 1)] + [(-d_bar.numerator, d_bar.denominator)]
+                for root in {t.count_root(), n - 1}:
+                    for p, q in probes:
+                        assert _inertia_float(t, p, q, root) == class_inertia_float(t, p, q, root)
+
+    @pytest.mark.parametrize("tree", [path(128), path(256)] + [
+        from_pruefer([rng.randrange(160) for _ in range(158)]) for rng in map(random.Random, (1, 2, 3))])
+    def test_equals_the_reference_kernel_at_the_first_probes_of_large_trees(self, tree):
+        # a lone tree's first counts: deep chains of classes, and k > 1 in the Pruefer trees
+        (den, points), = spectral._propose(tree.n, np.linalg.eigvalsh(laplacian_matrix(tree))[None], 1e-12)[0]
+        root, got = tree.count_root(), []
+        for x in points:
+            g = math.gcd(x, den)
+            p, q = -(x // g), den // g
+            got.append(_inertia_float(tree, p, q, root))
+            assert got[-1] == class_inertia_float(tree, p, q, root)
+        assert None in got and len(set(got)) > tree.n // 4
+
+    def test_equals_the_reference_kernel_at_the_floats_next_to_each_eigenvalue(self):
+        # where decide or decline turns on the last ulp: one rounding step
+        # taken the other way, or left out, moves the boundary
+        decided = declined = 0
+        for n in range(2, 9):
+            for t in free_trees(n):
+                for e in np.linalg.eigvalsh(laplacian_matrix(t)).tolist():
+                    x = e - 24 * math.ulp(e)
+                    for _ in range(48):
+                        x = math.nextafter(x, math.inf)
+                        p, q = (-Fraction(x)).as_integer_ratio()
+                        for root in {t.count_root(), n - 1}:
+                            got = _inertia_float(t, p, q, root)
+                            assert got == class_inertia_float(t, p, q, root)
+                            decided += got is not None
+                            declined += got is None
+        assert decided > 1000 and declined > 1000
+
+    @pytest.mark.parametrize("p", [10**400, -10**400])
+    def test_gives_up_beyond_the_double_range(self, p):
+        t = path(5)
+        assert _inertia_float(t, p, 1, 0) is None
+        assert _inertia(t, p, 1, 0) == _inertia_exact(t, p, 1, 0) == ((0, 0, 5) if p > 0 else (5, 0, 0))
+
+    @pytest.mark.parametrize("eps, decides", [(Fraction(1, 2**40), True), (Fraction(1, 2**44), False)])
+    def test_a_star_whose_leaves_are_one_class_of_2000(self, eps, decides):
+        # eigenvalues 0, 1 (1999 times) and 2001; a leaf root leaves a class of 1999
+        t = star(2001)
+        expected = {1 - eps: (1, 0, 2000), 1 + eps: (2000, 0, 1), 2001 - eps: (2000, 0, 1), 2001 + eps: (2001, 0, 0)}
+        for x, tally in expected.items():
+            for root in (0, 2000):
+                assert _inertia_exact(t, -x.numerator, x.denominator, root) == tally
+                got = _inertia_float(t, -x.numerator, x.denominator, root)
+                assert got == tally if decides else got in (None, tally)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_a_subnormal_pivot_decides_or_declines_without_raising(self, p):
+        # a lone vertex's pivot is alpha itself; 1/x of a subnormal rounds to inf
+        t, q = Tree(1, []), 10**320
+        assert 0 < abs(p / q) < sys.float_info.min and math.isinf(1.0 / (p / q))
+        assert _inertia_float(t, p, q, 0) in (None, _inertia_exact(t, p, q, 0))
+        assert _inertia_exact(t, p, q, 0) == ((0, 0, 1) if p > 0 else (1, 0, 0))
 
 
 class TestClassPass:

@@ -65,7 +65,8 @@ class TestConstruction:
         with pytest.raises(BadLabel):
             Tree(3, [(0, 1), (1, 3)])
 
-    @pytest.mark.parametrize("edge", [("0", 1), (0, "1"), (None, 1)])
+    # a bool is an int to isinstance, but a stored True would not parse back
+    @pytest.mark.parametrize("edge", [("0", 1), (0, "1"), (None, 1), (True, 0), (0, True)])
     def test_non_integer_label(self, edge):
         with pytest.raises(BadLabel):
             Tree(2, [edge])
@@ -133,9 +134,10 @@ class TestPruefer:
             for seq in itertools.product(range(n), repeat=n - 2):
                 assert tuple(to_pruefer(from_pruefer(list(seq)))) == seq
 
-    def test_bad_label(self):
+    @pytest.mark.parametrize("seq", [[0, 4], [True], [0, False]])
+    def test_bad_label(self, seq):
         with pytest.raises(BadLabel):
-            from_pruefer([0, 4])
+            from_pruefer(seq)
 
 
 class TestDiameter:
