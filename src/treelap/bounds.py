@@ -3,15 +3,15 @@
 Every check produces a BoundReport whose `holds` field is ternary: True and
 False are *certified* (the rational interval endpoints clear each other, or
 both sides are exact), None means undecided within the current error bounds.
-Checks that compute spectra take a tolerance; one wrapper, _refining, halves
-it up to REFINE times while the verdict is undecided and can still change.
-Every check an exhaustive run may record (conjecture, lemma21, lemma22,
-lemma26, lemma31, cor31, thm31, thm32) writes its inequality once, in a
-sides function giving the integer sides ("rows") of all its calls on a tree
-at once.  Its report function builds the per-call reports, for `bounds` and
-the API, from those rows; Check.rows and Check.verdict decide an exhaustive
-run's verdicts, and the conjecture's record values, from the same rows with
-no report built.
+Every check but lemma24 and lemma25 writes its inequality once, in a sides
+function giving the integer sides ("rows") of all its calls on a tree at
+once; a sufficient condition (coru, thm51-53) gives its hypothesis rows first
+and its claim row only once every hypothesis is certified.  One loop,
+_refined, refines a call: it reads the call's rows again at tol/2, tol/4, ...
+(up to REFINE times) while their verdict is undecided.  Each report function
+builds its BoundReport, for `bounds` and the API, from its call's final rows;
+Check.rows and Check.verdict decide an exhaustive run's verdicts, and the
+conjecture's record values, from the same rows with no report built.
 
 Each side is an Enclosure with integer endpoints over one denominator (the
 spectrum's, n, or a product of them), so a verdict is an integer
@@ -41,7 +41,6 @@ length of the run.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -73,7 +72,8 @@ from .tree import (
 )
 
 REFINE = 3  # tolerance halvings before a check reports undecided
-THM32_MIN_N = 8  # thm32's reports on smaller trees are out of hypothesis
+THM32_MIN_N = 8  # thm32's and coru's reports on smaller trees are out of hypothesis
+DIAM4_MIN_N = 19  # the diameter-4 theorem's range
 NO_CLAIM = "hypotheses not satisfied; no claim made"
 THM31_N_LIMIT = 10_000  # thm31_minimal_n searches below this n
 
@@ -130,14 +130,10 @@ def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
     return _row_slack(lhs.lo_n, lhs.hi_n, lhs.den, rhs.lo_n, rhs.hi_n, rhs.den)
 
 
-def _ge_report(bound_id: str, inputs: dict, lhs: Enclosure, rhs: Enclosure, **extra) -> BoundReport:
-    """The certified claim lhs >= rhs, with its slack."""
-    return BoundReport(bound_id, inputs, lhs, rhs, lhs.ge(rhs), _ge_slack(lhs, rhs), **extra)
-
-
-def _enclosures(row: tuple) -> tuple[Enclosure, Enclosure]:
-    """(lhs, rhs) of a row (lhs lo_n, hi_n, den, rhs lo_n, hi_n, den, *what its report shows)."""
-    return Enclosure(*row[:3]), Enclosure(*row[3:6])
+def _row_report(bound_id: str, inputs: dict, row: tuple, holds: bool | None, **extra) -> BoundReport:
+    """The certified claim of a row, lhs >= rhs, with its verdict and slack."""
+    return BoundReport(bound_id, inputs, Enclosure(*row[:3]), Enclosure(*row[3:6]), holds, _row_slack(*row[:6]),
+                       **extra)
 
 
 def _calls_hold(per_call: list[list[tuple]]) -> list[bool | None]:
@@ -160,27 +156,27 @@ def _rows_hold(rows: list[tuple]) -> bool | None:
     return _calls_hold([rows])[0]
 
 
-def _refining(check: Callable[..., BoundReport]) -> Callable[..., BoundReport]:
-    """Re-run `check` at tol/2, tol/4, ... (up to REFINE times) while its
-    report is undecided and could still change: a decided verdict, an
-    out-of-hypothesis report and a report that makes no claim are final."""
-    signature = inspect.signature(check)
-
-    @functools.wraps(check)
-    def refined(*args, **kwargs) -> BoundReport:
-        rep = check(*args, **kwargs)
-        call = None  # bound on the first retry: binding costs more than a cached check
-        for _ in range(REFINE):
-            if rep.holds is not None or rep.out_of_hypothesis or rep.note == NO_CLAIM:
-                break
-            if call is None:
-                call = signature.bind(*args, **kwargs)
-                call.apply_defaults()
-            call.arguments["tol"] /= 2
-            rep = check(*call.args, **call.kwargs)
-        return rep
-
-    return refined
+def _refined(sides: Callable, tree: Tree, calls: Sequence[tuple], tol: float, min_n: int = 0
+             ) -> tuple[list[list[tuple]], list[bool | None]]:
+    """Every call's rows and its verdict, the _all3 of lhs >= rhs over its
+    rows.  The rows come at once from `sides`; a call left undecided is read
+    again at tol/2, tol/4, ... (up to REFINE times), unless the tree has
+    fewer than min_n vertices.  A decided verdict is final, so a hypothesis
+    row certified false ends the refinement of a claim it withholds."""
+    if not calls:  # a fan-out may make none (lemma26 below n = 2, thm31 below 3, diam4 off diameter 4)
+        return [], []
+    per_call = sides(tree, calls, tol)
+    verdicts = _calls_hold(per_call)
+    if None in verdicts and tree.n >= min_n:
+        for j, call in enumerate(calls):
+            t = tol
+            for _ in range(REFINE):
+                if verdicts[j] is not None:
+                    break
+                t /= 2
+                per_call[j] = sides(tree, [call], t)[0]
+                verdicts[j] = _rows_hold(per_call[j])
+    return per_call, verdicts
 
 
 # ---- closed-form energies and the pi-interval bound -------------------------
@@ -250,16 +246,15 @@ def brouwer_haemers_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12
     return [rows] * len(calls)
 
 
-@_refining
 def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """mu_i >= d_i - i + 2 for every live index i (degree-indexed eigenvalue
     lower bound; see brouwer_haemers_sides), with the worst index's slack."""
-    (rows,) = brouwer_haemers_sides(tree, [()], tol)
+    (rows,), (holds,) = _refined(brouwer_haemers_sides, tree, [()], tol)
     note = "" if len(rows) == tree.n else "index i = n skipped: complete-graph exception"
     slacks = [_row_slack(*row[:6]) for row in rows]
     worst = min(slacks, default=None)
     inputs = {"n": tree.n, "worst_index": slacks.index(worst) + 1 if slacks else 0}
-    return BoundReport("lemma22", inputs, None, None, holds=_rows_hold(rows), slack=worst, note=note)
+    return BoundReport("lemma22", inputs, None, None, holds=holds, slack=worst, note=note)
 
 
 def _top_degrees(tree: Tree, calls: Sequence[tuple]) -> list[tuple[int, int]]:
@@ -277,10 +272,10 @@ def majorization_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -
     return [[(*spec._top_sum(k), spec.den, 1 + d, 1 + d, 1)] for k, d in top]
 
 
-@_refining
 def majorization_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
     """S_k >= 1 + sum of the k largest degrees, 1 <= k <= n-1."""
-    return _ge_report("lemma31", {"n": tree.n, "k": k}, *_enclosures(majorization_sides(tree, [(k,)], tol)[0][0]))
+    ((row,),), (holds,) = _refined(majorization_sides, tree, [(k,)], tol)
+    return _row_report("lemma31", {"n": tree.n, "k": k}, row, holds)
 
 
 def lemma21_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
@@ -293,15 +288,13 @@ def lemma21_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> lis
 
 def lemma21_check(tree: Tree) -> BoundReport:
     """Multiplicity of eigenvalue 1 is at least #leaves - #leaf-neighbors."""
-    ((row,),) = lemma21_sides(tree, [()])
-    return _ge_report("lemma21", {"n": tree.n, "p": row[6], "q": row[7]}, *_enclosures(row))
+    ((row,),), (holds,) = _refined(lemma21_sides, tree, [()], 1e-12)  # exact: tol is not read
+    return _row_report("lemma21", {"n": tree.n, "p": row[6], "q": row[7]}, row, holds)
 
 
 def lemma26_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
     """lemma26's row for its one call, exact integers (tol is not read):
     #{mu < d_bar} >= ceil(n/2)."""
-    if not calls:  # the fan-out makes none below n = 2
-        return []
     below, need = count_eigs(tree, average_degree(tree)).below, (tree.n + 1) // 2
     return [[(below, below, 1, need, need, 1)]] * len(calls)
 
@@ -313,8 +306,8 @@ def lemma26_check(tree: Tree) -> BoundReport:
     degree."""
     if tree.n < 2:
         raise BadParam(f"need n >= 2, got n={tree.n}")
-    ((row,),) = lemma26_sides(tree, [()])
-    return _ge_report("lemma26", {"n": tree.n}, *_enclosures(row))
+    ((row,),), (holds,) = _refined(lemma26_sides, tree, [()], 1e-12)  # exact: tol is not read
+    return _row_report("lemma26", {"n": tree.n}, row, holds)
 
 
 def interlacing_check(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
@@ -380,8 +373,6 @@ def _thm31_terms(n: int, s: int) -> tuple[int, tuple | None]:
 def thm31_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
     """thm31's rows for its one call: LE(T) >= the chain value, followed by
     s, then, when the internal-vertex condition holds, the chain >= 2 + 4n/pi."""
-    if not calls:  # the fan-out makes none below n = 3
-        return []
     n, s = tree.n, degree_summary(tree).internal_count
     chain, clears = _thm31_terms(n, s)
     le = eigenvalues(tree, tol).laplacian_energy()
@@ -391,18 +382,15 @@ def thm31_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[
     return [rows] * len(calls)
 
 
-@_refining
 def thm31_lower_bound(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 2n + 2s - 2 - 2s*d_bar, and when the internal-vertex
     condition holds, that chain value also clears 2 + 4n/pi, proving
     LE(T) >= LE(P_n) (see thm31_sides)."""
     if tree.n < 3:
         raise BadParam(f"need n >= 3 (s >= 1 internal vertex), got n={tree.n}")
-    ((first, *clears),) = thm31_sides(tree, [()], tol)
-    le, chain = _enclosures(first)
+    ((first, *clears),), (holds,) = _refined(thm31_sides, tree, [()], tol)
     hypotheses = {"condition": bool(clears), "chain_clears_path_bound": ge(*clears[0][:6]) if clears else None}
-    return BoundReport("thm31", {"n": tree.n, "s": first[6]}, le, chain, _rows_hold([first, *clears]),
-                       _ge_slack(le, chain), hypotheses)
+    return _row_report("thm31", {"n": tree.n, "s": first[6]}, first, holds, hypotheses=hypotheses)
 
 
 def cor31_lower_bound(tree: Tree, k: int) -> Fraction:
@@ -422,9 +410,9 @@ def cor31_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[
     return [[(le.lo_n, le.hi_n, le.den, b, b, tree.n)] for b in rhs]
 
 
-@_refining
 def cor31_check(tree: Tree, k: int, tol: float = 1e-12) -> BoundReport:
-    return _ge_report("cor31", {"n": tree.n, "k": k}, *_enclosures(cor31_sides(tree, [(k,)], tol)[0][0]))
+    ((row,),), (holds,) = _refined(cor31_sides, tree, [(k,)], tol)
+    return _row_report("cor31", {"n": tree.n, "k": k}, row, holds)
 
 
 # ---- edge-deletion bounds (Theorem 3.2 and Corollary 3.4) --------------------
@@ -543,25 +531,6 @@ def _at_least(tree: Tree, num: int, den: int, tol: float) -> int:
     return k
 
 
-def _claim_if(
-    applicable: bool | None,
-    bound_id: str,
-    tree: Tree,
-    tol: float,
-    inputs: dict,
-    rhs: Enclosure,
-    hypotheses: dict,
-    out_of_hypothesis: bool = False,
-) -> BoundReport:
-    """LE(T) >= rhs when the hypotheses are certified; otherwise a report
-    that makes no claim and says whether they failed or stayed undecided."""
-    if applicable is True:
-        return _ge_report(bound_id, inputs, eigenvalues(tree, tol).laplacian_energy(), rhs,
-                          hypotheses=hypotheses, out_of_hypothesis=out_of_hypothesis)
-    note = NO_CLAIM if applicable is False else "hypotheses undecided"
-    return BoundReport(bound_id, inputs, None, rhs, None, None, hypotheses, out_of_hypothesis, note)
-
-
 def thm32_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
     """thm32's row for each call (edge,), followed by (n1, n2, k1, k2):
     LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n for T - e = T1 u T2,
@@ -579,45 +548,92 @@ def thm32_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[
     return rows
 
 
-@_refining
 def thm32_lower_bound(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 2 S_k1(T1) + 2 S_k2(T2) - 4*sigma + 4*sigma/n (see thm32_sides)."""
-    ((row,),) = thm32_sides(tree, [(edge,)], tol)
+    ((row,),), (holds,) = _refined(thm32_sides, tree, [(edge,)], tol, THM32_MIN_N)
     n1, n2, k1, k2 = row[6:]
     inputs = {"n": tree.n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2, "sigma": k1 + k2}
-    return _ge_report("thm32", inputs, *_enclosures(row), out_of_hypothesis=tree.n < THM32_MIN_N)
+    return _row_report("thm32", inputs, row, holds, out_of_hypothesis=tree.n < THM32_MIN_N)
 
 
-@_refining
+def _clears_row(tree: Tree, tol: float) -> tuple:
+    """The row LE(T) >= 2 + 4n/pi: T clears the path's energy bound."""
+    le, upper = eigenvalues(tree, tol)._energy, path_energy_upper(tree.n)
+    return le.lo_n, le.hi_n, le.den, upper.lo_n, upper.hi_n, upper.den
+
+
+def coru_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """coru's rows for each call (edge,), T - e = T1 u T2 as in thm32_sides:
+    sigma_i = k_i for both i as the exact row -|sigma1 - k1| - |sigma2 - k2|
+    >= 0, followed by (n1, n2, k1, k2, sigma1, sigma2, auxiliary_nonneg);
+    LE(T_i) >= 2 + 4 n_i/pi for i = 1, 2; then, only when all three hold
+    certified, the claim LE(T) >= 2 + 4n/pi."""
+    per_call = []
+    for (edge,) in calls:
+        t1, t2, k1, k2 = _split_counts(tree, edge, tol)
+        n1, n2, s1, s2 = t1.n, t2.n, eigenvalues(t1, tol).sigma, eigenvalues(t2, tol).sigma
+        aux = n1 * n1 * (n2 - 2 * s2) + n2 * n2 * (n1 - 2 * s1) >= 0
+        miss = abs(s1 - k1) + abs(s2 - k2)
+        rows = [(-miss, -miss, 1, 0, 0, 1, n1, n2, k1, k2, s1, s2, aux),
+                _clears_row(t1, tol), _clears_row(t2, tol)]
+        if _rows_hold(rows) is True:
+            rows.append(_clears_row(tree, tol))
+        per_call.append(rows)
+    return per_call
+
+
 def coru_sufficient(tree: Tree, edge: tuple[int, int], tol: float = 1e-12) -> BoundReport:
     """Corollary: if sigma_i = k_i for both components and LE(T_i) >= 2 + 4 n_i/pi,
     then LE(T) >= 2 + 4n/pi.  The proof's auxiliary inequality
-    n1^2 (n2 - 2 sigma2) + n2^2 (n1 - 2 sigma1) >= 0 is verified alongside."""
-    n = tree.n
-    t1, t2, k1, k2 = _split_counts(tree, edge, tol)
-    n1, n2 = t1.n, t2.n
-    s1 = eigenvalues(t1, tol).sigma
-    s2 = eigenvalues(t2, tol).sigma
-    aux = n1 * n1 * (n2 - 2 * s2) + n2 * n2 * (n1 - 2 * s1) >= 0
-    hyp_k = (s1 == k1) and (s2 == k2)
+    n1^2 (n2 - 2 sigma2) + n2^2 (n1 - 2 sigma1) >= 0 is verified alongside
+    (see coru_sides)."""
+    n, below = tree.n, tree.n < THM32_MIN_N
+    (rows,), (holds,) = _refined(coru_sides, tree, [(edge,)], tol, THM32_MIN_N)
+    n1, n2, k1, k2, s1, s2, aux = rows[0][6:]
     inputs = {"n": n, "edge": list(edge), "n1": n1, "n2": n2, "k1": k1, "k2": k2,
               "sigma1": s1, "sigma2": s2}
-    h1 = eigenvalues(t1, tol).laplacian_energy().ge(path_energy_upper(n1))
-    h2 = eigenvalues(t2, tol).laplacian_energy().ge(path_energy_upper(n2))
-    hypotheses = {
-        "sigma_equals_k": hyp_k,
-        "le_t1_clears": h1,
-        "le_t2_clears": h2,
-        "auxiliary_nonneg": aux,
-    }
-    return _claim_if(_all3(hyp_k, h1, h2), "coru", tree, tol, inputs, path_energy_upper(n),
-                     hypotheses, out_of_hypothesis=n < 8)
+    hypotheses = {"sigma_equals_k": ge(*rows[0][:6]), "le_t1_clears": ge(*rows[1][:6]),
+                  "le_t2_clears": ge(*rows[2][:6]), "auxiliary_nonneg": aux}
+    if len(rows) == 4:
+        return _row_report("coru", inputs, rows[3], holds, hypotheses=hypotheses, out_of_hypothesis=below)
+    note = NO_CLAIM if holds is False else "hypotheses undecided"
+    return BoundReport("coru", inputs, None, path_energy_upper(n), None, None, hypotheses, below, note)
 
 
 # ---- sufficient conditions for joined trees (section 5) -----------------------
 
 
-@_refining
+def _strictly_below(x: Enclosure, bound: Fraction) -> tuple:
+    """The row bound - 1/(2 b x.den) >= x, b bound's denominator, deciding
+    x < bound: x's endpoints and bound are multiples of 1/(b x.den), so the
+    half step ties neither endpoint, and the row holds exactly when x.hi <
+    bound and fails exactly when x.lo >= bound (an exact tie included)."""
+    b = bound.denominator
+    lhs = 2 * bound.numerator * x.den - 1
+    return lhs, lhs, 2 * b * x.den, x.lo_n, x.hi_n, x.den
+
+
+def join_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """thm51-53's rows on a joined tree T for each call (t1, gap): sigma1 = r1
+    as the exact row -|sigma1 - r1| >= 0, or with gap the strict
+    mu_{sigma1+1}(T1) - d_bar(T1) < -2/n (_strictly_below), followed by
+    (sigma1, r1); LE(T1) >= 2 + 4 n1/pi; then, only when both hold
+    certified, the claim LE(T) >= 2 + 4n/pi."""
+    per_call = []
+    for t1, gap in calls:
+        spec1 = eigenvalues(t1, tol)
+        s1, r1 = spec1.sigma, degree_summary(t1).internal_count
+        if gap:
+            structural = _strictly_below(spec1.enclosure(s1 + 1), average_degree(t1) - Fraction(2, tree.n))
+        else:
+            structural = (-abs(s1 - r1), -abs(s1 - r1), 1, 0, 0, 1)
+        rows = [(*structural, s1, r1), _clears_row(t1, tol)]
+        if _rows_hold(rows) is True:
+            rows.append(_clears_row(tree, tol))
+        per_call.append(rows)
+    return per_call
+
+
 def _join_sufficient(
     bound_id: str,
     t1: Tree,
@@ -630,22 +646,15 @@ def _join_sufficient(
     if not (n1 >= n2 >= 6):
         raise BadParam(f"need n1 >= n2 >= 6, got ({n1}, {n2})")
     tree = join_trees(t1, t2, *join)
-    n = tree.n
-    s1 = eigenvalues(t1, tol).sigma
-    r1 = degree_summary(t1).internal_count
-    inputs = {"n": n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
-    hypotheses: dict = {}
-    if gap_hypothesis:
-        # mu_{sigma1+1}(T1) - d_bar(T1) < -2/n, strict
-        enc = eigenvalues(t1, tol).enclosure(s1 + 1)
-        bound = average_degree(t1) - Fraction(2, n)
-        structural = True if enc.hi < bound else False if enc.lo >= bound else None
-        hypotheses["gap"] = structural
-    else:
-        structural = hypotheses["sigma1_equals_r1"] = s1 == r1
-    h_le = eigenvalues(t1, tol).laplacian_energy().ge(path_energy_upper(n1))
-    hypotheses["le_t1_clears"] = h_le
-    return _claim_if(_all3(structural, h_le), bound_id, tree, tol, inputs, path_energy_upper(n), hypotheses)
+    (rows,), (holds,) = _refined(join_sides, tree, [(t1, gap_hypothesis)], tol)
+    s1, r1 = rows[0][6:]
+    inputs = {"n": tree.n, "n1": n1, "n2": n2, "sigma1": s1, "r1": r1, "join": list(join)}
+    hypotheses = {"gap" if gap_hypothesis else "sigma1_equals_r1": ge(*rows[0][:6]),
+                  "le_t1_clears": ge(*rows[1][:6])}
+    if len(rows) == 3:
+        return _row_report(bound_id, inputs, rows[2], holds, hypotheses=hypotheses)
+    note = NO_CLAIM if holds is False else "hypotheses undecided"
+    return BoundReport(bound_id, inputs, None, path_energy_upper(tree.n), None, None, hypotheses, False, note)
 
 
 def thm51_check(t1: Tree, t2: Tree, join: tuple[int, int] = (0, 0), tol: float = 1e-12) -> BoundReport:
@@ -733,7 +742,6 @@ def _conjecture_terms(rows: list[tuple]) -> tuple:
     return left[6], min(_row_slack(*left[:6]), _row_slack(*right[:6])), *left[7:]
 
 
-@_refining
 def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(P_n) <= LE(T) <= LE(S_n), both sides certified.
 
@@ -741,26 +749,26 @@ def conjecture_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     bisection value on the cached n-path, refined along with T's (see
     conjecture_sides).  A side decided by identity has slack 0.
     """
-    ((left, right),) = conjecture_sides(tree, [()], tol)
+    ((left, right),), (holds,) = _refined(conjecture_sides, tree, [()], tol)
     le, slack, le_path, le_star, is_p, is_s = _conjecture_terms([left, right])
     inputs = {"n": tree.n, "is_path": is_p, "is_star": is_s, "le_path": le_path, "le_star": le_star}
     hypotheses = {"left": ge(*left[:6]), "right": ge(*right[:6])}
-    return BoundReport("conjecture", inputs, le, None, holds=_all3(*hypotheses.values()), slack=slack,
-                       hypotheses=hypotheses)
+    return BoundReport("conjecture", inputs, le, None, holds=holds, slack=slack, hypotheses=hypotheses)
 
 
-@_refining
+def diam4_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> list[list[tuple]]:
+    """diam4's row for its one call: LE(T) >= 2 + 4n/pi."""
+    return [[_clears_row(tree, tol)]] * len(calls)
+
+
 def diam4_energy_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """LE(T) >= 4n/pi + 2 for diameter-4 trees; asserted for n >= 19, slack
     only recorded below that."""
     if diameter(tree) != 4:
         raise BadParam(f"need diameter 4, got {diameter(tree)}")
-    n = tree.n
-    rhs = path_energy_upper(n)
-    le = eigenvalues(tree, tol).laplacian_energy()
-    in_range = n >= 19
-    return BoundReport("diam4", {"n": n}, le, rhs, holds=le.ge(rhs) if in_range else None,
-                       slack=_ge_slack(le, rhs), out_of_hypothesis=not in_range)
+    in_range = tree.n >= DIAM4_MIN_N
+    ((row,),), (holds,) = _refined(diam4_sides, tree, [()], tol, DIAM4_MIN_N)
+    return _row_report("diam4", {"n": tree.n}, row, holds if in_range else None, out_of_hypothesis=not in_range)
 
 
 # ---- the check registry ---------------------------------------------------------
@@ -786,9 +794,10 @@ class Check(NamedTuple):
     sides function, and the order below which it is out of hypothesis.
 
     reports() serves `bounds` and the API, verdict() an exhaustive run's
-    record.  Every check an exhaustive run may record has a sides function,
-    and its report function builds its reports from the same rows, so both
-    read one set of integer rows; verdict() builds no report."""
+    record.  Every check but lemma25 has a sides function, and both read its
+    rows as _refined refines them; verdict() builds no report.  It is the
+    _all3 of the reports' holds, except where a report makes no claim or is
+    out of hypothesis (coru's, diam4's below n = 19) and shows holds None."""
 
     fn: str
     fanout: str
@@ -804,27 +813,12 @@ class Check(NamedTuple):
             yield fn(tree, *args, tol) if self.takes_tol else fn(tree, *args)
 
     def rows(self, tree: Tree, tol: float) -> tuple[list[list[tuple]], list[bool | None]]:
-        """Every call's rows and its verdict, the _all3 of lhs >= rhs over its
-        rows.  The rows come at once from the sides function, looked up at
-        call time; a call left undecided is read again at tol/2, tol/4, ...
-        as _refining refines its report, unless the tree has fewer than
-        min_n vertices."""
-        sides, calls = globals()[self.sides], _FANOUTS[self.fanout](tree)
-        per_call = sides(tree, calls, tol)
-        verdicts = _calls_hold(per_call)
-        if None in verdicts and tree.n >= self.min_n:
-            for j, call in enumerate(calls):
-                t = tol
-                for _ in range(REFINE):
-                    if verdicts[j] is not None:
-                        break
-                    t /= 2
-                    per_call[j] = sides(tree, [call], t)[0]
-                    verdicts[j] = _rows_hold(per_call[j])
-        return per_call, verdicts
+        """Every call's final rows and its verdict (_refined), from the sides
+        function looked up at call time."""
+        return _refined(globals()[self.sides], tree, _FANOUTS[self.fanout](tree), tol, self.min_n)
 
     def verdict(self, tree: Tree, tol: float) -> bool | None:
-        """The _all3 of the holds of reports(tree, tol), decided from rows()."""
+        """The _all3 of the calls' verdicts in rows() (see the class docstring)."""
         return _all3(*self.rows(tree, tol)[1])
 
 
@@ -837,7 +831,7 @@ CHECKS: dict[str, Check] = {
     "thm31": Check("thm31_lower_bound", "n >= 3", sides="thm31_sides"),
     "thm32": Check("thm32_lower_bound", "non-pendant edge", sides="thm32_sides", min_n=THM32_MIN_N),
     "conjecture": Check("conjecture_check", "tree", sides="conjecture_sides"),
-    "coru": Check("coru_sufficient", "non-pendant edge", exhaustive=False),
-    "diam4": Check("diam4_energy_check", "diameter 4", exhaustive=False),
+    "coru": Check("coru_sufficient", "non-pendant edge", exhaustive=False, sides="coru_sides", min_n=THM32_MIN_N),
+    "diam4": Check("diam4_energy_check", "diameter 4", exhaustive=False, sides="diam4_sides", min_n=DIAM4_MIN_N),
     "lemma25": Check("interlacing_check", "edge", exhaustive=False),
 }

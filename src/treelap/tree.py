@@ -57,8 +57,8 @@ class Tree:
     __slots__ = ("n", "edges", "adj", "degrees", "_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise BadParam(f"vertex count must be >= 1, got {n}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise BadParam(f"vertex count must be an integer >= 1, got {n!r}")
         canon = []
         for u, v in edges:
             if not isinstance(u, int) or isinstance(u, bool) or not (0 <= u < n):

@@ -32,6 +32,7 @@ from treelap.bounds import (
 )
 from treelap.enumeration import free_trees
 from treelap.errors import BadParam, EdgeAbsent, PendantEdge
+from treelap.intervals import Enclosure, ge
 from treelap.families import (
     double_broom3,
     double_broom4,
@@ -338,9 +339,11 @@ class TestRefinement:
         t = sns_tree(0, 2, [2, 2])  # slack ~0.73 against the path energy
         rep = conjecture_check(t, tol=0.05)
         assert rep.holds is True  # decided only after halving the tolerance
+        assert CHECKS["conjecture"].verdict(t, 0.05) is True
         monkeypatch.setattr(bounds, "REFINE", 0)
         undecided = conjecture_check(t, tol=0.5)
         assert undecided.holds is None
+        assert CHECKS["conjecture"].verdict(t, 0.5) is None  # one REFINE drives reports and rows
 
     @staticmethod
     def _spectrum_tols(monkeypatch) -> list:
@@ -358,7 +361,8 @@ class TestRefinement:
     @pytest.mark.parametrize("check", [
         lambda tol: coru_sufficient(path(8), (3, 4), tol),
         lambda tol: thm51_check(path(6), star(6), tol=tol),
-    ], ids=["coru", "thm51"])
+        lambda tol: thm53_check(sns_tree(0, 2, [5, 2]), star(6), tol=tol),  # the strict gap fails
+    ], ids=["coru", "thm51", "thm53"])
     def test_a_report_that_makes_no_claim_is_not_refined(self, monkeypatch, check):
         tols = self._spectrum_tols(monkeypatch)
         rep = check(1e-6)
@@ -370,6 +374,27 @@ class TestRefinement:
         rep = thm51_check(double_broom3(3, 3), star(6), tol=1.0)
         assert (rep.holds, rep.note) == (None, "hypotheses undecided")
         assert sorted(set(tols)) == [1.0 / 2**i for i in range(bounds.REFINE, -1, -1)]
+        # the same T1 as thm53's no-claim case: its strict gap hypothesis, certified false at
+        # 1e-6, stays undecided from tol 1.0 down to 1/8 while LE(T1) clears 2 + 4 n1/pi
+        tols.clear()
+        rep = thm53_check(sns_tree(0, 2, [5, 2]), star(6), tol=1.0)
+        assert (rep.holds, rep.note) == (None, "hypotheses undecided")
+        assert rep.hypotheses == {"gap": None, "le_t1_clears": True}
+        assert sorted(set(tols)) == [1.0 / 2**i for i in range(bounds.REFINE, -1, -1)]
+
+    def test_the_strict_gap_row_decides_as_the_strict_comparison(self):
+        # thm53's gap row against the comparison it replaced (True when x.hi < bound, False
+        # when x.lo >= bound), on every enclosure with endpoints near the bound, endpoint ties
+        # and the exact tie x = bound included.  On a tree the exact tie cannot occur: mu is an
+        # algebraic integer, and bound = 2 - 2/n1 - 2/n lies in [3/2, 2) for n > n1 >= 6.
+        for bound in (Fraction(13, 8), Fraction(-3, 7), Fraction(5)):
+            for den in (1, 8, 56):
+                centre = bound.numerator * den // bound.denominator
+                for lo in range(centre - 3, centre + 4):
+                    for hi in range(lo, centre + 4):
+                        x = Enclosure(lo, hi, den)
+                        strict = True if x.hi < bound else False if x.lo >= bound else None
+                        assert ge(*bounds._strictly_below(x, bound)) is strict, (bound, lo, hi, den)
 
     def test_checks_take_tol_by_position_or_keyword(self):
         t = sns_tree(0, 2, [2, 2])
@@ -447,6 +472,17 @@ class TestRegistry:
                         (cid, canonical_code(by_verdict))
                     undecided += verdict is None
         assert (undecided > 0) == (tol > 0.1)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.3])
+    def test_diam4_verdicts_equal_its_reports(self, tol):
+        # diameter-4 trees with 19 <= n <= 22, where the theorem is asserted; fresh copies again
+        members = [(t4_spider, (a, 9 - a)) for a in (1, 4)] + [(t4_spider, (3, 7))]
+        members += [(sns_tree, (0, 3, [5, 5, 6])), (sns_tree, (1, 4, [4, 4, 4, 4])), (sns_tree, (3, 3, [2, 4, 7])),
+                    (sns_tree, (0, 2, [9, 8]))]
+        for build, args in members:
+            by_verdict, by_report = build(*args), build(*args)
+            assert diameter(by_verdict) == 4 and 19 <= by_verdict.n <= 22
+            assert CHECKS["diam4"].verdict(by_verdict, tol) == diam4_energy_check(by_report, tol).holds, args
 
     def test_check_function_is_looked_up_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bounds, "lemma26_check", lambda tree: "replaced")

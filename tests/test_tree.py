@@ -91,6 +91,12 @@ class TestConstruction:
         with pytest.raises(error, match=re.escape(message)):
             Tree(10**12, edges)
 
+    @pytest.mark.parametrize("n, edges", [(True, []), (2.0, [(0, 1)])])
+    def test_a_vertex_count_that_is_not_an_int_is_refused(self, n, edges):
+        # as a non-int edge label is: True stood for 1, and 2.0 failed in range() with TypeError
+        with pytest.raises(BadParam, match="vertex count must be an integer"):
+            Tree(n, edges)
+
     def test_single_vertex(self):
         t = Tree(1, [])
         assert t.n == 1 and t.edges == ()
