@@ -49,7 +49,7 @@ from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families
-from .errors import BadParam, PendantEdge
+from .errors import BadParam, PendantEdge, check_index
 from .intervals import PI, Enclosure, ge
 from .spectral import (
     average_degree,
@@ -259,8 +259,8 @@ def brouwer_haemers_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
 
 def _top_degrees(tree: Tree, calls: Sequence[tuple]) -> list[tuple[int, int]]:
     """(k, sum of the k largest degrees) for each call (k,), 1 <= k <= n-1."""
-    if bad := [k for (k,) in calls if not 1 <= k <= tree.n - 1]:
-        raise BadParam(f"k={bad[0]} out of range 1..{tree.n - 1}")
+    for (k,) in calls:
+        check_index("k", k, 1, tree.n - 1)
     sums = list(accumulate(degree_summary(tree).degrees, initial=0))
     return [(k, sums[k]) for (k,) in calls]
 

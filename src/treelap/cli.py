@@ -20,7 +20,7 @@ import sys
 from . import bounds as bounds_mod
 from . import families
 from .charpoly import char_poly
-from .enumeration import EnumRange, _order_count, free_trees_sharded
+from .enumeration import MAX_ORDER, EnumRange, _order_count, free_trees_sharded
 from .errors import TreelapError
 from .spectral import check_tol, eigenvalues
 from .tree import (
@@ -31,7 +31,6 @@ from .tree import (
     parse_pruefer_text,
 )
 from .verify import (
-    DESK_CEILING,
     REPORT_FORMATS,
     RunConfig,
     SweepConfig,
@@ -41,6 +40,8 @@ from .verify import (
     run_family_sweep,
     _g15,
 )
+
+DESK_CEILING = 16  # past this order, check-conjecture prints a "large run" notice
 
 
 def _read_tree(args) -> Tree:
@@ -166,7 +167,6 @@ def _cmd_check_conjecture(args) -> int:
         shard_count=k,
         out=args.out,
         checks=("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ()),
-        allow_large=args.allow_large,
     )
     if args.report:
         check_writable(args.report)
@@ -232,16 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("check-conjecture", help="exhaustive verification over free trees")
+    p = sub.add_parser("check-conjecture", help="exhaustive verification over free trees", description=(
+        f"Orders go up to {MAX_ORDER}; past {DESK_CEILING} a 'large run' notice goes to stderr.  Every record "
+        "stays in memory until the run ends, about 1 KB each: n <= 20 needs about 1.4 GB (ROADMAP item 10)."))
     p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True, help=f"at most {MAX_ORDER}")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--shards", default="0/1")
     p.add_argument("--out", default=None, help="append-only JSONL record sink (resumable)")
     p.add_argument("--report", default=None, help="deterministic sorted artifact path")
     p.add_argument("--format", choices=REPORT_FORMATS, default="jsonl")
     p.add_argument("--checks", default="", help="extra per-tree checks (comma-separated)")
-    p.add_argument("--allow-large", action="store_true", help="raise the ceiling from 16 to 18")
     p.set_defaults(fn=_cmd_check_conjecture)
 
     p = sub.add_parser("sweep", help="diameter-4 family sweeps")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .errors import BadParam
+from .errors import BadParam, check_index
 from .tree import Tree, degree_summary
 
 
@@ -46,10 +46,7 @@ class EnumRange:
             raise BadParam(f"order must be >= 1, got {self.n}")
         if self.shard_count < 1:
             raise BadParam(f"shard count must be >= 1, got {self.shard_count}")
-        if not (0 <= self.shard_index < self.shard_count):
-            raise BadParam(
-                f"shard index {self.shard_index} out of range 0..{self.shard_count - 1}"
-            )
+        check_index("shard index", self.shard_index, 0, self.shard_count - 1)
 
 
 MAX_ORDER = 20  # enumeration beyond desk scale is out of scope

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the index check, shared across the package."""
 
 
 class TreelapError(Exception):
@@ -31,3 +31,9 @@ class PendantEdge(TreelapError):
 
 class BadParam(TreelapError):
     """A parameter violates an operation's precondition."""
+
+
+def check_index(name: str, value, lo: int, hi: int) -> None:
+    """Refuse an index that is not an int in lo..hi; a bool is not an index."""
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+        raise BadParam(f"{name}={value!r} out of range {lo}..{hi}")

@@ -58,7 +58,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParam
+from .errors import BadParam, check_index
 from .intervals import Enclosure
 from .tree import Tree
 
@@ -454,8 +454,7 @@ class Spectrum:
 
     def enclosure(self, i: int) -> Enclosure:
         """Certified interval for mu_i (1-based, descending)."""
-        if not (1 <= i <= self.n):
-            raise BadParam(f"index {i} out of range 1..{self.n}")
+        check_index("i", i, 1, self.n)
         return Enclosure(*self._per_index[i - 1], self.den)
 
     @functools.cached_property
@@ -473,8 +472,7 @@ class Spectrum:
 
     def s_k(self, k: int) -> Enclosure:
         """Sum of the k largest eigenvalues; width <= k*tol (tighter via trace)."""
-        if not (0 <= k <= self.n):
-            raise BadParam(f"k={k} out of range 0..{self.n}")
+        check_index("k", k, 0, self.n)
         return Enclosure(*self._top_sum(k), self.den)
 
     def laplacian_energy(self) -> Enclosure:
@@ -562,8 +560,7 @@ def eigenvalues_many(trees: Sequence[Tree], tol: float = 1e-12) -> list[Spectrum
 
 def s_k(tree: Tree, k: int, tol: float = 1e-12) -> Enclosure:
     """Sum of the k largest Laplacian eigenvalues, absolute error <= k*tol."""
-    if not (1 <= k <= tree.n):
-        raise BadParam(f"k={k} out of range 1..{tree.n}")
+    check_index("k", k, 1, tree.n)
     return eigenvalues(tree, tol).s_k(k)
 
 

@@ -19,17 +19,19 @@ from itertools import islice
 from typing import Collection, Iterable, Sequence
 
 from . import bounds, families
-from .enumeration import EnumRange, free_trees_sharded
+from .enumeration import MAX_ORDER, EnumRange, free_trees_sharded
 from .errors import BadParam
 from .spectral import BLOCK, check_tol, eigenvalues, eigenvalues_many
 from .spectral import sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
 
-DESK_CEILING = 16
-HARD_CEILING = 18
 
 @dataclass(frozen=True)
 class RunConfig:
+    """An exhaustive run over the orders n_min..n_max <= MAX_ORDER (20), refused
+    here past it, before any sink is opened.  Every record (about 1 KB) stays in
+    memory until the run ends: n <= 20 needs about 1.4 GB (ROADMAP item 10)."""
+
     n_min: int = 4
     n_max: int = 10
     tol: float = 1e-12
@@ -37,18 +39,11 @@ class RunConfig:
     shard_count: int = 1
     out: str | None = None
     checks: tuple[str, ...] = ("conjecture",)
-    allow_large: bool = False
 
     def __post_init__(self):
         check_tol(self.tol)
-        if not (1 <= self.n_min <= self.n_max):
-            raise BadParam(f"bad order range {self.n_min}..{self.n_max}")
-        ceiling = HARD_CEILING if self.allow_large else DESK_CEILING
-        if self.n_max > ceiling:
-            raise BadParam(
-                f"n_max={self.n_max} exceeds the ceiling {ceiling}"
-                + ("" if self.allow_large else " (--allow-large, or allow_large=True, goes to 18)")
-            )
+        if not (1 <= self.n_min <= self.n_max <= MAX_ORDER):
+            raise BadParam(f"bad order range {self.n_min}..{self.n_max}: exhaustive runs go up to n = {MAX_ORDER}")
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
 
 

@@ -158,6 +158,29 @@ class TestCor31:
                 assert cor31_check(t, k, 1e-10).holds is True
 
 
+_SNS = sns_tree(0, 2, [2, 2])  # n = 7
+_INDEXED = {  # entry point -> (its index's range on _SNS, the call)
+    "majorization_check": ((1, 6), lambda k: majorization_check(_SNS, k)),
+    "cor31_check": ((1, 6), lambda k: cor31_check(_SNS, k)),
+    "cor31_lower_bound": ((1, 6), lambda k: cor31_lower_bound(_SNS, k)),
+    "spectral.s_k": ((1, 7), lambda k: spectral.s_k(_SNS, k)),
+    "Spectrum.s_k": ((0, 7), lambda k: spectral.eigenvalues(_SNS).s_k(k)),
+    "Spectrum.enclosure": ((1, 7), lambda i: spectral.eigenvalues(_SNS).enclosure(i)),
+}
+
+
+@pytest.mark.parametrize("name", _INDEXED)
+@pytest.mark.parametrize("bad", ["True", "2.0", "below", "past"])
+def test_an_index_that_is_not_an_int_in_range_is_refused(name, bad):
+    # a bool is not k = 1 and a float is not an index: both are BadParam, as an
+    # index outside the range is, not a TypeError or a report with "k": true
+    (lo, hi), call = _INDEXED[name]
+    call(hi)  # the last index is accepted
+    index = {"True": True, "2.0": 2.0, "below": lo - 1, "past": hi + 1}[bad]
+    with pytest.raises(BadParam, match="out of range"):
+        call(index)
+
+
 class TestThm32:
     def test_p8_middle(self):
         rep = thm32_lower_bound(path(8), (3, 4))

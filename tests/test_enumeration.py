@@ -118,8 +118,9 @@ def test_sharding_degenerate():
 def test_param_validation():
     with pytest.raises(BadParam):
         EnumRange(0)
-    with pytest.raises(BadParam):
-        EnumRange(5, 3, 2)
+    for index in (3, -1, True):  # a bool is not a shard index
+        with pytest.raises(BadParam):
+            EnumRange(5, index, 2)
     with pytest.raises(BadParam):
         count_free_trees(21)
     with pytest.raises(BadParam):

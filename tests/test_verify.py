@@ -13,6 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from treelap import spectral, verify
+from treelap.enumeration import MAX_ORDER, EnumRange, free_trees_sharded
 from treelap.errors import BadParam
 from treelap.verify import (
     CSV_HEADER,
@@ -210,12 +211,15 @@ def test_extra_checks_recorded():
         assert rec.checks["lemma26"] is True
 
 
-def test_ceiling_guard():
-    with pytest.raises(BadParam):
-        RunConfig(n_min=4, n_max=17)
-    RunConfig(n_min=4, n_max=17, allow_large=True)
-    with pytest.raises(BadParam):
-        RunConfig(n_min=4, n_max=19, allow_large=True)
+def test_order_limit_is_max_order():
+    # every order up to enumeration.MAX_ORDER needs no flag; the next is
+    # refused by RunConfig itself, before a run opens its sink
+    for n_max in range(17, MAX_ORDER + 1):
+        assert RunConfig(n_min=4, n_max=n_max).n_max == n_max
+    with pytest.raises(BadParam, match=f"up to n = {MAX_ORDER}"):
+        RunConfig(n_min=4, n_max=MAX_ORDER + 1)
+    with pytest.raises(TypeError):
+        RunConfig(n_min=4, n_max=17, allow_large=True)
 
 
 def test_family_sweep_small(tmp_path):
@@ -468,10 +472,10 @@ class TestCli:
             assert err.startswith("error: ") and err.rstrip().endswith("write to another --out")
             assert hashlib.sha256(sink.read_bytes()).hexdigest() == digest
 
-    def test_ceiling_error_names_the_option(self, capsys):
-        code, _ = self.run("check-conjecture", "--n-max", "17")
-        assert code == 1
-        assert "--allow-large" in capsys.readouterr().err
+    def test_allow_large_is_an_unknown_option(self, capsys):
+        code, out = self.run("check-conjecture", "--n-max", "17", "--allow-large")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: unrecognized arguments: --allow-large\n"
 
     def test_bad_input_exit_one(self):
         code, _ = self.run("spectrum", stdin_text="not a tree")
@@ -720,6 +724,32 @@ def test_main_builds_its_parser_once_and_keeps_no_parsed_state(monkeypatch):
     assert configs == [RunConfig(n_min=4, n_max=6, tol=1e-9, shard_index=1, shard_count=2,
                                  checks=("conjecture", "lemma21")),
                        RunConfig(n_min=4, n_max=5)]
+
+
+def test_a_shard_of_order_19_is_certified_and_order_21_is_refused(tmp_path, capsys):
+    # past the old ceiling of 18: the first of 10000 shards of the 317,955 trees on 19 vertices
+    sink, report = tmp_path / "run.jsonl", tmp_path / "report.jsonl"
+    argv = ["check-conjecture", "--n-min", "19", "--n-max", "19", "--shards", "0/10000",
+            "--out", str(sink), "--report", str(report)]
+    assert cli_main(argv) == 0
+    assert "large run: ~317955 trees up to n=19" in capsys.readouterr().err
+    codes = [canonical_code(t).decode("ascii") for t in free_trees_sharded(EnumRange(19, 0, 10000))]
+    assert len(codes) == 317955 // 10000
+    lines = sink.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["code"] for r in records] == codes
+    assert all(r["n"] == 19 and r["checks"] == {"conjecture": True} for r in records)
+    by_code = dict(zip(codes, lines))
+    assert report.read_text().splitlines() == [by_code[code] for code in sorted(codes)]
+    # n = 21 is refused before the sink is read, so even a killed run's partial last line stays
+    with open(sink, "ab") as fh:
+        fh.write(b'{"code":"((')
+    before = sink.read_bytes()
+    argv[argv.index("--n-max") + 1] = "21"
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n = 20" in err
+    assert sink.read_bytes() == before
 
 
 def test_a_large_sharded_run_counts_each_order_once(monkeypatch, capsys):
