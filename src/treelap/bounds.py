@@ -53,6 +53,7 @@ from .errors import BadParam, PendantEdge, check_index
 from .intervals import PI, Enclosure, ge
 from .spectral import (
     average_degree,
+    check_tol,
     count_eigs,
     eigenvalues,
     eigenvalues_many,
@@ -286,9 +287,10 @@ def lemma21_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> lis
     return [[(mult, mult, 1, p - q, p - q, 1, p, q)]] * len(calls)
 
 
-def lemma21_check(tree: Tree) -> BoundReport:
+def lemma21_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """Multiplicity of eigenvalue 1 is at least #leaves - #leaf-neighbors."""
-    ((row,),), (holds,) = _refined(lemma21_sides, tree, [()], 1e-12)  # exact: tol is not read
+    check_tol(tol)
+    ((row,),), (holds,) = _refined(lemma21_sides, tree, [()], tol)
     return _row_report("lemma21", {"n": tree.n, "p": row[6], "q": row[7]}, row, holds)
 
 
@@ -299,14 +301,15 @@ def lemma26_sides(tree: Tree, calls: Sequence[tuple], tol: float = 1e-12) -> lis
     return [[(below, below, 1, need, need, 1)]] * len(calls)
 
 
-def lemma26_check(tree: Tree) -> BoundReport:
+def lemma26_check(tree: Tree, tol: float = 1e-12) -> BoundReport:
     """At least ceil(n/2) eigenvalues lie strictly below the average degree.
 
     Needs n >= 2: the 1-vertex tree's only eigenvalue 0 equals its average
     degree."""
     if tree.n < 2:
         raise BadParam(f"need n >= 2, got n={tree.n}")
-    ((row,),), (holds,) = _refined(lemma26_sides, tree, [()], 1e-12)  # exact: tol is not read
+    check_tol(tol)
+    ((row,),), (holds,) = _refined(lemma26_sides, tree, [()], tol)
     return _row_report("lemma26", {"n": tree.n}, row, holds)
 
 
@@ -789,19 +792,20 @@ _FANOUTS: dict[str, Callable[[Tree], list[tuple]]] = {
 class Check(NamedTuple):
     """One registry entry: the name of a check function in this module, its
     fan-out (a key of _FANOUTS; one call and report per argument tuple),
-    whether it takes a tolerance, whether exhaustive runs may record it
-    (coru, diam4 and lemma25 can report no verdict on a tree by design), its
-    sides function, and the order below which it is out of hypothesis.
+    whether exhaustive runs may record it (coru, diam4 and lemma25 can
+    report no verdict on a tree by design), its sides function, and the
+    order below which it is out of hypothesis.
 
-    reports() serves `bounds` and the API, verdict() an exhaustive run's
-    record.  Every check but lemma25 has a sides function, and both read its
-    rows as _refined refines them; verdict() builds no report.  It is the
-    _all3 of the reports' holds, except where a report makes no claim or is
-    out of hypothesis (coru's, diam4's below n = 19) and shows holds None."""
+    reports() serves `bounds` and the API, calling each check function as
+    fn(tree, *args, tol) (lemma21's and lemma26's rows are exact: they check
+    tol and never refine), verdict() an exhaustive run's record.  Every
+    check but lemma25 has a sides function, and both read its rows as
+    _refined refines them; verdict() builds no report.  It is the _all3 of
+    the reports' holds, except where a report makes no claim or is out of
+    hypothesis (coru's, diam4's below n = 19) and shows holds None."""
 
     fn: str
     fanout: str
-    takes_tol: bool = True
     exhaustive: bool = True
     sides: str | None = None
     min_n: int = 0
@@ -810,7 +814,7 @@ class Check(NamedTuple):
         # looked up at call time, so a replaced module attribute sees every call
         fn = globals()[self.fn]
         for args in _FANOUTS[self.fanout](tree):
-            yield fn(tree, *args, tol) if self.takes_tol else fn(tree, *args)
+            yield fn(tree, *args, tol)
 
     def rows(self, tree: Tree, tol: float) -> tuple[list[list[tuple]], list[bool | None]]:
         """Every call's final rows and its verdict (_refined), from the sides
@@ -823,9 +827,9 @@ class Check(NamedTuple):
 
 
 CHECKS: dict[str, Check] = {
-    "lemma21": Check("lemma21_check", "tree", takes_tol=False, sides="lemma21_sides"),
+    "lemma21": Check("lemma21_check", "tree", sides="lemma21_sides"),
     "lemma22": Check("brouwer_haemers_check", "tree", sides="brouwer_haemers_sides"),
-    "lemma26": Check("lemma26_check", "n >= 2", takes_tol=False, sides="lemma26_sides"),
+    "lemma26": Check("lemma26_check", "n >= 2", sides="lemma26_sides"),
     "lemma31": Check("majorization_check", "k", sides="majorization_sides"),
     "cor31": Check("cor31_check", "k", sides="cor31_sides"),
     "thm31": Check("thm31_lower_bound", "n >= 3", sides="thm31_sides"),

@@ -20,7 +20,7 @@ import sys
 from . import bounds as bounds_mod
 from . import families
 from .charpoly import char_poly
-from .enumeration import MAX_ORDER, EnumRange, _order_count, free_trees_sharded
+from .enumeration import MAX_ORDER, EnumRange, free_trees_sharded
 from .errors import TreelapError
 from .spectral import check_tol, eigenvalues
 from .tree import (
@@ -40,8 +40,6 @@ from .verify import (
     run_family_sweep,
     _g15,
 )
-
-DESK_CEILING = 16  # past this order, check-conjecture prints a "large run" notice
 
 
 def _read_tree(args) -> Tree:
@@ -172,9 +170,6 @@ def _cmd_check_conjecture(args) -> int:
         check_writable(args.report)
         if args.out and _same_file(args.report, args.out):
             raise TreelapError(f"--report {args.report} names the --out sink; write the report to another file")
-    if config.n_max > DESK_CEILING:
-        est = sum(_order_count(n) for n in range(config.n_min, config.n_max + 1))
-        print(f"large run: ~{est} trees up to n={config.n_max}", file=sys.stderr)
     summary = run_exhaustive(config)
     print(summary.describe())
     if args.report:
@@ -233,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("check-conjecture", help="exhaustive verification over free trees", description=(
-        f"Orders go up to {MAX_ORDER}; past {DESK_CEILING} a 'large run' notice goes to stderr.  Every record "
-        "stays in memory until the run ends, about 1 KB each: n <= 20 needs about 1.4 GB (ROADMAP item 10)."))
+        f"Orders go up to {MAX_ORDER}.  Every record stays in memory until the run ends, about 1 KB each: "
+        "n <= 20 (1,346,021 trees from n = 4) needs about 1.4 GB and 389 s on one Xeon core (ROADMAP item 10)."))
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, required=True, help=f"at most {MAX_ORDER}")
     p.add_argument("--tol", type=float, default=1e-12)

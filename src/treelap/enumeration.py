@@ -25,27 +25,26 @@ to MAX_ORDER.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .errors import BadParam, check_index
+from .errors import check_index
 from .tree import Tree, degree_summary
 
 
 @dataclass(frozen=True)
 class EnumRange:
-    """Order n plus an optional (shard_index, shard_count) work split."""
+    """Order n <= MAX_ORDER plus an optional (shard_index, shard_count) split."""
 
     n: int
     shard_index: int = 0
     shard_count: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadParam(f"order must be >= 1, got {self.n}")
-        if self.shard_count < 1:
-            raise BadParam(f"shard count must be >= 1, got {self.shard_count}")
+        check_index("order", self.n, 1, MAX_ORDER)
+        check_index("shard count", self.shard_count, 1, math.inf)
         check_index("shard index", self.shard_index, 0, self.shard_count - 1)
 
 
@@ -117,10 +116,7 @@ def _next_free(seq: list[int]) -> list[int] | None:
 def _free_layouts(n: int) -> Iterator[list[int]]:
     """The canonical level sequences of the free trees on n vertices; n is
     checked at the call, not at the first next()."""
-    if n < 1:
-        raise BadParam(f"order must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise BadParam(f"enumeration is supported up to n = {MAX_ORDER}, got {n}")
+    check_index("order", n, 1, MAX_ORDER)
     return _layouts(n)
 
 
@@ -187,8 +183,8 @@ def count_free_trees(n: int) -> int:
 
 @functools.cache
 def _order_count(n: int) -> int:
-    """count_free_trees(n), counted once per process: sharding and the CLI's
-    large-run estimate both read it."""
+    """count_free_trees(n), counted once per process, only to split an
+    order into shards."""
     return count_free_trees(n)
 
 

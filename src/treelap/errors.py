@@ -33,7 +33,7 @@ class BadParam(TreelapError):
     """A parameter violates an operation's precondition."""
 
 
-def check_index(name: str, value, lo: int, hi: int) -> None:
+def check_index(name: str, value, lo: int, hi: float) -> None:
     """Refuse an index that is not an int in lo..hi; a bool is not an index."""
     if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
         raise BadParam(f"{name}={value!r} out of range {lo}..{hi}")

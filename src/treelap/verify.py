@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Sequence
 
 from . import bounds, families
 from .enumeration import MAX_ORDER, EnumRange, free_trees_sharded
-from .errors import BadParam
+from .errors import BadParam, check_index
 from .spectral import BLOCK, check_tol, eigenvalues, eigenvalues_many
 from .spectral import sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
@@ -42,7 +42,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_tol(self.tol)
-        if not (1 <= self.n_min <= self.n_max <= MAX_ORDER):
+        check_index("n_max", self.n_max, 1, math.inf)
+        check_index("n_min", self.n_min, 1, self.n_max)
+        if self.n_max > MAX_ORDER:
             raise BadParam(f"bad order range {self.n_min}..{self.n_max}: exhaustive runs go up to n = {MAX_ORDER}")
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
 
@@ -153,6 +155,7 @@ def _csv_header(cls) -> str:
 
 CSV_HEADER = _csv_header(VerifyRecord)
 REPORT_FORMATS = ("jsonl", "csv")
+SNS_SEED = 20240901  # seeds a sweep's sns_random members, so every sweep draws the same ones
 
 
 def record_to_json(rec) -> str:
@@ -395,14 +398,12 @@ class SweepConfig:
     tdprime_s: tuple[int, int] = (2, 6)
     broom_ab: tuple[int, int] = (1, 12)
     sns_random: int = 0
-    sns_seed: int = 20240901
     out: str | None = None
     fmt: str = "jsonl"
 
     def __post_init__(self):
         check_tol(self.tol)
-        if self.sns_random < 0:
-            raise BadParam(f"sns_random must be >= 0, got {self.sns_random}")
+        check_index("sns_random", self.sns_random, 0, math.inf)
         _check_format(self.fmt)
 
 
@@ -422,7 +423,7 @@ def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:
             yield "double_broom3", f"a={a},b={b}", families.double_broom3(a, b)
             yield "double_broom4", f"a={a},b={b}", families.double_broom4(a, b)
     if config.sns_random:
-        rng = random.Random(config.sns_seed)
+        rng = random.Random(SNS_SEED)
         for i in range(config.sns_random):
             r = rng.randint(2, 10)
             p = rng.randint(0, 6)

@@ -432,6 +432,18 @@ class TestAggregates:
             assert lemma21_check(t).holds is True
             assert lemma26_check(t).holds is True
 
+    def test_lemma21_and_26_take_a_tol_they_never_refine_with(self):
+        # Check.reports calls them as fn(tree, tol); their rows are exact
+        for n in range(2, 9):
+            for t in free_trees(n):
+                for check in (lemma21_check, lemma26_check):
+                    plain = check(t)
+                    assert all(check(t, tol) == plain for tol in (1e-12, 0.3, 2.0)), (check.__name__, t.edges)
+        for tol in (0.0, -1.0, math.nan, math.inf):  # checked like every other check's tol
+            for check in (lemma21_check, lemma26_check):
+                with pytest.raises(BadParam, match="tol must be"):
+                    check(path(4), tol)
+
     def test_lemma26_needs_two_vertices(self):
         # K1's only eigenvalue 0 equals its average degree 0
         k1 = path(1)
@@ -508,7 +520,7 @@ class TestRegistry:
             assert CHECKS["diam4"].verdict(by_verdict, tol) == diam4_energy_check(by_report, tol).holds, args
 
     def test_check_function_is_looked_up_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(bounds, "lemma26_check", lambda tree: "replaced")
+        monkeypatch.setattr(bounds, "lemma26_check", lambda tree, tol: "replaced")
         assert list(CHECKS["lemma26"].reports(star(5), 1e-12)) == ["replaced"]
 
 

@@ -116,18 +116,20 @@ def test_sharding_degenerate():
 
 
 def test_param_validation():
-    with pytest.raises(BadParam):
-        EnumRange(0)
-    for index in (3, -1, True):  # a bool is not a shard index
+    # an order, a shard count or a shard index is an int, not a bool or a float
+    for args in ((0,), (MAX_ORDER + 1,), (5.0,), (True,), (6, 0, 0), (6, 0, 2.0), (6, 0, True),
+                 (5, 3, 2), (5, -1, 2), (5, True, 2)):
         with pytest.raises(BadParam):
-            EnumRange(5, index, 2)
+            EnumRange(*args)
     with pytest.raises(BadParam):
         count_free_trees(21)
     with pytest.raises(BadParam):
         next(free_trees(0))
 
 
-@pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+@pytest.mark.parametrize("n", [0, MAX_ORDER + 1, True, 5.0])
 def test_free_trees_checks_the_order_at_the_call(n):
     with pytest.raises(BadParam):
         free_trees(n)  # not only at the first next()
+    with pytest.raises(BadParam):  # a bool is not order 1, nor a float an order
+        count_free_trees(n)

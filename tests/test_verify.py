@@ -218,6 +218,11 @@ def test_order_limit_is_max_order():
         assert RunConfig(n_min=4, n_max=n_max).n_max == n_max
     with pytest.raises(BadParam, match=f"up to n = {MAX_ORDER}"):
         RunConfig(n_min=4, n_max=MAX_ORDER + 1)
+    # an order is an int: a float fails here, not as a TypeError in the run,
+    # and a bool is not order 1
+    for bad in ({"n_max": 5.0}, {"n_min": True}, {"n_min": 4.0}, {"n_min": 6, "n_max": 5}, {"n_min": 0}):
+        with pytest.raises(BadParam):
+            RunConfig(**{"n_min": 4, "n_max": 5, **bad})
     with pytest.raises(TypeError):
         RunConfig(n_min=4, n_max=17, allow_large=True)
 
@@ -291,7 +296,7 @@ def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
-                                 {"sns_random": -1}])
+                                 {"sns_random": -1}, {"sns_random": 2.5}, {"sns_random": True}])
 def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkeypatch):
     def no_trees(config):
         raise AssertionError("a tree was built before the config was checked")
@@ -732,7 +737,7 @@ def test_a_shard_of_order_19_is_certified_and_order_21_is_refused(tmp_path, caps
     argv = ["check-conjecture", "--n-min", "19", "--n-max", "19", "--shards", "0/10000",
             "--out", str(sink), "--report", str(report)]
     assert cli_main(argv) == 0
-    assert "large run: ~317955 trees up to n=19" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
     codes = [canonical_code(t).decode("ascii") for t in free_trees_sharded(EnumRange(19, 0, 10000))]
     assert len(codes) == 317955 // 10000
     lines = sink.read_text().splitlines()
@@ -752,16 +757,16 @@ def test_a_shard_of_order_19_is_certified_and_order_21_is_refused(tmp_path, caps
     assert sink.read_bytes() == before
 
 
-def test_a_large_sharded_run_counts_each_order_once(monkeypatch, capsys):
-    # the "large run" estimate and the shard split share one count per order
-    from treelap import cli, enumeration
+def test_a_large_sharded_run_counts_each_order_once(monkeypatch):
+    # a shard split counts each order once per process; an unsharded run counts none
+    from treelap import enumeration
 
-    monkeypatch.setattr(cli, "DESK_CEILING", 5)
     counted = []
     real = enumeration.count_free_trees
     monkeypatch.setattr(enumeration, "count_free_trees", lambda n: counted.append(n) or real(n))
     enumeration._order_count.cache_clear()
+    assert cli_main(["check-conjecture", "--n-min", "4", "--n-max", "7"]) == 0
+    assert counted == []
     for shard in ("0/2", "1/2"):
         assert cli_main(["check-conjecture", "--n-min", "4", "--n-max", "7", "--shards", shard]) == 0
-        assert "large run: ~22 trees up to n=7" in capsys.readouterr().err
     assert sorted(counted) == [4, 5, 6, 7]
