@@ -185,8 +185,7 @@ def _refined(sides: Callable, tree: Tree, calls: Sequence[tuple], tol: float, mi
 
 def path_energy_upper(n: int) -> Enclosure:
     """The certified value 2 + 4n/pi (upper bound for LE of the n-path)."""
-    if n < 1:
-        raise BadParam(f"need n >= 1, got {n}")
+    check_index("n", n, 1, math.inf)
     # over PI.lo_n * PI.hi_n, where 4n / PI.hi = 4n PI.den PI.lo_n / (PI.lo_n PI.hi_n)
     a, b, scaled = PI.lo_n, PI.hi_n, 4 * n * PI.den
     return Enclosure(2 * a * b + scaled * a, 2 * a * b + scaled * b, a * b)
@@ -194,8 +193,7 @@ def path_energy_upper(n: int) -> Enclosure:
 
 def star_energy_exact(n: int) -> Fraction:
     """LE(S_n) = 2n - 4 + 4/n exactly (n >= 2); the 1-vertex tree has LE 0."""
-    if n < 1:
-        raise BadParam(f"need n >= 1, got {n}")
+    check_index("n", n, 1, math.inf)
     return _star_energy(n).lo
 
 
@@ -213,8 +211,7 @@ def path_energy_closed_form(n: int) -> Enclosure:
     <= 4 (< 6e-15 absolute error), and the terms are totalled with
     math.fsum, so the allowance is conservative by more than 1.5x.
     """
-    if n < 1:
-        raise BadParam(f"need n >= 1, got {n}")
+    check_index("n", n, 1, math.inf)
     if n == 1:
         return Enclosure.exact(0)
     db = 2 - 2 / n
@@ -344,8 +341,8 @@ def thm31_condition(n: int, s: int) -> bool:
     the simplified form, which is the stronger requirement and still
     sufficient.)
     """
-    if n < 1 or s < 0:
-        raise BadParam(f"need n >= 1 and s >= 0, got ({n}, {s})")
+    check_index("n", n, 1, math.inf)
+    check_index("s", s, 0, math.inf)
     # over PI.lo_n * PI.hi_n, as in path_energy_upper
     a, b, scaled = PI.lo_n, PI.hi_n, 2 * n * PI.den
     lhs = Enclosure(n * a * b - scaled * b, n * a * b - scaled * a, a * b)
@@ -357,6 +354,7 @@ def thm31_condition(n: int, s: int) -> bool:
 
 def thm31_minimal_n(s: int) -> int:
     """Smallest n < THM31_N_LIMIT meeting the condition (monotone in n)."""
+    check_index("s", s, 0, math.inf)
     for n in range(max(s + 2, 3), THM31_N_LIMIT):
         if thm31_condition(n, s):
             return n

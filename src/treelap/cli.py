@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -34,8 +33,7 @@ from .verify import (
     REPORT_FORMATS,
     RunConfig,
     SweepConfig,
-    check_writable,
-    emit_report,
+    emit_report,  # noqa: F401  (kept as cli.emit_report, a name the benchmark tracer wraps)
     run_exhaustive,
     run_family_sweep,
     _g15,
@@ -147,33 +145,14 @@ def _exit_code(summary) -> int:
     return 2 if summary.violations else 3 if summary.undecided else 0
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: the same real path, or, when both
-    exist, the same file by os.path.samefile (a hard link)."""
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
-    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-
-
 def _cmd_check_conjecture(args) -> int:
     i, k = _parse_shards(args.shards)
-    config = RunConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        tol=args.tol,
-        shard_index=i,
-        shard_count=k,
-        out=args.out,
-        checks=("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ()),
-    )
-    if args.report:
-        check_writable(args.report)
-        if args.out and _same_file(args.report, args.out):
-            raise TreelapError(f"--report {args.report} names the --out sink; write the report to another file")
+    checks = ("conjecture",) + (tuple(args.checks.split(",")) if args.checks else ())
+    config = RunConfig(n_min=args.n_min, n_max=args.n_max, tol=args.tol, shard_index=i, shard_count=k,
+                       out=args.out, checks=checks, report=args.report, fmt=args.format)
     summary = run_exhaustive(config)
     print(summary.describe())
     if args.report:
-        emit_report(summary.records, args.format, args.report)
         print(f"report written to {args.report}")
     return _exit_code(summary)
 
@@ -228,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("check-conjecture", help="exhaustive verification over free trees", description=(
-        f"Orders go up to {MAX_ORDER}.  Every record stays in memory until the run ends, about 1 KB each: "
-        "n <= 20 (1,346,021 trees from n = 4) needs about 1.4 GB and 389 s on one Xeon core (ROADMAP item 10)."))
+        f"Orders go up to {MAX_ORDER}.  The report is written one order at a time: n <= 18 peaks at 37 MB without it, "
+        "n <= 20 (1,346,021 trees from n = 4) at 440 MB with --out and --report (ROADMAP item 10)."))
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, required=True, help=f"at most {MAX_ORDER}")
     p.add_argument("--tol", type=float, default=1e-12)

@@ -18,28 +18,27 @@ t_dprime(r, s1, s2)   sns(0, r, [s1, s2, 1, ..., 1]),    n = 2r + s1 + s2 - 1
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .errors import BadParam
+from .errors import BadParam, check_index
 from .tree import Tree, diameter, diametral_path
 
 
 def path(n: int) -> Tree:
-    if n < 1:
-        raise BadParam(f"path needs n >= 1, got {n}")
+    check_index("n", n, 1, math.inf)
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Tree:
-    if n < 2:
-        raise BadParam(f"star needs n >= 2, got {n}")
+    check_index("n", n, 2, math.inf)
     return Tree(n, [(0, v) for v in range(1, n)])
 
 
 def double_broom3(a: int, b: int) -> Tree:
     """Centers 0-1; a leaves on 0, b leaves on 1; n = a + b + 2."""
-    if a < 1 or b < 1:
-        raise BadParam(f"double_broom3 needs a, b >= 1, got ({a}, {b})")
+    check_index("a", a, 1, math.inf)
+    check_index("b", b, 1, math.inf)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
@@ -51,8 +50,8 @@ def double_broom4(a: int, b: int) -> Tree:
 
     This is the unique diameter-4 shape whose 3 internal vertices form a path.
     """
-    if a < 1 or b < 1:
-        raise BadParam(f"double_broom4 needs a, b >= 1, got ({a}, {b})")
+    check_index("a", a, 1, math.inf)
+    check_index("b", b, 1, math.inf)
     edges = [(0, 1), (0, 2)]
     edges += [(1, 3 + i) for i in range(a)]
     edges += [(2, 3 + a + i) for i in range(b)]
@@ -65,14 +64,12 @@ def sns_tree(p: int, r: int, s: Sequence[int]) -> Tree:
     n = p + r + 1 + sum(s); diameter 4 requires at least two nonzero s[i].
     """
     s = list(s)
-    if p < 0:
-        raise BadParam(f"sns_tree needs p >= 0, got {p}")
-    if r < 2:
-        raise BadParam(f"sns_tree needs r >= 2, got {r}")
+    check_index("p", p, 0, math.inf)
+    check_index("r", r, 2, math.inf)
     if len(s) != r:
         raise BadParam(f"sns_tree needs len(s) == r, got {len(s)} != {r}")
-    if any(si < 0 for si in s):
-        raise BadParam(f"sns_tree needs every s[i] >= 0, got {s}")
+    for si in s:
+        check_index("s[i]", si, 0, math.inf)
     if sum(1 for si in s if si > 0) < 2:
         raise BadParam(f"sns_tree needs at least two nonzero s[i], got {s}")
     edges = [(0, i) for i in range(1, r + 1)]
@@ -89,20 +86,23 @@ def sns_tree(p: int, r: int, s: Sequence[int]) -> Tree:
 
 def t4_spider(a: int, b: int) -> Tree:
     """All-ones spider on n = 2(a+b) + 1 vertices; spectrum depends on a+b only."""
-    if a < 0 or b < 0 or a + b < 2:
-        raise BadParam(f"t4_spider needs a, b >= 0 with a + b >= 2, got ({a}, {b})")
+    check_index("a", a, 0, math.inf)
+    check_index("b", b, 0, math.inf)
+    if a + b < 2:
+        raise BadParam(f"t4_spider needs a + b >= 2, got ({a}, {b})")
     return sns_tree(0, a + b, [1] * (a + b))
 
 
 def t_prime(r: int, s1: int) -> Tree:
-    if r < 2 or s1 < 2:
-        raise BadParam(f"t_prime needs r >= 2 and s1 >= 2, got ({r}, {s1})")
+    check_index("r", r, 2, math.inf)
+    check_index("s1", s1, 2, math.inf)
     return sns_tree(0, r, [s1] + [1] * (r - 1))
 
 
 def t_dprime(r: int, s1: int, s2: int) -> Tree:
-    if r < 3 or s1 < 2 or s2 < 2:
-        raise BadParam(f"t_dprime needs r >= 3 and s1, s2 >= 2, got ({r}, {s1}, {s2})")
+    check_index("r", r, 3, math.inf)
+    check_index("s1", s1, 2, math.inf)
+    check_index("s2", s2, 2, math.inf)
     return sns_tree(0, r, [s1, s2] + [1] * (r - 2))
 
 

@@ -1,19 +1,19 @@
 """Verification harness: exhaustive conjecture runs and family sweeps.
 
 Records are append-only line-delimited JSON keyed by the canonical code, so
-an interrupted run can resume without duplicating work; emit_report rewrites
-a deterministic artifact (sorted, floats at 15 significant digits) that is
-byte-identical across reruns with the same configuration.
+an interrupted run can resume without duplicating work.  A run's report is a
+deterministic artifact (sorted, floats at 15 significant digits) that is
+byte-identical across reruns with the same configuration; an exhaustive run
+writes it one order at a time and keeps tallies, not records.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import random
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Collection, Iterable, Sequence
@@ -29,8 +29,11 @@ from .tree import Tree, canonical_code, degree_summary, diameter
 @dataclass(frozen=True)
 class RunConfig:
     """An exhaustive run over the orders n_min..n_max <= MAX_ORDER (20), refused
-    here past it, before any sink is opened.  Every record (about 1 KB) stays in
-    memory until the run ends: n <= 20 needs about 1.4 GB (ROADMAP item 10)."""
+    here past it, before any sink is opened.  With a report path, the run
+    writes its report in fmt, each order's sorted slice when that order ends,
+    and keeps no record past its tally.  So memory follows the largest order
+    reported: n <= 18 peaks at 37 MB without a report and 98 MB with a sink
+    and a report, n <= 20 at 440 MB with both (ROADMAP item 10)."""
 
     n_min: int = 4
     n_max: int = 10
@@ -39,6 +42,8 @@ class RunConfig:
     shard_count: int = 1
     out: str | None = None
     checks: tuple[str, ...] = ("conjecture",)
+    report: str | None = None
+    fmt: str = "jsonl"
 
     def __post_init__(self):
         check_tol(self.tol)
@@ -47,22 +52,11 @@ class RunConfig:
         if self.n_max > MAX_ORDER:
             raise BadParam(f"bad order range {self.n_min}..{self.n_max}: exhaustive runs go up to n = {MAX_ORDER}")
         EnumRange(self.n_min, self.shard_index, self.shard_count)  # validates shards
-
-
-class _Record:
-    """A record's JSON line, made once per record object: run_exhaustive
-    writes it to the sink and a jsonl report reuses it.  A record read back
-    from a sink is a new object, serialized anew, as the sink's bytes need
-    not be canonical.  Records are immutable by convention, as Enclosure is
-    (a frozen dataclass pays object.__setattr__ per field on every tree)."""
-
-    @functools.cached_property
-    def json_line(self) -> str:
-        return record_to_json(self)
+        _check_format(self.fmt)
 
 
 @dataclass
-class VerifyRecord(_Record):
+class VerifyRecord:
     code: str
     n: int
     diam: int
@@ -78,7 +72,7 @@ class VerifyRecord(_Record):
 
 
 @dataclass
-class SweepRecord(_Record):
+class SweepRecord:
     family: str
     params: str
     n: int
@@ -185,6 +179,32 @@ def check_writable(path: str) -> None:
         raise BadParam(f"cannot write {path}: not a file name in a writable directory")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same real path, or, when both
+    exist, the same file by os.path.samefile (a hard link)."""
+    exist = os.path.exists(a) and os.path.exists(b)
+    return os.path.realpath(a) == os.path.realpath(b) or exist and os.path.samefile(a, b)
+
+
+@contextmanager
+def _report_file(path: str, fmt: str, cls: type):
+    """The report's open file, a CSV one headed for rows of cls.  It is
+    written under a temporary name in the report's directory and takes the
+    report's name when the block ends: a refused, failed or interrupted run
+    leaves no report and no partial one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            if fmt == "csv":
+                fh.write(_csv_header(cls) + "\n")
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def emit_report(records: Sequence, fmt: str, path: str) -> None:
     """Deterministic report of verification records, bit-stable."""
     _write_report(VerifyRecord, records, fmt, path)
@@ -197,15 +217,9 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
     _check_format(fmt)
     if fmt == "csv" and any(type(rec) is not cls for rec in records):
         raise BadParam(f"a CSV report of {cls.__name__} rows holds only {cls.__name__} records")
-    ordered = sorted(records, key=_sort_key)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if fmt == "csv":
-            fh.write(_csv_header(cls) + "\n")
-            for rec in ordered:
-                fh.write(record_to_csv(rec) + "\n")
-        else:
-            for rec in ordered:
-                fh.write(rec.json_line + "\n")
+    to_text = record_to_csv if fmt == "csv" else record_to_json
+    with _report_file(path, fmt, cls) as fh:
+        fh.writelines(to_text(rec) + "\n" for rec in sorted(records, key=_sort_key))
 
 
 # VerifyRecord field annotation -> the JSON value types a sink line may hold.
@@ -275,7 +289,6 @@ class RunSummary:
     min_slack: float | None = None
     argmin_code: str = ""
     counts_by_n: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
 
     def describe(self) -> str:
         lines = [
@@ -290,7 +303,6 @@ class RunSummary:
 
     def _tally(self, rec, verdicts: Collection[bool | None], label: str) -> None:
         """Count one record: a False verdict is a violation, a None one undecided."""
-        self.records.append(rec)
         self.counts_by_n[rec.n] = self.counts_by_n.get(rec.n, 0) + 1
         if False in verdicts:  # verdicts are True, False or None
             self.violations += 1
@@ -333,55 +345,61 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     check (plus any enabled bound checks), appending one record per tree.
 
     Trees already recorded in the sink are not evaluated again, but their
-    records join the summary, so a resumed run reports and exits as an
-    uninterrupted one would.  A sink whose records carry another set of
-    checks, or were made at another tolerance, is refused, and left as it
-    was (_load_sink).  For the length of the enumeration the bound checks
-    share T - e components per isomorphism class (see bounds._shared_split).
+    records join the tallies and the report, so a resumed run reports and
+    exits as an uninterrupted one would.  A sink of other checks or another
+    tolerance is refused and left as it was (_load_sink); so is a report path
+    that cannot be written or names the sink.  The bound checks share T - e
+    components per isomorphism class for the whole run (bounds._shared_split).
 
     The trees of one order go through in blocks of up to BLOCK: the spectra
-    of a block's trees not in the sink are computed together
-    (spectral.eigenvalues_many).  Then bounds._file_components files the
-    block's T - e components and proves the ones without a spectrum
-    together, if a configured check reads them.  Then each tree is checked
-    and its record written in enumeration order; a sink line is the
-    record's json_line, which a jsonl report reuses.  That per-tree step
-    (_evaluate, one record_to_json call, the sink write and _tally) reads
-    the conjecture's sides made once per order and tolerance, the tree's
-    LE summed in one pass over its enclosures, and one format string per
-    record type.  Each tree comes built from its level sequence
-    (enumeration._layout_to_tree), with its diameter, degree summary and
-    orientation at the layout root already filed; its counts are taken
-    from that root (Tree.count_root), and its record key and the report
-    order are the centroid-rooted canonical code.
+    of a block's fresh trees are computed together (eigenvalues_many), and
+    bounds._file_components files their T - e components if a configured
+    check reads them.  Then each tree is checked and tallied in enumeration
+    order; a fresh record's line is made by one record_to_json call, right
+    after its verdict, if the sink or a jsonl report takes it.  The report is
+    sorted by (n, code), the canonical code, so each order's (code, line)
+    pairs are sorted and written when that order ends (_report_file), and no
+    record is kept past its tally.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
         if c not in accepted:
             raise BadParam(f"unknown check id {c!r}; exhaustive runs accept {', '.join(accepted)}")
+    if config.report:
+        check_writable(config.report)
+        if config.out and _same_file(config.report, config.out):
+            raise BadParam(f"--report {config.report} names the --out sink; write the report to another file")
     wanted = {"conjecture", *config.checks}
+    jsonl_report = bool(config.report) and config.fmt == "jsonl"
     summary = RunSummary()
     existing = _load_sink(config.out, wanted, config.tol) if config.out else {}
+    report_file = _report_file(config.report, config.fmt, VerifyRecord) if config.report else nullcontext()
     sink_file = open(config.out, "a", encoding="ascii", newline="\n") if config.out else nullcontext()
-    with sink_file as sink, bounds._shared_components():
+    with report_file as report, sink_file as sink, bounds._shared_components():
         for n in range(config.n_min, config.n_max + 1):
             summary.counts_by_n[n] = 0
+            lines = []  # this order's (code, report line) pairs
             trees = iter(free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)))
             while block := [(canonical_code(t).decode("ascii"), t) for t in islice(trees, BLOCK)]:
                 fresh = [tree for code, tree in block if code not in existing]
                 if fresh:
                     eigenvalues_many(fresh, config.tol)
                     bounds._file_components(fresh, config)
+                summary.trees += len(fresh)
+                summary.skipped += len(block) - len(fresh)
                 for code, tree in block:
-                    rec = existing.get(code)
-                    if rec is not None:
-                        summary.skipped += 1
-                    else:
+                    rec, line = existing.pop(code, None), None
+                    if rec is None:
                         rec = _evaluate(tree, code, config)
-                        summary.trees += 1
+                        line = record_to_json(rec) if sink or jsonl_report else None
                         if sink:
-                            sink.write(rec.json_line + "\n")
+                            sink.write(line + "\n")
+                    if report:
+                        lines.append((code, (line or record_to_json(rec)) if jsonl_report else record_to_csv(rec)))
                     summary._tally(rec, rec.checks.values(), code)
+            if report:
+                lines.sort()
+                report.writelines(text + "\n" for _, text in lines)
     return summary
 
 
@@ -403,6 +421,9 @@ class SweepConfig:
 
     def __post_init__(self):
         check_tol(self.tol)
+        for name in ("t4_ab", "tprime_r", "tprime_s1", "tdprime_r", "tdprime_s", "broom_ab"):
+            for end in getattr(self, name):  # lo > hi is an empty range: it switches a family off
+                check_index(name, end, 0, math.inf)
         check_index("sns_random", self.sns_random, 0, math.inf)
         _check_format(self.fmt)
 
@@ -440,6 +461,7 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
     if config.out:
         check_writable(config.out)
     summary = RunSummary()
+    records = []
     for family, params, tree in _sweep_trees(config):
         n = tree.n
         if diameter(tree) == 4:
@@ -464,6 +486,7 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
         )
         summary.trees += 1
         summary._tally(rec, verdicts, f"{family}({params})")
+        records.append(rec)
     if config.out:
-        _write_report(SweepRecord, summary.records, config.fmt, config.out)
+        _write_report(SweepRecord, records, config.fmt, config.out)
     return summary

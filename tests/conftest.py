@@ -49,7 +49,8 @@ package so that `src/` has one implementation of each thing:
 * `le_by_top_sum`, the energy enclosure read off running sums over every
   index (the package sums the distinct enclosures in one pass),
 * `record_json_by_join`, a record's JSON line joined field by field (the
-  package fills one format string per record type),
+  package fills one format string per record type), and `read_records`,
+  the records of a run's jsonl report or sink (a run keeps none),
 * `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
   comparison, midpoint, error and slack of an enclosure computed on
   Fraction endpoints (the package decides them by integer
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import os
 import random
@@ -80,7 +82,7 @@ from treelap.errors import BadParam
 from treelap.intervals import Enclosure
 from treelap.spectral import EigCounts, Spectrum, _laplacians, average_degree, count_eigs
 from treelap.tree import Tree, canonical_code, delete_edge, from_pruefer, side_codes
-from treelap.verify import _FIELDS
+from treelap.verify import _FIELDS, VerifyRecord
 
 
 # ---------------------------------------------------------------- labeled census
@@ -942,6 +944,14 @@ def record_json_by_join(rec) -> str:
     `verify._FIELDS`: the text record_to_json's one format string per
     record type must give."""
     return "{" + ",".join(f'"{name}":{to_json(getattr(rec, name))}' for name, to_json, _ in _FIELDS[type(rec)]) + "}"
+
+
+def read_records(path) -> list[VerifyRecord]:
+    """The records of a run's jsonl report or sink, in file order: a report
+    is sorted by (n, code), a sink in enumeration order, and both hold
+    floats at the report's 15 significant digits."""
+    with open(path, encoding="ascii") as fh:
+        return [VerifyRecord(**json.loads(line)) for line in fh]
 
 
 # ------------------------------------------------------------------- randomness

@@ -38,7 +38,7 @@ from treelap.spectral import average_degree, count_eigs, eigenvalues, laplacian_
 from treelap.tree import Tree, canonical_code, degree_summary, diameter
 from treelap.verify import RunConfig, SweepRecord, emit_report, run_exhaustive
 
-from conftest import oracle_counts, otter_free_tree_counts, random_tree
+from conftest import oracle_counts, otter_free_tree_counts, random_tree, read_records
 
 EXPECTED_COUNTS = [2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]  # n = 4..16
 
@@ -52,10 +52,8 @@ def workdir(tmp_path_factory):
 
 
 def _criterion1_run(report_path: str):
-    config = RunConfig(n_min=4, n_max=16, tol=1e-12)
-    summary = run_exhaustive(config)
-    emit_report(summary.records, "jsonl", report_path)
-    return summary
+    config = RunConfig(n_min=4, n_max=16, tol=1e-12, report=report_path)
+    return run_exhaustive(config)
 
 
 @pytest.fixture(scope="session")
@@ -66,14 +64,14 @@ def c1_summary(workdir):
     return summary
 
 
-def test_criterion_1_conjecture_reproduction(c1_summary):
+def test_criterion_1_conjecture_reproduction(c1_summary, workdir):
     otter = otter_free_tree_counts(16)
     assert otter[4:17] == EXPECTED_COUNTS
     assert [c1_summary.counts_by_n[n] for n in range(4, 17)] == EXPECTED_COUNTS
     assert c1_summary.violations == 0
     assert c1_summary.undecided == 0
     extremal = {0.0}
-    for rec in c1_summary.records:
+    for rec in read_records(workdir / "conjecture_n16_run1.jsonl"):
         assert rec.checks["conjecture"] is True
         # certified slack is strictly positive except for P_n and S_n themselves
         if rec.slack <= 0.0:

@@ -44,9 +44,9 @@ from treelap.families import (
 )
 from treelap.spectral import average_degree, laplacian_energy, sigma
 from treelap.tree import Tree, canonical_code, delete_edge, diameter, side_codes
-from treelap.verify import RunConfig, run_exhaustive
+from treelap.verify import RunConfig, record_to_json, run_exhaustive
 
-from conftest import random_tree, rooted_side_code
+from conftest import random_tree, read_records, rooted_side_code
 
 
 class TestPathEnergyBound:
@@ -159,13 +159,20 @@ class TestCor31:
 
 
 _SNS = sns_tree(0, 2, [2, 2])  # n = 7
-_INDEXED = {  # entry point -> (its index's range on _SNS, the call)
+_INDEXED = {  # entry point -> (its index's range, on _SNS where it takes a tree; the call)
     "majorization_check": ((1, 6), lambda k: majorization_check(_SNS, k)),
     "cor31_check": ((1, 6), lambda k: cor31_check(_SNS, k)),
     "cor31_lower_bound": ((1, 6), lambda k: cor31_lower_bound(_SNS, k)),
     "spectral.s_k": ((1, 7), lambda k: spectral.s_k(_SNS, k)),
     "Spectrum.s_k": ((0, 7), lambda k: spectral.eigenvalues(_SNS).s_k(k)),
     "Spectrum.enclosure": ((1, 7), lambda i: spectral.eigenvalues(_SNS).enclosure(i)),
+    "path_energy_upper": ((1, math.inf), path_energy_upper),
+    "path_energy_closed_form": ((1, math.inf), path_energy_closed_form),
+    "path_energy_bound_check": ((1, math.inf), path_energy_bound_check),
+    "star_energy_exact": ((1, math.inf), star_energy_exact),
+    "thm31_condition n": ((1, math.inf), lambda n: thm31_condition(n, 1)),
+    "thm31_condition s": ((0, math.inf), lambda s: thm31_condition(20, s)),
+    "thm31_minimal_n": ((0, math.inf), thm31_minimal_n),
 }
 
 
@@ -173,9 +180,10 @@ _INDEXED = {  # entry point -> (its index's range on _SNS, the call)
 @pytest.mark.parametrize("bad", ["True", "2.0", "below", "past"])
 def test_an_index_that_is_not_an_int_in_range_is_refused(name, bad):
     # a bool is not k = 1 and a float is not an index: both are BadParam, as an
-    # index outside the range is, not a TypeError or a report with "k": true
+    # index outside the range is, not a TypeError or a report with "k": true;
+    # past an unbounded range is inf, a float
     (lo, hi), call = _INDEXED[name]
-    call(hi)  # the last index is accepted
+    call(lo if hi == math.inf else hi)  # the last index, or the first of an unbounded range, is accepted
     index = {"True": True, "2.0": 2.0, "below": lo - 1, "past": hi + 1}[bad]
     with pytest.raises(BadParam, match="out of range"):
         call(index)
@@ -715,7 +723,9 @@ class TestSharedComponents:
 
     def test_sharded_and_resumed_runs_file_only_their_fresh_trees(self, tmp_path, monkeypatch):
         config = {"n_min": 8, "n_max": 9, "checks": ("thm32",)}
-        full = run_exhaustive(RunConfig(**config))
+        full_report, resumed_report = tmp_path / "full-report.jsonl", tmp_path / "resumed-report.jsonl"
+        run_exhaustive(RunConfig(**config, out=str(tmp_path / "full.jsonl"), report=str(full_report)))
+        full = read_records(tmp_path / "full.jsonl")  # enumeration order
         filings = self._spy_filing(monkeypatch)
 
         def filed_for(records) -> None:
@@ -729,17 +739,18 @@ class TestSharedComponents:
 
         merged = []
         for i in range(2):
-            shard = run_exhaustive(RunConfig(**config, shard_index=i, shard_count=2))
-            filed_for(shard.records)
-            merged += shard.records
-        assert sorted(merged, key=lambda r: (r.n, r.code)) == sorted(full.records, key=lambda r: (r.n, r.code))
+            run_exhaustive(RunConfig(**config, shard_index=i, shard_count=2, out=str(tmp_path / f"{i}.jsonl")))
+            shard = read_records(tmp_path / f"{i}.jsonl")
+            filed_for(shard)
+            merged += shard
+        assert sorted(merged, key=lambda r: (r.n, r.code)) == sorted(full, key=lambda r: (r.n, r.code))
 
         sink = tmp_path / "records.jsonl"
-        sink.write_text("".join(rec.json_line + "\n" for rec in full.records[::3]))
-        resumed = run_exhaustive(RunConfig(**config, out=str(sink)))
-        filed_for([r for i, r in enumerate(full.records) if i % 3])
-        assert resumed.skipped == len(full.records[::3])
-        assert [r.json_line for r in resumed.records] == [r.json_line for r in full.records]
+        sink.write_text("".join(record_to_json(rec) + "\n" for rec in full[::3]))
+        resumed = run_exhaustive(RunConfig(**config, out=str(sink), report=str(resumed_report)))
+        filed_for([r for i, r in enumerate(full) if i % 3])
+        assert resumed.skipped == len(full[::3])
+        assert resumed_report.read_bytes() == full_report.read_bytes()
 
     def test_a_conjecture_only_run_files_nothing(self, monkeypatch):
         filings = self._spy_filing(monkeypatch)

@@ -131,3 +131,16 @@ def test_sns_params_classifier():
     assert sns_kind(sns_tree(1, 2, [1, 1])) == "general"
     assert sns_kind(sns_tree(0, 3, [2, 2, 2])) == "general"
     assert sns_kind(path(9)) is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path(2.0), lambda: path(True), lambda: star(3.0),
+    lambda: double_broom3(True, 1), lambda: double_broom4(1, 2.0),
+    lambda: sns_tree(True, 2, [1, 1]), lambda: sns_tree(0, 2.0, [1, 1]), lambda: sns_tree(0, 2, [1, True]),
+    lambda: sns_tree(0, 2, [1.0, 1]), lambda: t4_spider(1.0, 1), lambda: t_prime(2, True), lambda: t_dprime(3, 2, 2.0),
+], ids=["path-float", "path-bool", "star-float", "broom3-bool", "broom4-float", "sns-p-bool", "sns-r-float",
+        "sns-s-bool", "sns-s-float", "t4-float", "tprime-bool", "tdprime-float"])
+def test_a_parameter_that_is_not_an_int_is_refused(build):
+    # a bool is not a count and a float is not one either: BadParam, not a TypeError or a tree
+    with pytest.raises(BadParam, match="out of range"):
+        build()

@@ -9,6 +9,7 @@ import os
 import resource
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -30,25 +31,27 @@ from treelap.verify import (
 from treelap.cli import main as cli_main
 from treelap.tree import canonical_code
 
-from conftest import run_cli
+from conftest import read_records, run_cli
 
 
 def test_run_exhaustive_counts_and_zero_violations(tmp_path):
-    config = RunConfig(n_min=4, n_max=7, tol=1e-12)
+    report = tmp_path / "report.jsonl"
+    config = RunConfig(n_min=4, n_max=7, tol=1e-12, report=str(report))
     summary = run_exhaustive(config)
     assert summary.counts_by_n == {4: 2, 5: 3, 6: 6, 7: 11}
     assert summary.trees == 22
     assert summary.violations == 0 and summary.undecided == 0
     assert summary.min_slack == 0.0  # the paths and stars themselves
     # min LE tree at n=4 is the path: every non-path slack is positive
-    for rec in summary.records:
+    for rec in read_records(report):
         assert rec.checks["conjecture"] is True
         assert rec.slack >= 0.0
 
 
-def test_min_le_tree_is_path_at_n4():
-    summary = run_exhaustive(RunConfig(n_min=4, n_max=4))
-    by_le = sorted(summary.records, key=lambda r: r.le)
+def test_min_le_tree_is_path_at_n4(tmp_path):
+    report = tmp_path / "report.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=4, report=str(report)))
+    by_le = sorted(read_records(report), key=lambda r: r.le)
     assert by_le[0].le < by_le[1].le
     from treelap.families import path
     from treelap.tree import canonical_code
@@ -72,18 +75,22 @@ def test_record_formats():
 
 
 def test_emit_report_deterministic(tmp_path):
-    summary = run_exhaustive(RunConfig(n_min=4, n_max=6))
+    # emit_report of a run's records, read back from its report, rewrites that report
+    run1, run2, run_csv = tmp_path / "run1.jsonl", tmp_path / "run2.jsonl", tmp_path / "run.csv"
+    summary = run_exhaustive(RunConfig(n_min=4, n_max=6, report=str(run1)))
     p1 = tmp_path / "a.jsonl"
     p2 = tmp_path / "b.jsonl"
-    emit_report(summary.records, "jsonl", str(p1))
-    summary2 = run_exhaustive(RunConfig(n_min=4, n_max=6))
-    emit_report(summary2.records, "jsonl", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+    emit_report(read_records(run1), "jsonl", str(p1))
+    run_exhaustive(RunConfig(n_min=4, n_max=6, report=str(run2)))
+    emit_report(read_records(run2), "jsonl", str(p2))
+    assert p1.read_bytes() == p2.read_bytes() == run1.read_bytes()
     pcsv = tmp_path / "a.csv"
-    emit_report(summary.records, "csv", str(pcsv))
+    emit_report(read_records(run1), "csv", str(pcsv))
     lines = pcsv.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + summary.trees
+    run_exhaustive(RunConfig(n_min=4, n_max=6, report=str(run_csv), fmt="csv"))
+    assert run_csv.read_bytes() == pcsv.read_bytes()
 
 
 def test_resume_skips_existing_codes(tmp_path):
@@ -95,10 +102,6 @@ def test_resume_skips_existing_codes(tmp_path):
     assert second.trees == 6
     codes = [json.loads(x)["code"] for x in sink.read_text().splitlines()]
     assert len(codes) == len(set(codes)) == 9
-
-
-def _lines(summary) -> list[str]:
-    return [record_to_json(rec) for rec in summary.records]
 
 
 def _spy_blocks(monkeypatch) -> list:
@@ -115,26 +118,28 @@ def _spy_blocks(monkeypatch) -> list:
 
 
 def test_fully_resumed_run_computes_no_block(tmp_path, monkeypatch):
-    sink = tmp_path / "records.jsonl"
-    first = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink)))
+    sink, first_report, again_report = tmp_path / "records.jsonl", tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    first = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink), report=str(first_report)))
     blocks = _spy_blocks(monkeypatch)
-    again = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink)))
+    again = run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink), report=str(again_report)))
     assert blocks == []
     assert (again.trees, again.skipped) == (0, first.trees)
-    assert _lines(again) == _lines(first)
+    assert again_report.read_bytes() == first_report.read_bytes()
 
 
 def test_blocks_hold_only_trees_missing_from_the_sink(tmp_path, monkeypatch):
-    sink = tmp_path / "records.jsonl"
-    full = run_exhaustive(RunConfig(n_min=9, n_max=9))
-    kept = _lines(full)[::3]
+    sink, full_sink = tmp_path / "records.jsonl", tmp_path / "full.jsonl"
+    full_report, resumed_report = tmp_path / "full-report.jsonl", tmp_path / "resumed-report.jsonl"
+    run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(full_sink), report=str(full_report)))
+    full = read_records(full_sink)  # enumeration order
+    kept = [record_to_json(rec) for rec in full[::3]]
     sink.write_text("".join(line + "\n" for line in kept))
     blocks = _spy_blocks(monkeypatch)
-    resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
+    run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink), report=str(resumed_report)))
     codes = [canonical_code(t).decode() for block in blocks for t in block]
-    assert sorted(codes) == sorted(rec.code for rec in full.records[1::3] + full.records[2::3])
+    assert sorted(codes) == sorted(rec.code for rec in full[1::3] + full[2::3])
     assert all(0 < len(block) <= spectral.BLOCK for block in blocks)
-    assert _lines(resumed) == _lines(full)  # enumeration order, skipped records in place
+    assert resumed_report.read_bytes() == full_report.read_bytes()  # skipped records in place
 
 
 def test_interrupted_block_loses_work_but_never_a_record(tmp_path, monkeypatch):
@@ -155,17 +160,40 @@ def test_interrupted_block_loses_work_but_never_a_record(tmp_path, monkeypatch):
     monkeypatch.undo()
     lines = sink.read_text().splitlines()
     assert len(lines) == 19  # every tree checked before the failure
-    full = run_exhaustive(RunConfig(n_min=9, n_max=9))
-    resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink)))
+    full_report, resumed_report = tmp_path / "full.jsonl", tmp_path / "resumed.jsonl"
+    full = run_exhaustive(RunConfig(n_min=9, n_max=9, report=str(full_report)))
+    resumed = run_exhaustive(RunConfig(n_min=9, n_max=9, out=str(sink), report=str(resumed_report)))
     assert (resumed.skipped, resumed.trees) == (19, full.trees - 19)
-    assert _lines(resumed) == _lines(full)
+    assert resumed_report.read_bytes() == full_report.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_an_interrupted_run_leaves_no_report_and_no_temporary_file(tmp_path, monkeypatch, fmt):
+    # order 8 ends and its slice is written; the run then fails on the 20th tree of order 9
+    sink, report = tmp_path / "records.jsonl", tmp_path / f"report.{fmt}"
+    real = verify.bounds.conjecture_sides
+    seen = []
+
+    def failing(tree, calls, tol):
+        if tree.n == 9:
+            seen.append(1)
+            if len(seen) == 20:
+                raise KeyboardInterrupt
+        return real(tree, calls, tol)
+
+    monkeypatch.setattr(verify.bounds, "conjecture_sides", failing)
+    with pytest.raises(KeyboardInterrupt):
+        run_exhaustive(RunConfig(n_min=8, n_max=9, out=str(sink), report=str(report), fmt=fmt))
+    assert os.listdir(tmp_path) == ["records.jsonl"]
+    assert len(sink.read_text().splitlines()) == 23 + 19
 
 
 @pytest.mark.parametrize("tol", [1e-12, 0.3])  # at 0.3 many verdicts are refined
-def test_exhaustive_checks_are_decided_from_rows_with_no_report(tol, monkeypatch):
+def test_exhaustive_checks_are_decided_from_rows_with_no_report(tol, tmp_path, monkeypatch):
     paper = ("lemma21", "lemma22", "lemma26", "lemma31", "cor31", "thm31", "thm32")
+    before, rows_only = tmp_path / "before.jsonl", tmp_path / "rows-only.jsonl"
     config = RunConfig(n_min=4, n_max=9, tol=tol, checks=paper)
-    before = run_exhaustive(config)
+    run_exhaustive(replace(config, report=str(before)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("an exhaustive run built a report")
@@ -183,30 +211,32 @@ def test_exhaustive_checks_are_decided_from_rows_with_no_report(tol, monkeypatch
         if check.exhaustive:  # conjecture_check, lemma21_check, lemma26_check, thm31_lower_bound, ...
             monkeypatch.setattr(verify.bounds, check.fn, refuse)
             monkeypatch.setattr(verify.bounds, check.sides, spy(getattr(verify.bounds, check.sides)))
-    rows_only = run_exhaustive(config)
-    assert _lines(rows_only) == _lines(before)
+    run_exhaustive(replace(config, report=str(rows_only)))
+    assert rows_only.read_bytes() == before.read_bytes()
     assert (min(read_at) < tol) == (tol > 0.1)  # refinements read rows too
 
 
-def test_sharding_merges_to_full_run():
-    full = run_exhaustive(RunConfig(n_min=7, n_max=7))
+def test_sharding_merges_to_full_run(tmp_path):
+    full = run_exhaustive(RunConfig(n_min=7, n_max=7, report=str(tmp_path / "full.jsonl")))
     parts = [
-        run_exhaustive(RunConfig(n_min=7, n_max=7, shard_index=i, shard_count=3))
+        run_exhaustive(RunConfig(n_min=7, n_max=7, shard_index=i, shard_count=3, report=str(tmp_path / f"{i}.jsonl")))
         for i in range(3)
     ]
-    merged = sorted(r.code for p in parts for r in p.records)
-    assert merged == sorted(r.code for r in full.records)
+    merged = sorted(r.code for i in range(3) for r in read_records(tmp_path / f"{i}.jsonl"))
+    assert merged == sorted(r.code for r in read_records(tmp_path / "full.jsonl"))
     assert sum(p.trees for p in parts) == full.trees
 
 
-def test_summary_min_slack_matches_records():
-    summary = run_exhaustive(RunConfig(n_min=6, n_max=6))
-    assert summary.min_slack == min(r.slack for r in summary.records)
+def test_summary_min_slack_matches_records(tmp_path):
+    report = tmp_path / "report.jsonl"
+    summary = run_exhaustive(RunConfig(n_min=6, n_max=6, report=str(report)))
+    assert verify._g15(summary.min_slack) == verify._g15(min(r.slack for r in read_records(report)))
 
 
-def test_extra_checks_recorded():
-    summary = run_exhaustive(RunConfig(n_min=5, n_max=5, checks=("conjecture", "lemma21", "lemma26")))
-    for rec in summary.records:
+def test_extra_checks_recorded(tmp_path):
+    report = tmp_path / "report.jsonl"
+    run_exhaustive(RunConfig(n_min=5, n_max=5, checks=("conjecture", "lemma21", "lemma26"), report=str(report)))
+    for rec in read_records(report):
         assert rec.checks["lemma21"] is True
         assert rec.checks["lemma26"] is True
 
@@ -296,7 +326,8 @@ def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
-                                 {"sns_random": -1}, {"sns_random": 2.5}, {"sns_random": True}])
+                                 {"sns_random": -1}, {"sns_random": 2.5}, {"sns_random": True},
+                                 {"t4_ab": (9.5, 10)}, {"tprime_s1": (2, True)}, {"broom_ab": (-1, 3)}])
 def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkeypatch):
     def no_trees(config):
         raise AssertionError("a tree was built before the config was checked")
@@ -637,8 +668,8 @@ def test_resume_rejects_a_non_json_constant(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("verdict, exit_code", [(False, 2), (None, 3)])
 def test_resumed_run_reports_and_exits_with_earlier_verdicts(tmp_path, capsys, verdict, exit_code):
     sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
-    first = run_exhaustive(RunConfig(n_min=4, n_max=6, out=str(sink), checks=("conjecture", "lemma21")))
-    star6 = max(first.records, key=lambda r: r.le).code
+    run_exhaustive(RunConfig(n_min=4, n_max=6, out=str(sink), checks=("conjecture", "lemma21")))
+    star6 = max(read_records(sink), key=lambda r: r.le).code
     _edit_sink(sink, star6, "lemma21", verdict)
     argv = ["check-conjecture", "--n-min", "4", "--n-max", "6", "--checks", "lemma21",
             "--out", str(sink), "--report", str(report)]
@@ -648,8 +679,10 @@ def test_resumed_run_reports_and_exits_with_earlier_verdicts(tmp_path, capsys, v
     assert len(rows) == 11
     assert [r["checks"]["lemma21"] for r in rows if r["code"] == star6] == [verdict]
     # a narrower resume reports only the trees of its own range
-    narrow = run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink), checks=("conjecture", "lemma21")))
-    assert (narrow.trees, len(narrow.records)) == (0, 3)
+    narrow_report = tmp_path / "narrow.jsonl"
+    narrow = run_exhaustive(RunConfig(n_min=5, n_max=5, out=str(sink), checks=("conjecture", "lemma21"),
+                                      report=str(narrow_report)))
+    assert (narrow.trees, len(read_records(narrow_report))) == (0, 3)
     assert narrow.violations == narrow.undecided == 0
 
 
@@ -711,6 +744,45 @@ def test_a_jsonl_report_serializes_each_record_once(tmp_path, monkeypatch):
     assert cli_main(argv) == 0
     assert len(calls) == 22 and sorted(calls) == sorted(json.loads(line)["code"] for line in lines)
     assert report.read_bytes() == first
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_multi_order_report_is_the_single_order_reports_joined(tmp_path, fmt):
+    # each order's slice is written when it ends, in ascending n: a CSV report keeps one header
+    whole = tmp_path / f"4-9.{fmt}"
+    run_exhaustive(RunConfig(n_min=4, n_max=9, report=str(whole), fmt=fmt))
+    joined = []
+    for n in range(4, 10):
+        part = tmp_path / f"{n}.{fmt}"
+        run_exhaustive(RunConfig(n_min=n, n_max=n, report=str(part), fmt=fmt))
+        lines = part.read_text().splitlines(keepends=True)
+        joined += lines[1:] if fmt == "csv" and joined else lines
+    assert whole.read_text() == "".join(joined)
+    assert len(joined) == (fmt == "csv") + 2 + 3 + 6 + 11 + 23 + 47
+
+
+@pytest.mark.parametrize("alias", ["same", "hardlink"])
+def test_run_exhaustive_refuses_what_the_cli_refuses(tmp_path, alias, monkeypatch):
+    # a report naming the sink, or a path that cannot be written, is refused before the sink is read
+    def no_sink(*args):
+        raise AssertionError("the sink was read before the report path was checked")
+
+    sink = tmp_path / "records.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=5, out=str(sink)))
+    before = sink.read_bytes()
+    report = sink if alias == "same" else tmp_path / "hard.jsonl"
+    if alias == "hardlink":
+        os.link(sink, report)
+    monkeypatch.setattr(verify, "_load_sink", no_sink)
+    with pytest.raises(BadParam, match="names the --out sink"):
+        run_exhaustive(RunConfig(n_min=4, n_max=5, out=str(sink), report=str(report)))
+    for bad in (tmp_path / "missing" / "report.jsonl", tmp_path):
+        with pytest.raises(BadParam, match="cannot write"):
+            run_exhaustive(RunConfig(n_min=4, n_max=5, out=str(sink), report=str(bad)))
+    assert sink.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted({"records.jsonl", report.name})
+    with pytest.raises(BadParam, match="format"):
+        RunConfig(report=str(tmp_path / "report.xml"), fmt="xml")
 
 
 def test_main_builds_its_parser_once_and_keeps_no_parsed_state(monkeypatch):
