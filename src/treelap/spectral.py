@@ -49,7 +49,6 @@ byte derived from them depend neither on its block nor on the root.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,11 +219,24 @@ def count_eigs(tree: Tree, x) -> EigCounts:
 
     Equivalent to diagonalizing (T, -x): negative diagonal entries are the
     eigenvalues below x, zeros the multiplicity of x, positives the rest.
-    Cached per tree at the integers and at d_bar only (`_kept`).
+    Cached per tree at the integers and at d_bar only (`_kept`).  x is a
+    finite number that Fraction(x) reads exactly (an int, a Fraction, a
+    float, a Decimal); a NaN, an infinity, a bool and a string (which
+    Fraction would read as 0, 1 or a parsed number) are refused.
     """
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = _threshold(x)
     return _count(tree, x.numerator, x.denominator)
+
+
+def _threshold(x) -> Fraction:
+    """count_eigs's threshold x as a Fraction, or BadParam (see count_eigs)."""
+    if not isinstance(x, (bool, str)):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):  # not a number, a NaN, an infinity
+            pass
+    raise BadParam(f"count_eigs takes a finite rational threshold, got {x!r}")
 
 
 def multiplicity_of_one(tree: Tree) -> int:
@@ -415,6 +427,27 @@ def _below_many(trees: Sequence[Tree], alpha: np.ndarray) -> np.ndarray:
     return np.where(decided, neg.sum(axis=1), -1)
 
 
+class _Lazy:
+    """A Spectrum attribute set on the instance at its first read, as
+    functools.cached_property sets one, but with no lock: Python 3.11 takes
+    one on every first read, a cost each exhaustive record paid twice.
+    `fill(spec)` returns a dict of attributes, this one among them, and all
+    of them are set at once, so sigma and the energy come from one pass."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return self
+        values = self.fill(spec)
+        vars(spec).update(values)
+        return values[self.name]
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Certified spectrum mu_1 >= ... >= mu_n = 0 of one tree.
@@ -430,21 +463,43 @@ class Spectrum:
     distinct: tuple[tuple[int, int, int], ...]
     den: int
 
-    @functools.cached_property
-    def sigma(self) -> int:
-        """#{mu_i >= d_bar}: the eigenvalues in enclosures with lo >= d_bar."""
-        d_bar = 2 * (self.n - 1) * (self.den // self.n)
-        return sum(m for lo, _, m in self.distinct if lo >= d_bar)
+    def _fill_sigma_energy(self) -> dict:
+        """sigma, #{mu_i >= d_bar}, and the energy, in one pass over `distinct`:
+        the top sigma eigenvalues are the enclosures with lo >= d_bar, and
+        den * S_sigma is bounded as _top_sum(sigma) bounds it, by their sums
+        and by the trace minus the sums of the rest."""
+        n, den = self.n, self.den
+        d_bar = 2 * (n - 1) * (den // n)
+        sigma = top_lo = top_hi = rest_lo = rest_hi = 0
+        for lo, hi, m in self.distinct:
+            top = lo >= d_bar
+            if m > 1:  # most eigenvalues are simple, and then no product is taken
+                lo, hi = m * lo, m * hi
+            if top:
+                sigma += m
+                top_lo += lo
+                top_hi += hi
+            else:
+                rest_lo += lo
+                rest_hi += hi
+        trace, shift = 2 * (n - 1) * den, sigma * d_bar
+        lo, hi = max(top_lo, trace - rest_hi), min(top_hi, trace - rest_lo)
+        return {"sigma": sigma, "_energy": Enclosure(2 * (lo - shift), 2 * (hi - shift), den)}
 
-    @functools.cached_property
-    def enclosures(self) -> tuple[tuple[Fraction, Fraction], ...]:
+    sigma = _Lazy(_fill_sigma_energy)
+    _energy = _Lazy(_fill_sigma_energy)
+
+    def _fill_enclosures(self) -> dict:
         """Per-index enclosures of mu_1, ..., mu_n as Fraction pairs."""
         den = self.den
-        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._per_index)
+        return {"enclosures": tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self._per_index)}
 
-    @functools.cached_property
-    def _per_index(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for lo, hi, m in self.distinct for e in [(lo, hi)] * m)
+    enclosures = _Lazy(_fill_enclosures)
+
+    def _fill_per_index(self) -> dict:
+        return {"_per_index": tuple(e for lo, hi, m in self.distinct for e in [(lo, hi)] * m)}
+
+    _per_index = _Lazy(_fill_per_index)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -457,12 +512,13 @@ class Spectrum:
         check_index("i", i, 1, self.n)
         return Enclosure(*self._per_index[i - 1], self.den)
 
-    @functools.cached_property
-    def _running_sums(self) -> tuple[list[int], list[int]]:
+    def _fill_running_sums(self) -> dict:
         # s_k is asked for every k by the bound checks
         los = list(accumulate((lo for lo, _, m in self.distinct for _ in range(m)), initial=0))
         his = list(accumulate((hi for _, hi, m in self.distinct for _ in range(m)), initial=0))
-        return los, his
+        return {"_running_sums": (los, his)}
+
+    _running_sums = _Lazy(_fill_running_sums)
 
     def _top_sum(self, k: int) -> tuple[int, int]:
         """den * S_k bounded by the top k enclosures and by the trace minus the rest."""
@@ -479,23 +535,6 @@ class Spectrum:
         """LE = sum |mu_i - d_bar| = 2 (S_sigma - sigma * d_bar), with S_sigma
         bounded as in s_k."""
         return self._energy
-
-    @functools.cached_property
-    def _energy(self) -> Enclosure:
-        # den * S_sigma bounded as _top_sum(sigma) bounds it, from four sums in
-        # one pass: the top sigma eigenvalues are the enclosures with lo >= d_bar
-        d_bar = 2 * (self.n - 1) * (self.den // self.n)
-        top_lo = top_hi = all_lo = all_hi = 0
-        for lo, hi, m in self.distinct:
-            all_lo += m * lo
-            all_hi += m * hi
-            if lo >= d_bar:
-                top_lo += m * lo
-                top_hi += m * hi
-        trace, shift = 2 * (self.n - 1) * self.den, self.sigma * d_bar
-        lo = max(top_lo, trace - all_hi + top_hi)
-        hi = min(top_hi, trace - all_lo + top_lo)
-        return Enclosure(2 * (lo - shift), 2 * (hi - shift), self.den)
 
 
 def check_tol(tol: float) -> None:

@@ -9,6 +9,7 @@ writes it one order at a time and keeps tallies, not records.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import random
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from operator import attrgetter
 from typing import Collection, Iterable, Sequence
 
 from . import bounds, families
@@ -30,10 +32,12 @@ from .tree import Tree, canonical_code, degree_summary, diameter
 class RunConfig:
     """An exhaustive run over the orders n_min..n_max <= MAX_ORDER (20), refused
     here past it, before any sink is opened.  With a report path, the run
-    writes its report in fmt, each order's sorted slice when that order ends,
-    and keeps no record past its tally.  So memory follows the largest order
-    reported: n <= 18 peaks at 37 MB without a report and 98 MB with a sink
-    and a report, n <= 20 at 440 MB with both (ROADMAP item 10)."""
+    writes its report in fmt, each order's sorted lines when that order
+    ends, and keeps no record past its tally.  So memory follows the largest
+    order reported: n <= 18 peaks at 37 MB without a report and 79 MB with a
+    sink and a report, n <= 19 at 146 MB with both.  A resume holds the
+    sink's lines of the run's orders as text until their trees come up:
+    resuming a complete n <= 18 sink peaks at 112 MB (ROADMAP item 10)."""
 
     n_min: int = 4
     n_max: int = 10
@@ -85,6 +89,7 @@ class SweepRecord:
     thm31_cond: bool
 
 
+@functools.lru_cache(maxsize=64)
 def _g15(x: float) -> str:
     """15-significant-digit float formatting used in every emitted artifact.
 
@@ -92,6 +97,8 @@ def _g15(x: float) -> str:
     again gives the same text: zero is unsigned (JSON reads "-0" as the
     integer 0), and the few floats next to the largest double, whose
     15-digit rounding would read back as infinity, are written in full.
+    Equal numbers have one text, so recent ones are kept: an order's
+    le_path and le_star and the run's tol recur in every record.
     """
     x = float(x) + 0.0
     s = "%.15g" % x
@@ -106,7 +113,7 @@ def _json_bool(v: bool | None) -> str:
 
 
 def _json_checks(checks: dict) -> str:
-    return "{" + ",".join(f"{_json_str(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())) + "}"
+    return "{" + ",".join([f"{_json_str(k)}:{_json_bool(v)}" for k, v in sorted(checks.items())]) + "}"
 
 
 def _csv_text(s: str) -> str:
@@ -132,13 +139,19 @@ _FIELDS = {
 }
 
 
-# One JSON line per record type, its fields' values put in by a single % format.
-_JSON_LINES = {cls: "{" + ",".join(f'"{name}":%s' for name, _, _ in table) + "}" for cls, table in _FIELDS.items()}
+# One JSON line per record type: every field read by one attrgetter, each
+# value's text made by its to_json, and all of them put in by a single % format.
+_JSON_LINES = {
+    cls: (attrgetter(*(name for name, _, _ in table)), tuple(to_json for _, to_json, _ in table),
+          "{" + ",".join(f'"{name}":%s' for name, _, _ in table) + "}")
+    for cls, table in _FIELDS.items()
+}
 
 
-def _fields_of(rec) -> tuple:
+def _of_type(table: dict, rec):
+    """table's entry for the type of rec, a VerifyRecord or a SweepRecord."""
     try:
-        return _FIELDS[type(rec)]
+        return table[type(rec)]
     except KeyError:
         raise BadParam(f"unknown record type {type(rec)!r}") from None
 
@@ -153,12 +166,12 @@ SNS_SEED = 20240901  # seeds a sweep's sns_random members, so every sweep draws 
 
 
 def record_to_json(rec) -> str:
-    table = _fields_of(rec)
-    return _JSON_LINES[type(rec)] % tuple([to_json(getattr(rec, name)) for name, to_json, _ in table])
+    values, to_json, line = _of_type(_JSON_LINES, rec)
+    return line % tuple([text(value) for text, value in zip(to_json, values(rec))])
 
 
 def record_to_csv(rec) -> str:
-    return ",".join(to_csv(getattr(rec, name)) for name, _, to_csv in _fields_of(rec) if to_csv)
+    return ",".join(to_csv(getattr(rec, name)) for name, _, to_csv in _of_type(_FIELDS, rec) if to_csv)
 
 
 def _sort_key(rec):
@@ -224,6 +237,7 @@ def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
 
 # VerifyRecord field annotation -> the JSON value types a sink line may hold.
 _SINK_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
+_SINK_FIELDS = {f.name: f.type for f in fields(VerifyRecord)}
 _DOUBLE_MAX = 1.7976931348623157e308  # the largest double: an int past it has no float, 1e400 reads as inf
 
 
@@ -232,52 +246,74 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_sink(path: str, wanted: set[str], tol: float) -> dict[str, VerifyRecord]:
-    """The records already in a run's sink, by code.
+def _sink_fields(line: bytes) -> dict:
+    """The fields of one sink line, checked as VerifyRecord(**fields) would
+    take them and typed as record_to_json writes them (checks may be left
+    out, as VerifyRecord's default allows); TypeError or ValueError if the
+    line is not a record."""
+    row = json.loads(line, parse_constant=_refuse_constant)
+    if type(row) is not dict:
+        raise TypeError("not a JSON object")
+    row.setdefault("checks", {})
+    if row.keys() != _SINK_FIELDS.keys():
+        raise TypeError(f"its fields are not {', '.join(_SINK_FIELDS)}")
+    for name, kind in _SINK_FIELDS.items():
+        value = row[name]
+        if type(value) not in _SINK_TYPES[kind]:
+            raise TypeError(f"{name} is not of type {kind}")
+        if kind == "float" and not -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+            raise ValueError(f"{name} is beyond the double range")
+    if not all(v is None or type(v) is bool for v in row["checks"].values()):
+        raise TypeError("a check verdict is not true, false or null")
+    return row
 
-    Any complete line that is not a record is an error, and so is a record
-    made with other checks than `wanted` or at another tolerance than tol:
-    the run is refused.  A last line without its newline is what a killed
-    run leaves behind; once the run is accepted, it is cut off the file, so
-    its tree is evaluated again and appending starts on a fresh line.  A
-    refused run leaves the file as it was.
+
+def _load_sink(path: str, wanted: set[str], tol: float, orders: range) -> dict[str, bytes]:
+    """The lines already in a run's sink whose codes are of the run's
+    orders, by code (a code of order n has 2n characters), as text: the
+    run parses a line again when its tree comes up.
+
+    Every line is read one at a time and checked first.  Any complete line
+    that is not a record is an error, and so is a record made with other
+    checks than `wanted` or at another tolerance than tol: the run is
+    refused.  A last line without its newline is what a killed run leaves
+    behind; once the run is accepted, it is cut off the file, so its tree is
+    evaluated again and appending starts on a fresh line.  A refused run
+    leaves the file as it was.
     """
     if not os.path.exists(path):
         return {}
+    kept, other, lineno, end = {}, None, 0, 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.rfind(b"\n") + 1
-    records = {}
-    for lineno, line in enumerate(data[:end].splitlines(), 1):
-        if line.strip():
-            try:
-                rec = VerifyRecord(**json.loads(line, parse_constant=_refuse_constant))
-                for f in fields(VerifyRecord):
-                    value = getattr(rec, f.name)
-                    if type(value) not in _SINK_TYPES[f.type]:
-                        raise TypeError(f"{f.name} is not of type {f.type}")
-                    if f.type == "float" and not -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
-                        raise ValueError(f"{f.name} is beyond the double range")
-                if not all(v is None or type(v) is bool for v in rec.checks.values()):
-                    raise TypeError("a check verdict is not true, false or null")
-                records[rec.code] = rec
-            except (TypeError, ValueError) as exc:
-                raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
-    for rec in records.values():
-        if set(rec.checks) != wanted:
+        for chunk in fh:
+            if not chunk.endswith(b"\n"):
+                break
+            end += len(chunk)
+            for line in chunk.splitlines():  # the line breaks bytes.splitlines finds
+                lineno += 1
+                if line.strip():
+                    try:
+                        row = _sink_fields(line)
+                    except (TypeError, ValueError) as exc:
+                        raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
+                    if other is None and (set(row["checks"]) != wanted or _g15(row["tol"]) != _g15(tol)):
+                        other = row
+                    if len(row["code"]) // 2 in orders:
+                        kept[row["code"]] = line
+    if other is not None:
+        if set(other["checks"]) != wanted:
             raise BadParam(
-                f"{path} holds records with checks {','.join(sorted(rec.checks))}, "
+                f"{path} holds records with checks {','.join(sorted(other['checks']))}, "
                 f"this run asks for {','.join(sorted(wanted))}; write to another --out"
             )
-        if _g15(rec.tol) != _g15(tol):
-            raise BadParam(
-                f"{path} holds records made at tol {_g15(rec.tol)}, "
-                f"this run asks for tol {_g15(tol)}; write to another --out"
-            )
-    if end < len(data):
+        raise BadParam(
+            f"{path} holds records made at tol {_g15(other['tol'])}, "
+            f"this run asks for tol {_g15(tol)}; write to another --out"
+        )
+    if end < os.path.getsize(path):
         with open(path, "r+b") as fh:
             fh.truncate(end)
-    return records
+    return kept
 
 
 @dataclass
@@ -318,26 +354,16 @@ def _evaluate(tree: Tree, code: str, config: RunConfig) -> VerifyRecord:
     each decided from its rows (bounds.Check.rows), with no report built;
     the conjecture's rows, refined as its report would be, also give the
     record's LE, slack and reference energies."""
-    (rows,), (holds,) = bounds.CHECKS["conjecture"].rows(tree, config.tol)
+    tol = config.tol
+    (rows,), (holds,) = bounds.CHECKS["conjecture"].rows(tree, tol)
     le, slack, le_path, le_star, _, _ = bounds._conjecture_terms(rows)
     checks = {"conjecture": holds}
     for cid in config.checks:
         if cid not in checks:
-            checks[cid] = bounds.CHECKS[cid].verdict(tree, config.tol)
-    return VerifyRecord(
-        code=code,
-        n=tree.n,
-        diam=diameter(tree),
-        s=degree_summary(tree).internal_count,
-        sigma=eigenvalues(tree, config.tol).sigma,
-        le=le.value,
-        le_err=le.err,
-        le_path=le_path,
-        le_star=le_star,
-        slack=slack,
-        tol=config.tol,
-        checks=checks,
-    )
+            checks[cid] = bounds.CHECKS[cid].verdict(tree, tol)
+    # VerifyRecord's fields in declaration order, by position: a keyword call costs twice as much
+    return VerifyRecord(code, tree.n, diameter(tree), degree_summary(tree).internal_count,
+                        eigenvalues(tree, tol).sigma, le.value, le.err, le_path, le_star, slack, tol, checks)
 
 
 def run_exhaustive(config: RunConfig) -> RunSummary:
@@ -346,7 +372,9 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
 
     Trees already recorded in the sink are not evaluated again, but their
     records join the tallies and the report, so a resumed run reports and
-    exits as an uninterrupted one would.  A sink of other checks or another
+    exits as an uninterrupted one would: the sink's lines of the run's
+    orders are held as text (_load_sink), and each is parsed when its tree
+    comes up and dropped at its tally.  A sink of other checks or another
     tolerance is refused and left as it was (_load_sink); so is a report path
     that cannot be written or names the sink.  The bound checks share T - e
     components per isomorphism class for the whole run (bounds._shared_split).
@@ -357,9 +385,10 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     check reads them.  Then each tree is checked and tallied in enumeration
     order; a fresh record's line is made by one record_to_json call, right
     after its verdict, if the sink or a jsonl report takes it.  The report is
-    sorted by (n, code), the canonical code, so each order's (code, line)
-    pairs are sorted and written when that order ends (_report_file), and no
-    record is kept past its tally.
+    sorted by (n, code), the canonical code, and every line leads with its
+    code, 2n characters at order n, so each order's lines alone are sorted
+    and written when that order ends (_report_file), and no record is kept
+    past its tally.
     """
     accepted = [cid for cid, check in bounds.CHECKS.items() if check.exhaustive]
     for c in config.checks:
@@ -372,13 +401,14 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
     wanted = {"conjecture", *config.checks}
     jsonl_report = bool(config.report) and config.fmt == "jsonl"
     summary = RunSummary()
-    existing = _load_sink(config.out, wanted, config.tol) if config.out else {}
+    orders = range(config.n_min, config.n_max + 1)
+    existing = _load_sink(config.out, wanted, config.tol, orders) if config.out else {}
     report_file = _report_file(config.report, config.fmt, VerifyRecord) if config.report else nullcontext()
     sink_file = open(config.out, "a", encoding="ascii", newline="\n") if config.out else nullcontext()
     with report_file as report, sink_file as sink, bounds._shared_components():
-        for n in range(config.n_min, config.n_max + 1):
+        for n in orders:
             summary.counts_by_n[n] = 0
-            lines = []  # this order's (code, report line) pairs
+            lines = []  # this order's report lines
             trees = iter(free_trees_sharded(EnumRange(n, config.shard_index, config.shard_count)))
             while block := [(canonical_code(t).decode("ascii"), t) for t in islice(trees, BLOCK)]:
                 fresh = [tree for code, tree in block if code not in existing]
@@ -388,18 +418,20 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
                 summary.trees += len(fresh)
                 summary.skipped += len(block) - len(fresh)
                 for code, tree in block:
-                    rec, line = existing.pop(code, None), None
-                    if rec is None:
+                    kept = existing.pop(code, None)
+                    if kept is None:
                         rec = _evaluate(tree, code, config)
                         line = record_to_json(rec) if sink or jsonl_report else None
                         if sink:
                             sink.write(line + "\n")
+                    else:
+                        rec, line = VerifyRecord(**json.loads(kept)), None
                     if report:
-                        lines.append((code, (line or record_to_json(rec)) if jsonl_report else record_to_csv(rec)))
+                        lines.append((line or record_to_json(rec)) if jsonl_report else record_to_csv(rec))
                     summary._tally(rec, rec.checks.values(), code)
             if report:
-                lines.sort()
-                report.writelines(text + "\n" for _, text in lines)
+                lines.sort()  # each line leads with its code, and an order's codes are 2n long
+                report.writelines(text + "\n" for text in lines)
     return summary
 
 

@@ -49,7 +49,8 @@ package so that `src/` has one implementation of each thing:
 * `le_by_top_sum`, the energy enclosure read off running sums over every
   index (the package sums the distinct enclosures in one pass),
 * `record_json_by_join`, a record's JSON line joined field by field (the
-  package fills one format string per record type), and `read_records`,
+  package reads every field with one attrgetter and fills one format
+  string per record type), and `read_records`,
   the records of a run's jsonl report or sink (a run keeps none),
 * `fraction_ge`, `fraction_value`, `fraction_err` and `fraction_slack`, the
   comparison, midpoint, error and slack of an enclosure computed on
@@ -651,12 +652,13 @@ def le_two_forms(spec: Spectrum) -> Enclosure:
     return enclosure_of(max(main_lo, dev_lo), min(main_hi, dev_hi))
 
 
-def le_by_top_sum(spec: Spectrum) -> tuple[int, int, int]:
-    """(lo_n, hi_n, den) of LE read off the running sums of every index,
-    S_sigma bounded by `Spectrum._top_sum(sigma)`: the integers that the
-    one-pass `Spectrum._energy` must give."""
-    lo, hi = spec._top_sum(spec.sigma)
-    shift = spec.sigma * 2 * (spec.n - 1) * (spec.den // spec.n)
+def le_by_top_sum(spec: Spectrum, sigma: int) -> tuple[int, int, int]:
+    """(lo_n, hi_n, den) of LE = 2 (S_sigma - sigma * d_bar) read off the
+    running sums of every index, S_sigma bounded by `Spectrum._top_sum`,
+    with sigma given (say n minus the exact count below d_bar): the
+    integers that the one-pass `Spectrum._energy` must give."""
+    lo, hi = spec._top_sum(sigma)
+    shift = sigma * 2 * (spec.n - 1) * (spec.den // spec.n)
     return 2 * (lo - shift), 2 * (hi - shift), spec.den
 
 
@@ -941,9 +943,11 @@ def fraction_slack(lo: Fraction, other_hi: Fraction) -> float:
 
 def record_json_by_join(rec) -> str:
     """A record's JSON line joined field by field from its field table,
-    `verify._FIELDS`: the text record_to_json's one format string per
-    record type must give."""
-    return "{" + ",".join(f'"{name}":{to_json(getattr(rec, name))}' for name, to_json, _ in _FIELDS[type(rec)]) + "}"
+    `verify._FIELDS`, each field read by getattr and each float written by
+    `_g15` past its cache: the text record_to_json's one attrgetter and
+    one format string per record type must give."""
+    return "{" + ",".join(f'"{name}":{getattr(to_json, "__wrapped__", to_json)(getattr(rec, name))}'
+                          for name, to_json, _ in _FIELDS[type(rec)]) + "}"
 
 
 def read_records(path) -> list[VerifyRecord]:

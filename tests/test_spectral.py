@@ -37,6 +37,7 @@ from conftest import (
     laplacian_matrix,
     laplacian_np,
     le_argmax,
+    le_by_top_sum,
     le_max_form,
     le_two_forms,
     oracle_counts,
@@ -114,6 +115,16 @@ class TestCountEigs:
             ]
             for x in probes:
                 assert tuple(count_eigs(t, x)) == oracle_counts(t, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "abc", "1/2", True, False, None, 1 + 2j,
+                                   np.float64("nan"), np.bool_(True)])
+    def test_a_threshold_that_is_not_a_finite_rational_is_refused(self, x):
+        with pytest.raises(BadParam, match="finite rational threshold"):
+            count_eigs(path(4), x)
+
+    @pytest.mark.parametrize("x", [2, 2.0, Fraction(2), np.float64(2.0), np.int64(2)])
+    def test_every_rational_type_counts_alike(self, x):
+        assert count_eigs(path(4), x) == EigCounts(2, 1, 1)
 
     def test_root_independence(self, rng):
         for _ in range(40):
@@ -356,6 +367,17 @@ class TestEigenvalues:
 
 
 class TestSigma:
+    @pytest.mark.parametrize("tol", [1e-12, 1.0])
+    def test_one_pass_sigma_and_energy_equal_the_oracles_for_every_small_tree(self, tol):
+        # at tol 1.0 the enclosures are wide and the trace side decides the energy
+        for n in range(1, 11):
+            for t in free_trees(n):
+                spec = eigenvalues(t, tol)
+                le = spec.laplacian_energy()
+                below_d_bar = count_eigs(t, average_degree(t)).below
+                assert spec.sigma == t.n - below_d_bar
+                assert (le.lo_n, le.hi_n, le.den) == le_by_top_sum(spec, t.n - below_d_bar)
+
     def test_examples(self):
         assert sigma(path(4)) == 2
         for n in (3, 5, 9, 30):

@@ -7,7 +7,9 @@ import json
 import math
 import os
 import resource
+import shutil
 import sys
+import weakref
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -31,7 +33,7 @@ from treelap.verify import (
 from treelap.cli import main as cli_main
 from treelap.tree import canonical_code
 
-from conftest import read_records, run_cli
+from conftest import read_records, record_json_by_join, run_cli
 
 
 def test_run_exhaustive_counts_and_zero_violations(tmp_path):
@@ -599,6 +601,71 @@ def _edit_sink(sink, code, check, verdict):
             line = record_to_json(VerifyRecord(**rec))
         lines.append(line + "\n")
     sink.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["complete", "partial", "sharded"])
+def test_a_resumed_run_reports_what_a_fresh_run_reports(tmp_path, kind):
+    sink = tmp_path / "records.jsonl"
+    if kind == "sharded":
+        for i in (0, 2):
+            run_exhaustive(RunConfig(n_min=4, n_max=9, shard_index=i, shard_count=3, out=str(sink)))
+    else:
+        run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(sink)))
+    if kind == "partial":  # every other record, and the torn last line of a killed run
+        lines = sink.read_bytes().splitlines(keepends=True)
+        sink.write_bytes(b"".join(lines[::2]) + lines[1][:-9])
+    for fmt in ("jsonl", "csv"):
+        fresh, resumed, copy = tmp_path / f"fresh.{fmt}", tmp_path / f"resumed.{fmt}", tmp_path / f"copy-{fmt}.jsonl"
+        run_exhaustive(RunConfig(n_min=4, n_max=9, report=str(fresh), fmt=fmt))
+        shutil.copyfile(sink, copy)
+        run_exhaustive(RunConfig(n_min=4, n_max=9, out=str(copy), report=str(resumed), fmt=fmt))
+        assert resumed.read_bytes() == fresh.read_bytes()
+
+
+def test_a_resume_parses_only_its_orders_and_holds_no_record_past_its_tally(tmp_path, monkeypatch):
+    sink = tmp_path / "records.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=8, out=str(sink)))
+    kept = verify._load_sink(str(sink), {"conjecture"}, 1e-12, range(6, 8))
+    assert sorted(len(code) // 2 for code in kept) == [6] * 6 + [7] * 11
+    assert all(type(line) is bytes for line in kept.values())
+
+    made, refs, held = [], [], []
+    real_init, real_tally = VerifyRecord.__init__, verify.RunSummary._tally
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self.code)
+        refs.append(weakref.ref(self))
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def tally(self, rec, verdicts, label):
+        held.append(alive())
+        real_tally(self, rec, verdicts, label)
+
+    monkeypatch.setattr(VerifyRecord, "__init__", counted_init)
+    monkeypatch.setattr(verify.RunSummary, "_tally", tally)
+    summary = run_exhaustive(RunConfig(n_min=6, n_max=7, out=str(sink), report=str(tmp_path / "report.jsonl")))
+    assert (summary.trees, summary.skipped) == (0, 17)
+    assert sorted(len(code) // 2 for code in made) == [6] * 6 + [7] * 11  # orders 4, 5 and 8 are never parsed
+    assert held == [1] * 17 and alive() == 0  # each record is dropped at its tally
+
+
+def test_each_fresh_line_is_the_field_by_field_join(tmp_path, monkeypatch):
+    lines = []
+    real = verify.record_to_json
+
+    def checked(rec):
+        line = real(rec)
+        assert line == record_json_by_join(rec)
+        lines.append(line)
+        return line
+
+    monkeypatch.setattr(verify, "record_to_json", checked)
+    sink = tmp_path / "records.jsonl"
+    run_exhaustive(RunConfig(n_min=4, n_max=9, checks=("lemma21", "lemma26", "thm31"), out=str(sink)))
+    assert len(lines) == 92 and sink.read_text() == "".join(line + "\n" for line in lines)
 
 
 def test_resume_drops_a_partial_last_line(tmp_path):
