@@ -14,7 +14,9 @@ taken in float intervals widened one ulp outward (`_inertia_float`, which
 per count rounds [d + alpha] once per degree, from a table, and keeps each
 class's reciprocal interval, rounded once, for its parents) or, when a
 pivot interval contains 0, by the same pass in integers, so ties at
-thresholds like the average degree 2 - 2/n are decided exactly.
+thresholds like the average degree 2 - 2/n are decided exactly.  The count
+at 0 takes neither: L(T) is positive semidefinite, its kernel the constants
+(T is connected), so it is (0, 1, n - 1) with no pass and no check.
 
 Eigenvalues are certified enclosures: float estimates (eigvalsh) only
 propose probes, exact counts at the endpoints prove what each interval
@@ -89,6 +91,8 @@ def _inertia(tree: Tree, p: int, q: int, root: int, exact: bool = False) -> tupl
     L(T) + (p/q) I, rooted at `root`, q > 0: by the float stage where no
     pivot interval contains 0, else by the exact pass, with the same tally
     (`_inertia_float`).  `exact` skips a float stage already declined."""
+    if p == 0:  # the count at 0: L(T) is positive semidefinite, its kernel the constants
+        return 0, 1, tree.n - 1
     tally = None if exact else _inertia_float(tree, p, q, root)
     return tally if tally is not None else _inertia_exact(tree, p, q, root)
 
@@ -329,8 +333,6 @@ def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
     each entry is proved by exact counts to hold exactly `count` eigenvalues,
     one with lo == hi is an exact hit, and none has d_bar strictly inside."""
     n, (tn, td) = tree.n, tol.as_integer_ratio()
-    if below[0] != 0 or equal[0] != 1:
-        raise AssertionError("Laplacian of a connected tree must have kernel exactly {0}")
     if below[-1] + equal[-1] != n:
         raise AssertionError("eigenvalues must lie in [0, n]")
 

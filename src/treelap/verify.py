@@ -265,6 +265,8 @@ def _sink_fields(line: bytes) -> dict:
             raise ValueError(f"{name} is beyond the double range")
     if not all(v is None or type(v) is bool for v in row["checks"].values()):
         raise TypeError("a check verdict is not true, false or null")
+    if len(row["code"]) != 2 * row["n"]:
+        raise ValueError("n is not half the length of its code")
     return row
 
 
@@ -274,12 +276,15 @@ def _load_sink(path: str, wanted: set[str], tol: float, orders: range) -> dict[s
     run parses a line again when its tree comes up.
 
     Every line is read one at a time and checked first.  Any complete line
-    that is not a record is an error, and so is a record made with other
-    checks than `wanted` or at another tolerance than tol: the run is
-    refused.  A last line without its newline is what a killed run leaves
-    behind; once the run is accepted, it is cut off the file, so its tree is
-    evaluated again and appending starts on a fresh line.  A refused run
-    leaves the file as it was.
+    that is not a record is an error, and so are a record whose n is not
+    half its code's length, a second record of a code of the run's orders,
+    and a record made with other checks than `wanted` or at another
+    tolerance than tol: the run is refused.  A record of a tree this run
+    does not take, another shard's say, is allowed.  A last line without
+    its newline is what a killed run leaves behind; once the run is
+    accepted, it is cut off the file, so its tree is evaluated again and
+    appending starts on a fresh line.  A refused run leaves the file as it
+    was.
     """
     if not os.path.exists(path):
         return {}
@@ -294,11 +299,13 @@ def _load_sink(path: str, wanted: set[str], tol: float, orders: range) -> dict[s
                 if line.strip():
                     try:
                         row = _sink_fields(line)
+                        if row["code"] in kept:
+                            raise ValueError("its code is recorded on an earlier line")
                     except (TypeError, ValueError) as exc:
                         raise BadParam(f"{path}:{lineno}: not a verification record ({exc})") from None
                     if other is None and (set(row["checks"]) != wanted or _g15(row["tol"]) != _g15(tol)):
                         other = row
-                    if len(row["code"]) // 2 in orders:
+                    if row["n"] in orders:
                         kept[row["code"]] = line
     if other is not None:
         if set(other["checks"]) != wanted:
@@ -438,41 +445,39 @@ def run_exhaustive(config: RunConfig) -> RunSummary:
 # ---- family sweeps -------------------------------------------------------------
 
 
+# The family sweep's fixed parameter ranges, lo..hi inclusive (tests patch it).
+SWEEP_RANGES = {"t4_ab": (9, 100), "tprime_r": (2, 12), "tprime_s1": (2, 20),
+                "tdprime_r": (3, 8), "tdprime_s": (2, 6), "broom_ab": (1, 12)}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """A family sweep: the members SWEEP_RANGES names, plus sns_random sns trees."""
+
     tol: float = 1e-9
-    t4_ab: tuple[int, int] = (9, 100)
-    tprime_r: tuple[int, int] = (2, 12)
-    tprime_s1: tuple[int, int] = (2, 20)
-    tdprime_r: tuple[int, int] = (3, 8)
-    tdprime_s: tuple[int, int] = (2, 6)
-    broom_ab: tuple[int, int] = (1, 12)
     sns_random: int = 0
     out: str | None = None
     fmt: str = "jsonl"
 
     def __post_init__(self):
         check_tol(self.tol)
-        for name in ("t4_ab", "tprime_r", "tprime_s1", "tdprime_r", "tdprime_s", "broom_ab"):
-            for end in getattr(self, name):  # lo > hi is an empty range: it switches a family off
-                check_index(name, end, 0, math.inf)
         check_index("sns_random", self.sns_random, 0, math.inf)
         _check_format(self.fmt)
 
 
 def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:
-    lo, hi = config.t4_ab
-    for ab in range(max(lo, 2), hi + 1):
+    span = {name: range(lo, hi + 1) for name, (lo, hi) in SWEEP_RANGES.items()}
+    for ab in span["t4_ab"]:
         yield "t4_spider", f"a+b={ab}", families.t4_spider(ab - 1, 1)
-    for r in range(config.tprime_r[0], config.tprime_r[1] + 1):
-        for s1 in range(config.tprime_s1[0], config.tprime_s1[1] + 1):
+    for r in span["tprime_r"]:
+        for s1 in span["tprime_s1"]:
             yield "t_prime", f"r={r},s1={s1}", families.t_prime(r, s1)
-    for r in range(config.tdprime_r[0], config.tdprime_r[1] + 1):
-        for s1 in range(config.tdprime_s[0], config.tdprime_s[1] + 1):
-            for s2 in range(config.tdprime_s[0], s1 + 1):
+    for r in span["tdprime_r"]:
+        for s1 in span["tdprime_s"]:
+            for s2 in range(span["tdprime_s"].start, s1 + 1):
                 yield "t_dprime", f"r={r},s1={s1},s2={s2}", families.t_dprime(r, s1, s2)
-    for a in range(config.broom_ab[0], config.broom_ab[1] + 1):
-        for b in range(config.broom_ab[0], a + 1):
+    for a in span["broom_ab"]:
+        for b in range(span["broom_ab"].start, a + 1):
             yield "double_broom3", f"a={a},b={b}", families.double_broom3(a, b)
             yield "double_broom4", f"a={a},b={b}", families.double_broom4(a, b)
     if config.sns_random:
@@ -487,8 +492,9 @@ def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:
 
 
 def run_family_sweep(config: SweepConfig) -> RunSummary:
-    """Sweep the diameter-4 families, recording LE against 4n/pi + 2 and the
-    internal-vertex condition; diameter-3 brooms record the condition only.
+    """Sweep the diameter-4 families over the fixed ranges of SWEEP_RANGES,
+    recording LE against 4n/pi + 2 and the internal-vertex condition;
+    diameter-3 brooms record the condition only.
     Only diameter-4 members with n >= 19 carry a verdict into the tally."""
     if config.out:
         check_writable(config.out)
@@ -504,18 +510,8 @@ def run_family_sweep(config: SweepConfig) -> RunSummary:
             le = eigenvalues(tree, config.tol).laplacian_energy()
             rhs = bounds.path_energy_upper(n)
             holds, slack, verdicts = None, bounds._ge_slack(le, rhs), ()
-        rec = SweepRecord(
-            family=family,
-            params=params,
-            n=n,
-            sigma=eigenvalues(tree, config.tol).sigma,
-            le=le.value,
-            le_err=le.err,
-            bound=rhs.value,
-            holds=holds,
-            slack=slack,
-            thm31_cond=bounds.thm31_condition(n, degree_summary(tree).internal_count),
-        )
+        rec = SweepRecord(family, params, n, eigenvalues(tree, config.tol).sigma, le.value, le.err, rhs.value,
+                          holds, slack, bounds.thm31_condition(n, degree_summary(tree).internal_count))
         summary.trees += 1
         summary._tally(rec, verdicts, f"{family}({params})")
         records.append(rec)

@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from treelap import bounds
+from treelap import bounds, verify
 from treelap.cli import main as cli_main
 from treelap.verify import SweepConfig, run_family_sweep
 
@@ -148,21 +148,11 @@ def test_bounds_all_coarse_tol_stdout_bytes(tmp_path, family):
 
 
 @pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))
-def test_family_sweep_report_bytes(tmp_path, fmt):
+def test_family_sweep_report_bytes(tmp_path, monkeypatch, fmt):
     out = tmp_path / f"sweep.{fmt}"
-    config = SweepConfig(
-        tol=1e-9,
-        t4_ab=(9, 11),
-        tprime_r=(2, 3),
-        tprime_s1=(2, 4),
-        tdprime_r=(3, 3),
-        tdprime_s=(2, 3),
-        broom_ab=(1, 3),
-        sns_random=3,
-        out=str(out),
-        fmt=fmt,
-    )
-    run_family_sweep(config)
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {"t4_ab": (9, 11), "tprime_r": (2, 3), "tprime_s1": (2, 4),
+                                                 "tdprime_r": (3, 3), "tdprime_s": (2, 3), "broom_ab": (1, 3)})
+    run_family_sweep(SweepConfig(tol=1e-9, sns_random=3, out=str(out), fmt=fmt))
     assert _sha(out.read_bytes()) == SWEEP_DIGESTS[fmt]
 
 

@@ -93,11 +93,25 @@ class TestDiagonalize:
 
 
 class TestCountEigs:
-    def test_psd_at_zero(self, rng):
-        for _ in range(20):
-            t = random_tree(rng.randrange(1, 25), rng)
-            c = count_eigs(t, 0)
-            assert c.below == 0 and c.equal == 1
+    def test_psd_at_zero(self, rng, monkeypatch):
+        # L(T) is positive semidefinite with the constants as its kernel: the
+        # exact pass gives (0, 1, n - 1) at 0 from any root, and the counts
+        # take that tally without a pass, on a lone tree and in a block
+        for _ in range(60):
+            t = random_tree(rng.randint(1, 60), rng)
+            assert _inertia_exact(t, 0, rng.randint(1, 9), rng.randrange(t.n)) == (0, 1, t.n - 1)
+        exact = spectral._inertia_exact
+
+        def exact_away_from_zero(tree, p, q, root):
+            assert p != 0, "a congruence pass ran at 0"
+            return exact(tree, p, q, root)
+
+        monkeypatch.setattr(spectral, "_inertia_exact", exact_away_from_zero)
+        for n in (1, 2, 7, 60):
+            t = random_tree(n, rng)
+            assert count_eigs(t, 0) == EigCounts(0, 1, n - 1)
+            assert min(eigenvalues(t).values) == 0
+        assert [min(s.values) for s in spectral.eigenvalues_many(list(free_trees(9)))] == [0] * 47
 
     def test_s5_at_one(self):
         assert count_eigs(star(5), 1) == EigCounts(1, 3, 1)

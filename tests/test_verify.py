@@ -11,7 +11,7 @@ import shutil
 import sys
 import weakref
 from contextlib import redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -259,18 +259,10 @@ def test_order_limit_is_max_order():
         RunConfig(n_min=4, n_max=17, allow_large=True)
 
 
-def test_family_sweep_small(tmp_path):
-    config = SweepConfig(
-        tol=1e-9,
-        t4_ab=(9, 12),
-        tprime_r=(2, 4),
-        tprime_s1=(2, 6),
-        tdprime_r=(3, 4),
-        tdprime_s=(2, 4),
-        broom_ab=(1, 6),
-        out=str(tmp_path / "sweep.jsonl"),
-    )
-    summary = run_family_sweep(config)
+def test_family_sweep_small(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {"t4_ab": (9, 12), "tprime_r": (2, 4), "tprime_s1": (2, 6),
+                                                 "tdprime_r": (3, 4), "tdprime_s": (2, 4), "broom_ab": (1, 6)})
+    summary = run_family_sweep(SweepConfig(tol=1e-9, out=str(tmp_path / "sweep.jsonl")))
     assert summary.violations == 0
     rows = [json.loads(x) for x in (tmp_path / "sweep.jsonl").read_text().splitlines()]
     assert {r["family"] for r in rows} >= {"t4_spider", "t_prime", "t_dprime", "double_broom3", "double_broom4"}
@@ -287,12 +279,14 @@ def test_family_sweep_small(tmp_path):
 def test_records_take_sigma_from_the_spectrum(tmp_path, monkeypatch):
     # the check already computed the spectrum, which holds sigma; with every
     # treelap name for spectral.sigma made to raise, the reports keep their bytes
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {"t4_ab": (9, 12), "tprime_r": (2, 3), "tprime_s1": (2, 4),
+                                                 "tdprime_r": (3, 3), "tdprime_s": (2, 3), "broom_ab": (1, 3)})
+
     def reports(tag):
         conj, sweep = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}-sweep.jsonl"
         with redirect_stdout(io.StringIO()):
             assert cli_main(["check-conjecture", "--n-max", "8", "--report", str(conj)]) == 0
-        run_family_sweep(SweepConfig(t4_ab=(9, 12), tprime_r=(2, 3), tprime_s1=(2, 4), tdprime_r=(3, 3),
-                                     tdprime_s=(2, 3), broom_ab=(1, 3), sns_random=2, out=str(sweep)))
+        run_family_sweep(SweepConfig(sns_random=2, out=str(sweep)))
         return conj.read_bytes(), sweep.read_bytes()
 
     expected = reports("counted")
@@ -308,28 +302,36 @@ def test_records_take_sigma_from_the_spectrum(tmp_path, monkeypatch):
     assert reports("read") == expected
 
 
-def test_sweep_csv_rows_have_the_header_width(tmp_path):
+def test_the_sweep_ranges_are_one_fixed_table():
+    # a sweep's members are not settings: every sweep takes SWEEP_RANGES
+    assert [f.name for f in fields(SweepConfig)] == ["tol", "sns_random", "out", "fmt"]
+    assert verify.SWEEP_RANGES == {"t4_ab": (9, 100), "tprime_r": (2, 12), "tprime_s1": (2, 20),
+                                   "tdprime_r": (3, 8), "tdprime_s": (2, 6), "broom_ab": (1, 12)}
+    with pytest.raises(TypeError):
+        SweepConfig(t4_ab=(9, 12))
+
+
+def test_sweep_csv_rows_have_the_header_width(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
-    config = SweepConfig(t4_ab=(9, 10), tprime_r=(2, 2), tprime_s1=(2, 3), tdprime_r=(3, 3),
-                         tdprime_s=(2, 3), broom_ab=(1, 2), sns_random=2, out=str(out), fmt="csv")
-    run_family_sweep(config)
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {"t4_ab": (9, 10), "tprime_r": (2, 2), "tprime_s1": (2, 3),
+                                                 "tdprime_r": (3, 3), "tdprime_s": (2, 3), "broom_ab": (1, 2)})
+    run_family_sweep(SweepConfig(sns_random=2, out=str(out), fmt="csv"))
     with out.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert {len(row) for row in rows} == {len(rows[0])}
     assert {"r=2,s1=2", "r=3,s1=2,s2=2", "a=1,b=1"} <= {row[1] for row in rows[1:]}
 
 
-def test_empty_sweep_csv_has_the_sweep_header(tmp_path):
+def test_empty_sweep_csv_has_the_sweep_header(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
-    config = SweepConfig(t4_ab=(2, 1), tprime_r=(2, 1), tdprime_r=(3, 2), broom_ab=(1, 0),
-                         out=str(out), fmt="csv")
-    assert run_family_sweep(config).trees == 0
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {"t4_ab": (2, 1), "tprime_r": (2, 1), "tprime_s1": (2, 20),
+                                                 "tdprime_r": (3, 2), "tdprime_s": (2, 6), "broom_ab": (1, 0)})
+    assert run_family_sweep(SweepConfig(out=str(out), fmt="csv")).trees == 0
     assert out.read_text() == "family,params,n,sigma,le,le_err,bound,holds,slack,thm31_cond\n"
 
 
 @pytest.mark.parametrize("bad", [{"fmt": "xml"}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
-                                 {"sns_random": -1}, {"sns_random": 2.5}, {"sns_random": True},
-                                 {"t4_ab": (9.5, 10)}, {"tprime_s1": (2, True)}, {"broom_ab": (-1, 3)}])
+                                 {"sns_random": -1}, {"sns_random": 2.5}, {"sns_random": True}])
 def test_sweep_config_refuses_bad_settings_before_any_tree(bad, tmp_path, monkeypatch):
     def no_trees(config):
         raise AssertionError("a tree was built before the config was checked")
@@ -728,6 +730,26 @@ def test_resume_rejects_a_non_json_constant(tmp_path, capsys, field, value):
     assert cli_main(["check-conjecture", "--n-max", "5", "--out", str(sink), "--report", str(report)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {sink}:3: not a verification record")
+    assert captured.out == "" and not report.exists()
+    assert sink.read_text() == text
+
+
+@pytest.mark.parametrize("n", [None, 9], ids=["code-recorded-twice", "n-not-half-the-code"])
+def test_resume_rejects_a_line_that_misnames_its_tree(tmp_path, capsys, n):
+    # a copy of the first record appended as it is, or with another n: either
+    # would name a tree wrongly, so the run is refused before any evaluation
+    sink, report = tmp_path / "records.jsonl", tmp_path / "report.jsonl"
+    argv = ["check-conjecture", "--n-min", "4", "--n-max", "5", "--out", str(sink)]
+    assert cli_main(argv) == 0
+    lines = sink.read_text().splitlines()
+    extra = lines[0] if n is None else json.dumps({**json.loads(lines[0]), "n": n})
+    text = sink.read_text() + extra + "\n"
+    sink.write_text(text)
+    capsys.readouterr()
+    assert cli_main(argv + ["--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {sink}:{len(lines) + 1}: not a verification record (")
+    assert captured.err.count("\n") == 1
     assert captured.out == "" and not report.exists()
     assert sink.read_text() == text
 
