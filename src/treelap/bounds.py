@@ -10,8 +10,9 @@ and its claim row only once every hypothesis is certified.  One loop,
 _refined, refines a call: it reads the call's rows again at tol/2, tol/4, ...
 (up to REFINE times) while their verdict is undecided.  Each report function
 builds its BoundReport, for `bounds` and the API, from its call's final rows;
-Check.rows and Check.verdict decide an exhaustive run's verdicts, and the
-conjecture's record values, from the same rows with no report built.
+runs decide from the same rows with no report built: Check.rows and
+Check.verdict give an exhaustive run's verdicts and the conjecture's record
+values, and diam4_sides every family sweep record.
 
 Each side is an Enclosure with integer endpoints over one denominator (the
 spectrum's, n, or a product of them), so a verdict is an integer
@@ -126,35 +127,23 @@ def _row_slack(lo_n: int, hi_n: int, den: int, other_lo_n: int, other_hi_n: int,
     return (lo_n * other_den - other_hi_n * den) / (den * other_den)
 
 
-def _ge_slack(lhs: Enclosure, rhs: Enclosure) -> float:
-    """lhs.lo - rhs.hi, correctly rounded to a float."""
-    return _row_slack(lhs.lo_n, lhs.hi_n, lhs.den, rhs.lo_n, rhs.hi_n, rhs.den)
-
-
 def _row_report(bound_id: str, inputs: dict, row: tuple, holds: bool | None, **extra) -> BoundReport:
     """The certified claim of a row, lhs >= rhs, with its verdict and slack."""
     return BoundReport(bound_id, inputs, Enclosure(*row[:3]), Enclosure(*row[3:6]), holds, _row_slack(*row[:6]),
                        **extra)
 
 
-def _calls_hold(per_call: list[list[tuple]]) -> list[bool | None]:
-    """Each call's _all3 of lhs >= rhs over its rows, decided as Enclosure.ge decides it."""
-    verdicts = []
-    for rows in per_call:
-        verdict = True
-        for row in rows:
-            holds = ge(*row[:6])
-            if holds is not True:
-                verdict = holds
-                if holds is False:
-                    break
-        verdicts.append(verdict)
-    return verdicts
-
-
 def _rows_hold(rows: list[tuple]) -> bool | None:
-    """_all3 of lhs >= rhs over one call's rows."""
-    return _calls_hold([rows])[0]
+    """_all3 of lhs >= rhs over one call's rows, each decided as Enclosure.ge
+    decides it; a loop, since _all3 of a built list costs every call more."""
+    verdict = True
+    for row in rows:
+        holds = ge(*row[:6])
+        if holds is False:
+            return False
+        if holds is None:
+            verdict = None
+    return verdict
 
 
 def _refined(sides: Callable, tree: Tree, calls: Sequence[tuple], tol: float, min_n: int = 0
@@ -167,7 +156,7 @@ def _refined(sides: Callable, tree: Tree, calls: Sequence[tuple], tol: float, mi
     if not calls:  # a fan-out may make none (lemma26 below n = 2, thm31 below 3, diam4 off diameter 4)
         return [], []
     per_call = sides(tree, calls, tol)
-    verdicts = _calls_hold(per_call)
+    verdicts = [_rows_hold(rows) for rows in per_call]
     if None in verdicts and tree.n >= min_n:
         for j, call in enumerate(calls):
             t = tol
@@ -225,7 +214,8 @@ def path_energy_bound_check(n: int, lhs: Enclosure | None = None) -> BoundReport
     """LE(P_n) <= 2 + 4n/pi, certified; lhs defaults to the closed form."""
     le = lhs if lhs is not None else path_energy_closed_form(n)
     rhs = path_energy_upper(n)
-    return BoundReport("lemma24", {"n": n}, le, rhs, holds=rhs.ge(le), slack=_ge_slack(rhs, le))
+    row = (rhs.lo_n, rhs.hi_n, rhs.den, le.lo_n, le.hi_n, le.den)
+    return BoundReport("lemma24", {"n": n}, le, rhs, holds=ge(*row), slack=_row_slack(*row))
 
 
 # ---- per-tree lemma checks ---------------------------------------------------

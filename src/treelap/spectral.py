@@ -325,7 +325,7 @@ def _propose(n: int, est: np.ndarray, tol: float) -> tuple[list[tuple[int, list[
     return probes, np.array([row + [math.nan] * (width - len(row)) for row in rows])
 
 
-def _bisect(tree: Tree, tol: Fraction, den: int, points: list[int],
+def _bisect(tree: Tree, tol: float, den: int, points: list[int],
             below: list[int], equal: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
     """(den, [(lo, hi, count)] descending) from the exact counts at the first
     probes `points` (over den): `below[i]` eigenvalues lie below points[i]
@@ -551,7 +551,7 @@ def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
     counts them through count_eigs, a block in one walk (_below_many) whose
     declined lanes go to the exact pass and whose decided lanes at an
     integer or d_bar are filed where `_kept` says; then each is bisected."""
-    n, frac_tol = trees[0].n, Fraction(tol)
+    n = trees[0].n
     probes, alpha = _propose(n, np.linalg.eigvalsh(_laplacians(trees)), tol)
     if len(trees) > 1:
         walked = _below_many(trees, alpha)
@@ -568,7 +568,7 @@ def _prove(trees: Sequence[Tree], tol: float) -> list[Spectrum]:
                     below[i], equal[i], _ = _count(tree, points[i], den, True)
                 elif key := _kept(n, points[i], den):
                     tree._cache[key] = EigCounts(below[i], 0, n - below[i])
-        den, distinct = _bisect(tree, frac_tol, den, points, below, equal)
+        den, distinct = _bisect(tree, tol, den, points, below, equal)
         specs.append(Spectrum(n, tuple(distinct), den))
         tree._cache[("spectrum", tol)] = specs[-1]
     return specs

@@ -1,10 +1,11 @@
 """Verification harness: exhaustive conjecture runs and family sweeps.
 
 Records are append-only line-delimited JSON keyed by the canonical code, so
-an interrupted run can resume without duplicating work.  A run's report is a
-deterministic artifact (sorted, floats at 15 significant digits) that is
-byte-identical across reruns with the same configuration; an exhaustive run
-writes it one order at a time and keeps tallies, not records.
+an interrupted run can resume without duplicating work.  Runs decide from
+rows (bounds._refined), not reports, and write a deterministic report
+(sorted, floats at 15 significant digits, byte-identical across reruns)
+through _report_file; an exhaustive run writes it one order at a time and
+keeps tallies, not records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Collection, Iterable, Sequence
 from . import bounds, families
 from .enumeration import MAX_ORDER, EnumRange, free_trees_sharded
 from .errors import BadParam, check_index
+from .intervals import Enclosure
 from .spectral import BLOCK, check_tol, eigenvalues, eigenvalues_many
 from .spectral import sigma  # noqa: F401  (kept as verify.sigma; records read the spectrum)
 from .tree import Tree, canonical_code, degree_summary, diameter
@@ -219,19 +221,14 @@ def _report_file(path: str, fmt: str, cls: type):
 
 
 def emit_report(records: Sequence, fmt: str, path: str) -> None:
-    """Deterministic report of verification records, bit-stable."""
-    _write_report(VerifyRecord, records, fmt, path)
-
-
-def _write_report(cls: type, records: Sequence, fmt: str, path: str) -> None:
-    """Records sorted by _sort_key, one per line.  A CSV report starts with
-    the header of cls, the record type its caller writes (also when there
-    are no records), and holds only records of that type."""
+    """Deterministic report of verification records, bit-stable: sorted by
+    _sort_key, one per line.  A CSV report starts with CSV_HEADER (also
+    when there are no records) and holds only VerifyRecords."""
     _check_format(fmt)
-    if fmt == "csv" and any(type(rec) is not cls for rec in records):
-        raise BadParam(f"a CSV report of {cls.__name__} rows holds only {cls.__name__} records")
+    if fmt == "csv" and any(type(rec) is not VerifyRecord for rec in records):
+        raise BadParam("a CSV report of VerifyRecord rows holds only VerifyRecord records")
     to_text = record_to_csv if fmt == "csv" else record_to_json
-    with _report_file(path, fmt, cls) as fh:
+    with _report_file(path, fmt, VerifyRecord) as fh:
         fh.writelines(to_text(rec) + "\n" for rec in sorted(records, key=_sort_key))
 
 
@@ -345,13 +342,14 @@ class RunSummary:
         return "\n".join(lines)
 
     def _tally(self, rec, verdicts: Collection[bool | None], label: str) -> None:
-        """Count one record: a False verdict is a violation, a None one undecided."""
+        """Count one record: a False verdict is a violation, a None one
+        undecided; only a record with verdicts has a say in the min slack."""
         self.counts_by_n[rec.n] = self.counts_by_n.get(rec.n, 0) + 1
         if False in verdicts:  # verdicts are True, False or None
             self.violations += 1
         if None in verdicts:
             self.undecided += 1
-        if self.min_slack is None or rec.slack < self.min_slack:
+        if verdicts and (self.min_slack is None or rec.slack < self.min_slack):
             self.min_slack = rec.slack
             self.argmin_code = label
 
@@ -492,29 +490,28 @@ def _sweep_trees(config: SweepConfig) -> Iterable[tuple[str, str, Tree]]:
 
 
 def run_family_sweep(config: SweepConfig) -> RunSummary:
-    """Sweep the diameter-4 families over the fixed ranges of SWEEP_RANGES,
-    recording LE against 4n/pi + 2 and the internal-vertex condition;
-    diameter-3 brooms record the condition only.
-    Only diameter-4 members with n >= 19 carry a verdict into the tally."""
+    """Sweep the families over SWEEP_RANGES, each member decided from diam4's
+    row, LE(T) >= 4n/pi + 2, and its internal-vertex condition recorded.  A
+    member claims the bound when it has diameter 4 and n >= DIAM4_MIN_N:
+    only then is its row refined and its verdict kept.  The sorted lines go
+    through _report_file, as an exhaustive order's do."""
     if config.out:
         check_writable(config.out)
-    summary = RunSummary()
-    records = []
+    tol, summary, lines = config.tol, RunSummary(), []
+    to_text = record_to_csv if config.fmt == "csv" else record_to_json
     for family, params, tree in _sweep_trees(config):
         n = tree.n
-        if diameter(tree) == 4:
-            rep = bounds.diam4_energy_check(tree, config.tol)
-            le, rhs, holds, slack = rep.lhs, rep.rhs, rep.holds, rep.slack
-            verdicts = () if rep.out_of_hypothesis else (holds,)
-        else:
-            le = eigenvalues(tree, config.tol).laplacian_energy()
-            rhs = bounds.path_energy_upper(n)
-            holds, slack, verdicts = None, bounds._ge_slack(le, rhs), ()
-        rec = SweepRecord(family, params, n, eigenvalues(tree, config.tol).sigma, le.value, le.err, rhs.value,
-                          holds, slack, bounds.thm31_condition(n, degree_summary(tree).internal_count))
+        claims = n >= bounds.DIAM4_MIN_N and diameter(tree) == 4
+        ((row,),), (holds,) = bounds._refined(bounds.diam4_sides, tree, [()], tol, 0 if claims else math.inf)
+        le, bound = Enclosure(*row[:3]), Enclosure(*row[3:6])
+        rec = SweepRecord(family, params, n, eigenvalues(tree, tol).sigma, le.value, le.err, bound.value,
+                          holds if claims else None, bounds._row_slack(*row[:6]),
+                          bounds.thm31_condition(n, degree_summary(tree).internal_count))
         summary.trees += 1
-        summary._tally(rec, verdicts, f"{family}({params})")
-        records.append(rec)
+        summary._tally(rec, (holds,) if claims else (), f"{family}({params})")
+        if config.out:
+            lines.append((_sort_key(rec), to_text(rec)))
     if config.out:
-        _write_report(SweepRecord, records, config.fmt, config.out)
+        with _report_file(config.out, config.fmt, SweepRecord) as fh:
+            fh.writelines(text + "\n" for _, text in sorted(lines))
     return summary

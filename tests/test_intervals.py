@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelap.bounds import _ge_slack
+from treelap.bounds import _row_slack
 from treelap.intervals import PI, Enclosure
 
 from conftest import fraction_err, fraction_ge, fraction_slack, fraction_value, pi_rational_bounds
@@ -84,6 +84,6 @@ def _enclosure_pairs(draw) -> tuple[Enclosure, Enclosure]:
 def test_integer_comparison_matches_the_fraction_formulas(pair):
     for x, y in (pair, pair[::-1]):
         assert x.ge(y) is fraction_ge(x.lo, x.hi, y.lo, y.hi)
-        assert _ge_slack(x, y) == fraction_slack(x.lo, y.hi)
+        assert _row_slack(x.lo_n, x.hi_n, x.den, y.lo_n, y.hi_n, y.den) == fraction_slack(x.lo, y.hi)
         assert x.value == fraction_value(x.lo, x.hi)
         assert x.err == fraction_err(x.lo, x.hi)

@@ -276,6 +276,84 @@ def test_family_sweep_small(tmp_path, monkeypatch):
             assert r["thm31_cond"] == (r["n"] >= 14)
 
 
+_SMALL_SWEEP = {"t4_ab": (9, 11), "tprime_r": (2, 4), "tprime_s1": (2, 6),
+                "tdprime_r": (3, 4), "tdprime_s": (2, 4), "broom_ab": (1, 4)}
+
+
+def _sweep_records(monkeypatch, config: SweepConfig) -> tuple[verify.RunSummary, list]:
+    """The summary of a sweep and (record, tree) for each member."""
+    trees, records, sweep_trees, to_json = {}, [], verify._sweep_trees, verify.record_to_json
+
+    def spy_trees(config):
+        for family, params, tree in sweep_trees(config):
+            trees[family, params] = tree
+            yield family, params, tree
+
+    def spy_json(rec):
+        records.append(rec)
+        return to_json(rec)
+
+    monkeypatch.setattr(verify, "_sweep_trees", spy_trees)
+    monkeypatch.setattr(verify, "record_to_json", spy_json)
+    summary = run_family_sweep(config)
+    assert len(records) == len(trees) == summary.trees
+    return summary, [(rec, trees[rec.family, rec.params]) for rec in records]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5])  # at 0.5 the members that claim are refined
+def test_sweep_records_read_diam4s_row(tol, tmp_path, monkeypatch):
+    # every member is decided from diam4's row: a diameter-4 member's record
+    # shows what diam4_energy_check reports, a broom's LE against 2 + 4n/pi
+    from treelap.bounds import diam4_energy_check, path_energy_upper
+    from treelap.spectral import laplacian_energy
+    from treelap.tree import diameter
+
+    monkeypatch.setattr(verify, "SWEEP_RANGES", _SMALL_SWEEP)
+    _, members = _sweep_records(monkeypatch, SweepConfig(tol=tol, sns_random=3, out=str(tmp_path / "s.jsonl")))
+    seen = set()
+    for rec, tree in members:
+        got = (rec.le, rec.le_err, rec.bound, rec.holds, rec.slack)
+        if diameter(tree) == 4:
+            rep = diam4_energy_check(tree, tol)
+            assert got == (rep.lhs.value, rep.lhs.err, rep.rhs.value, rep.holds, rep.slack), rec
+        else:
+            le, bound = laplacian_energy(tree, tol), path_energy_upper(tree.n)
+            assert got == (le.value, le.err, bound.value, None, float(le.lo - bound.hi)), rec
+        seen.add((rec.family, rec.holds is None))
+    assert {("sns", False), ("t4_spider", False), ("t_prime", True), ("double_broom3", True)} <= seen
+
+
+def test_sweep_min_slack_covers_only_members_that_claim(tmp_path, monkeypatch):
+    # brooms and diameter-4 members below n = 19 claim nothing, so their
+    # (negative) slacks are not the sweep's minimum
+    assert "min slack: 1.8379405623708 at t4_spider(a+b=9)" in run_family_sweep(SweepConfig()).describe()
+    monkeypatch.setattr(verify, "SWEEP_RANGES", _SMALL_SWEEP)
+    summary, members = _sweep_records(monkeypatch, SweepConfig(sns_random=3, out=str(tmp_path / "s.jsonl")))
+    claims = [(rec.slack, f"{rec.family}({rec.params})") for rec, _ in members if rec.holds is not None]
+    assert min(rec.slack for rec, _ in members) < 0 < min(claims)[0]
+    assert (summary.min_slack, summary.argmin_code) == min(claims)
+    # a sweep in which no member claims has no min slack
+    monkeypatch.setattr(verify, "SWEEP_RANGES", {**_SMALL_SWEEP, "t4_ab": (2, 1), "tprime_r": (2, 1),
+                                                 "tdprime_r": (3, 2)})
+    assert run_family_sweep(SweepConfig()).min_slack is None
+
+
+def test_family_sweep_builds_no_report(tmp_path, monkeypatch):
+    # a sweep decides from rows, as an exhaustive run does (see
+    # test_exhaustive_checks_are_decided_from_rows_with_no_report)
+    monkeypatch.setattr(verify, "SWEEP_RANGES", _SMALL_SWEEP)
+    config = SweepConfig(tol=0.5, sns_random=3, fmt="csv")  # at 0.5 the members that claim are refined
+    run_family_sweep(replace(config, out=str(tmp_path / "before.csv")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family sweep built a report")
+
+    monkeypatch.setattr(verify.bounds, "BoundReport", refuse)
+    monkeypatch.setattr(verify.bounds, "diam4_energy_check", refuse)
+    run_family_sweep(replace(config, out=str(tmp_path / "rows-only.csv")))
+    assert (tmp_path / "rows-only.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+
 def test_records_take_sigma_from_the_spectrum(tmp_path, monkeypatch):
     # the check already computed the spectrum, which holds sigma; with every
     # treelap name for spectral.sigma made to raise, the reports keep their bytes
